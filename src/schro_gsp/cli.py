@@ -46,6 +46,7 @@ from .experiments import (
 )
 from .filters import load_filter_params, schrodinger_filter
 from .graph_core import PINNED_CLUSTER_SEED, load_features, load_graph, load_signal
+from .operators import schrodinger_laplacian
 from .ring_task import RingTaskConfig, make_dataset, predict_model, run_ring_task
 from .verify import run_suite, select_suites
 
@@ -411,9 +412,10 @@ def cmd_diagnose(args) -> int:
             f"window coordinate {cfg.coordinate} out of range for "
             f"{feats.n_features} features")
     windows = build_windows(feats, cfg.coordinate, cfg.n_windows)
+    lap = schrodinger_laplacian(graph, feats)
 
     def layer(sig):
-        return schrodinger_filter(graph, feats, params, sig)
+        return schrodinger_filter(lap, feats, params, sig)
 
     report = relative_shift(layer, signal, feats, windows)
     _write_csv(

@@ -107,17 +107,14 @@ def build_windows(f: FeatureLocations, k: int, n_bins: int) -> WindowSet:
     weights = np.zeros((n_bins, n))
     # Interpolation weights onto the center grid; clamped at both ends.
     idx = np.searchsorted(centers, col, side="right")
-    for v in range(n):
-        i = idx[v]
-        if i == 0:
-            weights[0, v] = 1.0
-        elif i == n_bins:
-            weights[n_bins - 1, v] = 1.0
-        else:
-            left, right = centers[i - 1], centers[i]
-            lam = (col[v] - left) / (right - left)
-            weights[i - 1, v] = 1.0 - lam
-            weights[i, v] = lam
+    weights[0, idx == 0] = 1.0
+    weights[n_bins - 1, idx == n_bins] = 1.0
+    (nodes,) = np.nonzero((idx > 0) & (idx < n_bins))
+    i = idx[nodes]
+    left, right = centers[i - 1], centers[i]
+    lam = (col[nodes] - left) / (right - left)
+    weights[i - 1, nodes] = 1.0 - lam
+    weights[i, nodes] = lam
     return WindowSet(
         coordinates=(k,),
         weights=weights,

@@ -233,12 +233,16 @@ class GridPMOConfig:
     # 600 iterations already land well inside the recovery thresholds; the
     # margin keeps the run under the five-minute budget with room to spare.
     max_iters: int = 800
-    grad_mode: str = "finite-difference"
+    # The fit's only gradient; the key stays so saved configs keep loading.
+    grad_mode: str = "spectral-pair"
     seed: int = 0
 
     def __post_init__(self):
         if self.side < 2:
             raise ContractError("a grid needs side at least 2")
+        if self.grad_mode != "spectral-pair":
+            raise ContractError(
+                f"grad_mode must be 'spectral-pair', got {self.grad_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -283,7 +287,6 @@ def run_grid_pmo(cfg: GridPMOConfig = GridPMOConfig()) -> GridPMOResult:
         lam=cfg.lam,
         learning_rate=cfg.learning_rate,
         max_iters=cfg.max_iters,
-        grad_mode=cfg.grad_mode,
         seed=cfg.seed,
     )
     initial_cosine = centered_cosine(q.column(0), q.column(1))

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, FormatError
-from .graph_core import FeatureLocations, Graph, Signal
-from .operators import schrodinger_laplacian
+from .graph_core import FeatureLocations, Signal
+from .operators import SecondOrderGenerator
 from .propagate import EvolutionConfig, evolve_array
 
 _ACTIVATIONS = ("split-relu", "modulus", "none")
@@ -184,15 +184,20 @@ class LayerConfig:
 
 
 def schrodinger_filter(
-    graph: Graph,
+    lap: SecondOrderGenerator,
     f: FeatureLocations,
     params: FilterParams,
     g: Signal,
     cfg: EvolutionConfig = EvolutionConfig(),
 ) -> Signal:
-    """Apply the filter; linear in ``g``, evaluated term by term in order."""
-    if f.n_nodes != graph.n_nodes or g.n_nodes != graph.n_nodes:
-        raise ContractError("graph, features, and signal disagree on size")
+    """Apply the filter; linear in ``g``, evaluated term by term in order.
+
+    ``lap`` is the shared generator ``schrodinger_laplacian(graph, f)``.
+    Callers that filter many signals build it once, so its norm bound is
+    computed once too.
+    """
+    if f.n_nodes != lap.dim or g.n_nodes != lap.dim:
+        raise ContractError("generator, features, and signal disagree on size")
     if params.n_features != f.n_features:
         raise ContractError(
             f"filter directions expect {params.n_features} features, "
@@ -201,7 +206,6 @@ def schrodinger_filter(
         raise ContractError(
             f"filter mix expects {params.in_channels} input channels, "
             f"got {g.n_channels}")
-    lap = schrodinger_laplacian(graph, f)
     out = np.zeros((g.n_nodes, params.out_channels), dtype=np.complex128)
     for term in params.terms:
         direction = f.values @ term.direction

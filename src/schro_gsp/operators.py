@@ -325,22 +325,28 @@ class NormEstimate(float):
 
 
 def _power_iteration(mat, adj, start, tol, max_iter):
+    """Power iteration on ``adj @ mat`` from ``start``.
+
+    Returns ``(sigma, converged, iterations, v)``: the top singular value
+    estimate and the unit right singular vector estimate it ended on, from
+    which ``mat @ v / |mat @ v|`` gives the left one.
+    """
     v = start / np.linalg.norm(start)
     sigma = 0.0
     for it in range(1, max_iter + 1):
         av = mat @ v
         new_sigma = float(np.linalg.norm(av))
         if new_sigma == 0.0:
-            return 0.0, True, it
-        v = adj @ av
-        nv = float(np.linalg.norm(v))
-        if nv == 0.0:
-            return new_sigma, True, it
-        v = v / nv
+            return 0.0, True, it, v
+        w = adj @ av
+        nw = float(np.linalg.norm(w))
+        if nw == 0.0:
+            return new_sigma, True, it, v
+        v = w / nw
         if abs(new_sigma - sigma) <= tol * max(new_sigma, 1e-300):
-            return new_sigma, True, it
+            return new_sigma, True, it, v
         sigma = new_sigma
-    return sigma, False, max_iter
+    return sigma, False, max_iter, v
 
 
 def operator_norm(
@@ -363,7 +369,7 @@ def operator_norm(
     starts.append(rng.normal(size=n) + 1j * rng.normal(size=n))
     best, best_conv, best_it = 0.0, True, 0
     for start in starts:
-        sigma, conv, it = _power_iteration(mat, adj, start, tol, max_iter)
+        sigma, conv, it, _ = _power_iteration(mat, adj, start, tol, max_iter)
         if sigma > best:
             best, best_conv, best_it = sigma, conv, it
         elif sigma == best and conv and not best_conv:

@@ -8,10 +8,9 @@ norm of those cross commutators over ordered pairs, plus a penalty keeping
 each derivative's infinity norm near one (otherwise T = 0 is a trivial
 minimizer).
 
-The optimizer is first/second-moment gradient descent (Adam-style) on the
-entries of T, with gradients from central finite differences by default or
-from singular-pair perturbation identities (``spectral-pair``), which cost
-one norm estimate per commutator instead of one per perturbed entry.
+The optimizer is Adam on the entries of T.  Its gradient is exact up to
+the norm estimates: each cross commutator's top singular pair (u, v) gives
+d(sigma) = u^T dM v, which costs one norm estimate per commutator.
 """
 
 from __future__ import annotations
@@ -30,24 +29,17 @@ from .operators import (
     NORM_MAX_ITER,
     SparseOperator,
     _derivative_csr,
+    _power_iteration,
     commutator,
     infinity_norm,
     operator_norm,
 )
-
-_GRAD_MODES = ("finite-difference", "spectral-pair")
-
-# Central-difference step on entries of T.
-FD_STEP = 1e-5
+from .optim import Adam
 
 # Stop when the best objective improves by less than this relative amount
 # over a window of iterations.
 _STALL_WINDOW = 20
 _STALL_RTOL = 1e-8
-
-_ADAM_BETA1 = 0.9
-_ADAM_BETA2 = 0.999
-_ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -60,7 +52,6 @@ class PMOConfig:
     # direction); 0.02 tracks the descent into the separating minimum.
     learning_rate: float = 0.02
     max_iters: int = 2000
-    grad_mode: str = "finite-difference"
     seed: int = 0
     norm_tol: float = 1e-8
 
@@ -73,8 +64,6 @@ class PMOConfig:
             raise ContractError("learning_rate must be positive")
         if self.max_iters < 1:
             raise ContractError("max_iters must be at least 1")
-        if self.grad_mode not in _GRAD_MODES:
-            raise ContractError(f"grad_mode must be one of {_GRAD_MODES}")
         if self.norm_tol <= 0:
             raise ContractError("norm_tol must be positive")
 
@@ -186,43 +175,6 @@ def pmo_objective(
     return cross + penalty
 
 
-def _fd_gradient(fun, transform: np.ndarray, step: float = FD_STEP) -> np.ndarray:
-    grad = np.zeros_like(transform)
-    for a in range(transform.shape[0]):
-        for k in range(transform.shape[1]):
-            bump = np.zeros_like(transform)
-            bump[a, k] = step
-            grad[a, k] = (fun(transform + bump) - fun(transform - bump)) / (2 * step)
-    return grad
-
-
-def _top_singular_pair(mat: sparse.csr_matrix, tol: float, max_iter: int):
-    """Top singular triple (sigma, u, v) by power iteration on mat* mat."""
-    n = mat.shape[0]
-    adj = mat.conjugate().T.tocsr()
-    v = np.ones(n) / np.sqrt(n)
-    sigma = 0.0
-    for _ in range(max_iter):
-        av = mat @ v
-        new_sigma = float(np.linalg.norm(av))
-        if new_sigma == 0.0:
-            return 0.0, None, None
-        w = adj @ av
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            break
-        v = w / nw
-        if abs(new_sigma - sigma) <= tol * max(new_sigma, 1e-300):
-            sigma = new_sigma
-            break
-        sigma = new_sigma
-    av = mat @ v
-    sigma = float(np.linalg.norm(av))
-    if sigma == 0.0:
-        return 0.0, None, None
-    return sigma, av / sigma, v
-
-
 def _spectral_gradient(
     ws: _Workspace,
     transform: np.ndarray,
@@ -233,6 +185,8 @@ def _spectral_gradient(
 
     Uses d(sigma)/d(M) = u v^T at a simple top singular value; at the rare
     nonsimple points this is a subgradient, which is all descent needs.
+    The pair comes from the same power iteration as the objective's norms,
+    run once from the normalized all-ones vector.
     """
     m_in, k_out = transform.shape
     cols = [ws.q.values @ transform[:, k] for k in range(k_out)]
@@ -245,10 +199,16 @@ def _spectral_gradient(
         for j in range(k_out):
             if i == j:
                 continue
-            comm = (squares[j] @ sparse.diags(xi) - sparse.diags(xi) @ squares[j])
-            sigma, u, v = _top_singular_pair(comm.tocsr(), norm_tol, NORM_MAX_ITER)
+            loc = sparse.diags(xi)
+            comm = (squares[j] @ loc - loc @ squares[j]).tocsr()
+            *_, v = _power_iteration(
+                comm, comm.conjugate().T.tocsr(), np.ones(ws.n), norm_tol,
+                NORM_MAX_ITER)
+            av = comm @ v
+            sigma = float(np.linalg.norm(av))
             if sigma == 0.0:
                 continue
+            u = av / sigma
             gj = grads[j]
             gj_v = gj @ v
             gj_xiv = gj @ (xi * v)
@@ -296,18 +256,13 @@ def _adam_run(objective, grad_fn, t0: np.ndarray, cfg: PMOConfig):
     best_t, best_obj = t.copy(), obj
     trace = [(0, obj)]
     best_history = [obj]
-    m = np.zeros_like(t)
-    v = np.zeros_like(t)
+    adam = Adam(cfg.learning_rate)
     for it in range(1, cfg.max_iters + 1):
         g = grad_fn(t)
         if not np.all(np.isfinite(g)):
             raise DivergedError(
                 f"gradient not finite at iteration {it}", last_good=best_t)
-        m = _ADAM_BETA1 * m + (1 - _ADAM_BETA1) * g
-        v = _ADAM_BETA2 * v + (1 - _ADAM_BETA2) * g * g
-        mhat = m / (1 - _ADAM_BETA1 ** it)
-        vhat = v / (1 - _ADAM_BETA2 ** it)
-        t = t - cfg.learning_rate * mhat / (np.sqrt(vhat) + _ADAM_EPS)
+        t = adam.step(t, g)
         obj = objective(t)
         if not np.isfinite(obj):
             raise DivergedError(
@@ -344,12 +299,8 @@ def pmo_fit(graph: Graph, q: FeatureLocations, cfg: PMOConfig) -> PMOResult:
         cross, penalty = _objective_terms(ws, t, cfg.lam, cfg.norm_tol)
         return cross + penalty
 
-    if cfg.grad_mode == "finite-difference":
-        def grad_fn(t):
-            return _fd_gradient(objective, t)
-    else:
-        def grad_fn(t):
-            return _spectral_gradient(ws, t, cfg.lam, cfg.norm_tol)
+    def grad_fn(t):
+        return _spectral_gradient(ws, t, cfg.lam, cfg.norm_tol)
 
     t0 = np.zeros((m_in, k_out))
     t0[:k_out, :k_out] = np.eye(k_out)

@@ -123,6 +123,11 @@ class DensePropagator:
     def eigenvalues(self) -> np.ndarray:
         return self._eigvals
 
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        """Orthonormal eigenvectors, one column per eigenvalue."""
+        return self._eigvecs
+
     def apply(self, t: float, values: np.ndarray) -> np.ndarray:
         arr = np.asarray(values, dtype=np.complex128)
         phases = np.exp(-1j * t * self._eigvals)

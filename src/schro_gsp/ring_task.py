@@ -13,11 +13,12 @@ fitted with the same budget and compared:
 - "diffusion": heat-kernel smoothing under the classical Laplacian with
   the same parameter budget.  Symmetric for the same reason.
 
-Fitting is full-batch gradient descent with moment accumulation and
-central finite-difference gradients over the few dozen scalar parameters.
-A deterministic sweep over (wavenumber, time) pairs provides the starting
-point; complex mix weights are initialized by alternating least squares
-with a phase update, since the modulus discards the output phase anyway.
+Fitting is full-batch Adam descent over the few dozen scalar parameters,
+with exact gradients taken in the eigenbases the propagation already uses
+(see ``_Pass``).  A deterministic sweep over (wavenumber, time) pairs
+provides the starting point; complex mix weights are initialized by
+alternating least squares with a phase update, since the modulus discards
+the output phase anyway.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .errors import ContractError, DivergedError
 from .filters import FilterParams, FilterTerm
 from .graph_core import FeatureLocations, Signal, ring_graph
 from .operators import feature_derivative, infinity_norm, schrodinger_laplacian
+from .optim import Adam
 from .propagate import DensePropagator
 
 __all__ = [
@@ -62,7 +64,6 @@ class RingTaskConfig:
     channels: int = 4
     max_iters: int = 200
     learning_rate: float = 0.02
-    fd_step: float = 1e-4
     n_windows: int = 4
 
     def __post_init__(self):
@@ -78,7 +79,7 @@ class RingTaskConfig:
             raise ContractError("noise level must be nonnegative")
         if not 1 <= self.channels <= 4:
             raise ContractError("the model is capped at 4 channels")
-        if self.max_iters < 1 or self.learning_rate <= 0 or self.fd_step <= 0:
+        if self.max_iters < 1 or self.learning_rate <= 0:
             raise ContractError("optimizer settings must be positive")
         if self.n_windows < 2:
             raise ContractError("need at least 2 diagnostic windows")
@@ -249,7 +250,7 @@ class _RingWorkspace:
     pair rescaled to unit derivative norm, which puts useful propagation
     times in the tens; the raw (cos, sin, angle) columns parameterize the
     modulation.  The diffusion baseline gets the classical unit-weight
-    ring Laplacian."""
+    ring Laplacian diag(deg) - A."""
 
     def __init__(self, cfg: RingTaskConfig):
         self.cfg = cfg
@@ -263,97 +264,80 @@ class _RingWorkspace:
         self.propagator = DensePropagator(schrodinger_laplacian(
             self.graph, FeatureLocations(pair.values * self.feature_scale)
         ))
-        n = cfg.n_nodes
-        lap = np.zeros((n, n))
-        idx = np.arange(n)
-        lap[idx, idx] = 2.0
-        lap[idx, (idx + 1) % n] = -1.0
-        lap[idx, (idx - 1) % n] = -1.0
-        self._heat_vals, self._heat_vecs = np.linalg.eigh(lap)
-
-    def evolve(self, t: float, batch: np.ndarray) -> np.ndarray:
-        return self.propagator.apply(float(t), batch.T).T
-
-    def heat(self, t: float, batch: np.ndarray) -> np.ndarray:
-        decay = np.exp(-abs(float(t)) * self._heat_vals)
-        coeff = self._heat_vecs.T @ batch.real.T
-        return (self._heat_vecs @ (decay[:, None] * coeff)).T
+        adj = self.graph.adjacency.toarray()
+        self.heat_vals, self.heat_vecs = np.linalg.eigh(
+            np.diag(adj.sum(axis=1)) - adj)
 
 
-class _Evaluator:
-    """Loss evaluation with per-channel caching for cheap FD gradients.
+class _Pass:
+    """One evaluation of a model on a batch of rows, kept for its gradient.
 
-    Perturbing a time or direction entry invalidates one propagated
-    channel; perturbing a mix weight or the scale invalidates none."""
+    Every channel is propagated in the eigenbasis of its generator, where
+    the time derivative of propagation is diagonal: ``-i*lam*exp(-i*t*lam)``
+    for the unitary kinds and ``-sign(t)*mu*exp(-|t|*mu)`` for the heat
+    kernel.  The direction derivative of the lifted input is
+    ``i * F[:, k] * lifted``, paired with the residual propagated back."""
 
-    def __init__(self, ws: _RingWorkspace, kind: str, x: np.ndarray, y: np.ndarray):
-        self.ws = ws
-        self.kind = kind
-        self.x = np.atleast_2d(np.asarray(x, dtype=np.complex128))
-        self.y = np.atleast_2d(np.asarray(y)).real
+    def __init__(self, ws: _RingWorkspace, params: RingModelParams, x: np.ndarray):
+        x = np.atleast_2d(np.asarray(x))
+        times = params.times[:, None]
+        self.params = params
+        self.features = ws.features.values
+        if params.kind == "diffusion":
+            vals, self.vecs = ws.heat_vals, ws.heat_vecs
+            self.lifted = x.real[None]
+            self.factor = np.exp(-np.abs(times) * vals)
+            self.dfactor = -np.sign(times) * vals * self.factor
+        else:
+            vals, self.vecs = ws.propagator.eigenvalues, ws.propagator.eigenvectors
+            self.lifted = x.astype(np.complex128)[None]
+            if params.kind == "modulated":
+                profile = self.features @ params.directions.T
+                self.lifted = self.lifted * np.exp(1j * profile.T)[:, None, :]
+            self.factor = np.exp(-1j * times * vals)
+            self.dfactor = -1j * vals * self.factor
+        # Shapes (C, B, N), or (1, B, N) while every channel shares its input.
+        self.coeff = self.lifted @ self.vecs.conj()
+        self.chans = (self.coeff * self.factor[:, None, :]) @ self.vecs.T
+        self.combined = np.tensordot(params.mix, self.chans, axes=1)
+        if params.kind == "diffusion":
+            self.mag = self.combined.real
+        else:
+            self.mag = np.abs(self.combined)
+        self.pred = params.scale * self.mag
 
-    def channel(self, params: RingModelParams, c: int) -> np.ndarray:
-        if self.kind == "diffusion":
-            return self.ws.heat(params.times[c], self.x)
-        lifted = self.x
-        if self.kind == "modulated":
-            profile = self.ws.features.values @ params.directions[c]
-            lifted = self.x * np.exp(1j * profile)[None, :]
-        return self.ws.evolve(params.times[c], lifted)
+    def loss(self, y: np.ndarray) -> float:
+        return float(np.mean((self.pred - y) ** 2))
 
-    def channels(self, params: RingModelParams) -> list:
-        return [self.channel(params, c) for c in range(params.n_channels)]
-
-    def predict_from(self, params: RingModelParams, chans: list) -> np.ndarray:
-        combined = sum(
-            params.mix[c] * chans[c] for c in range(params.n_channels)
-        )
-        if self.kind == "diffusion":
-            return params.scale * combined.real
-        return params.scale * np.abs(combined)
-
-    def loss_from(self, params: RingModelParams, chans: list) -> float:
-        pred = self.predict_from(params, chans)
-        return float(np.mean((pred - self.y) ** 2))
-
-    def loss(self, params: RingModelParams) -> float:
-        return self.loss_from(params, self.channels(params))
-
-    def touched_channel(self, params: RingModelParams, idx: int):
-        """Which cached channel a packed-parameter entry invalidates."""
-        c = params.n_channels
-        if idx < c:
-            return idx
-        if self.kind == "modulated" and idx < 4 * c:
-            return (idx - c) // 3
-        return None
-
-    def fd_gradient(self, params: RingModelParams, chans: list, step: float) -> np.ndarray:
-        vec = params.pack()
-        grad = np.empty_like(vec)
-        for idx in range(vec.size):
-            c = self.touched_channel(params, idx)
-            sided = []
-            for sign in (1.0, -1.0):
-                bumped = vec.copy()
-                bumped[idx] += sign * step
-                p2 = params.unpack(bumped)
-                if c is None:
-                    sided.append(self.loss_from(p2, chans))
-                else:
-                    local = list(chans)
-                    local[c] = self.channel(p2, c)
-                    sided.append(self.loss_from(p2, local))
-            grad[idx] = (sided[0] - sided[1]) / (2.0 * step)
-        return grad
+    def gradient(self, y: np.ndarray) -> np.ndarray:
+        """Exact gradient of ``loss(y)``, laid out like ``params.pack()``."""
+        p = self.params
+        dpred = (2.0 / self.pred.size) * (self.pred - y)
+        # d(loss) = Re sum(conj(w) * d(combined)); the modulus contributes
+        # the output phase, and nothing where the output vanishes.
+        w = p.scale * dpred
+        if p.kind != "diffusion":
+            w = w * self.combined / np.where(self.mag > 0.0, self.mag, 1.0)
+        w_coeff = w @ self.vecs.conj()
+        paired = np.sum(w_coeff.conj() * self.coeff, axis=1)
+        blocks = [np.real(p.mix * np.sum(self.dfactor * paired, axis=1))]
+        if p.kind == "modulated":
+            back = (w_coeff * self.factor.conj()[:, None, :]) @ self.vecs.T
+            moved = np.sum(back.conj() * self.lifted, axis=1) @ self.features
+            blocks.append(np.real(1j * p.mix[:, None] * moved).ravel())
+        inner = np.einsum("bn,cbn->c", w.conj(), self.chans)
+        blocks.append(inner.real)
+        if p.kind != "diffusion":
+            blocks.append(-inner.imag)
+        blocks.append([np.sum(dpred * self.mag)])
+        return np.concatenate(blocks)
 
 
 def evaluate_model(
     cfg: RingTaskConfig, params: RingModelParams, x: np.ndarray, y: np.ndarray
 ) -> float:
     """Mean squared error of a model on an (x, y) batch."""
-    ev = _Evaluator(_RingWorkspace(cfg), params.kind, x, y)
-    return ev.loss(params)
+    return _Pass(_RingWorkspace(cfg), params, x).loss(y)
 
 
 def predict_model(
@@ -361,8 +345,7 @@ def predict_model(
 ) -> np.ndarray:
     """Model outputs for a batch of input rows, shaped like the batch."""
     batch = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    ev = _Evaluator(_RingWorkspace(cfg), params.kind, batch, np.zeros_like(batch))
-    return ev.predict_from(params, ev.channels(params))
+    return _Pass(_RingWorkspace(cfg), params, batch).pred
 
 
 def _phase_weights(atoms: np.ndarray, target: np.ndarray, iters: int = 60) -> np.ndarray:
@@ -376,47 +359,49 @@ def _phase_weights(atoms: np.ndarray, target: np.ndarray, iters: int = 60) -> np
     return w
 
 
-def _grid_init(ev: _Evaluator, cfg: RingTaskConfig) -> RingModelParams:
+def _grid_init(
+    ws: _RingWorkspace, kind: str, x: np.ndarray, y: np.ndarray
+) -> RingModelParams:
     """Deterministic sweep over (wavenumber, time) pairs.
 
     Modulating by wavenumber m turns the bump into a wave packet that the
     unitary evolution translates at the packet's group velocity, so the
     sweep scores how well each (m, t) lands the packet on the target; the
     plain and diffusion kinds only sweep the time axis."""
-    c = cfg.channels
+    c = ws.cfg.channels
     times = np.linspace(2.0, 47.0, 16)
-    waves = list(range(-14, 15)) if ev.kind == "modulated" else [0]
-    target = ev.y.ravel()
+    waves = list(range(-14, 15)) if kind == "modulated" else [0]
+    target = y.ravel()
     scored = []
     for m in waves:
-        probe = RingModelParams(
-            kind=ev.kind,
-            times=np.zeros(1),
-            directions=np.array([[0.0, 0.0, float(m)]]),
-            mix=np.ones(1, dtype=np.complex128),
+        sweep = _Pass(ws, RingModelParams(
+            kind=kind,
+            times=times,
+            directions=np.tile([0.0, 0.0, float(m)], (times.size, 1)),
+            mix=np.ones(times.size, dtype=np.complex128),
             scale=1.0,
-        )
-        for t in times:
-            cand = replace(probe, times=np.array([float(t)]))
-            z = ev.channel(cand, 0)
-            mag = z.real.ravel() if ev.kind == "diffusion" else np.abs(z).ravel()
+        ), x)
+        for t, z in zip(times, sweep.chans):
+            mag = z.real.ravel() if kind == "diffusion" else np.abs(z).ravel()
             denom = float(mag @ mag)
             if denom <= 0.0:
                 continue
             v = float(mag @ target) / denom
             loss = float(np.mean((v * mag - target) ** 2))
-            scored.append((loss, float(m), float(t), z.reshape(ev.x.shape)))
+            scored.append((loss, float(m), float(t)))
     scored.sort(key=lambda row: row[0])
     chosen = scored[:c]
     params = RingModelParams(
-        kind=ev.kind,
+        kind=kind,
         times=np.array([row[2] for row in chosen]),
         directions=np.array([[0.0, 0.0, row[1]] for row in chosen]),
         mix=np.ones(c, dtype=np.complex128),
         scale=1.0,
     )
-    atoms = np.column_stack([row[3].ravel() for row in chosen])
-    if ev.kind == "diffusion":
+    # Propagated again rather than kept from the sweep, which would hold
+    # every candidate's output in memory at once.
+    atoms = _Pass(ws, params, x).chans.reshape(c, -1).T
+    if kind == "diffusion":
         w, *_ = np.linalg.lstsq(atoms.real, target, rcond=None)
         mix = w.astype(np.complex128)
     else:
@@ -427,7 +412,7 @@ def _grid_init(ev: _Evaluator, cfg: RingTaskConfig) -> RingModelParams:
 def fit_ring_model(
     ws: _RingWorkspace, kind: str, dataset: RingDataset
 ) -> tuple[RingModelParams, list[tuple[int, float, float]]]:
-    """Sweep-initialized finite-difference descent on the train MSE.
+    """Sweep-initialized Adam descent on the train MSE with exact gradients.
 
     Returns the best parameters seen and the per-iteration trace of
     (iteration, train MSE, validation MSE); iteration 0 is the sweep
@@ -435,39 +420,31 @@ def fit_ring_model(
     parameters and the trace so far) if the loss leaves the finite range.
     """
     cfg = ws.cfg
-    ev = _Evaluator(ws, kind, dataset.train_x, dataset.train_y)
-    ev_val = _Evaluator(ws, kind, dataset.val_x, dataset.val_y)
-    params = _grid_init(ev, cfg)
+    x, y = dataset.train_x, dataset.train_y
+    params = _grid_init(ws, kind, x, y)
 
     vec = params.pack()
-    chans = ev.channels(params)
-    loss = ev.loss_from(params, chans)
-    trace = [(0, loss, ev_val.loss(params))]
+    train = _Pass(ws, params, x)
+    loss = train.loss(y)
+    trace = [(0, loss, _Pass(ws, params, dataset.val_x).loss(dataset.val_y))]
     best_vec, best_loss = vec.copy(), loss
-    m1 = np.zeros_like(vec)
-    m2 = np.zeros_like(vec)
-    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    adam = Adam(cfg.learning_rate)
     for it in range(1, cfg.max_iters + 1):
-        grad = ev.fd_gradient(params, chans, cfg.fd_step)
-        m1 = beta1 * m1 + (1.0 - beta1) * grad
-        m2 = beta2 * m2 + (1.0 - beta2) * grad * grad
-        hat1 = m1 / (1.0 - beta1 ** it)
-        hat2 = m2 / (1.0 - beta2 ** it)
-        vec = vec - cfg.learning_rate * hat1 / (np.sqrt(hat2) + eps)
+        vec = adam.step(vec, train.gradient(y))
         if not np.all(np.isfinite(vec)):
             raise DivergedError(
                 f"{kind} ring fit produced non-finite parameters at iteration {it}",
                 last_good={"params": params.unpack(best_vec), "trace": trace},
             )
         params = params.unpack(vec)
-        chans = ev.channels(params)
-        loss = ev.loss_from(params, chans)
+        train = _Pass(ws, params, x)
+        loss = train.loss(y)
         if not math.isfinite(loss):
             raise DivergedError(
                 f"{kind} ring fit produced a non-finite loss at iteration {it}",
                 last_good={"params": params.unpack(best_vec), "trace": trace},
             )
-        trace.append((it, loss, ev_val.loss(params)))
+        trace.append((it, loss, _Pass(ws, params, dataset.val_x).loss(dataset.val_y)))
         if loss < best_loss:
             best_vec, best_loss = vec.copy(), loss
     return params.unpack(best_vec), trace
@@ -510,12 +487,7 @@ class RingTaskResult:
 
 def _layer_fn(ws: _RingWorkspace, params: RingModelParams):
     def layer(sig: Signal) -> Signal:
-        out = np.empty_like(sig.values)
-        for j in range(sig.n_channels):
-            ev = _Evaluator(ws, params.kind, sig.values[:, j],
-                            np.zeros(sig.n_nodes))
-            out[:, j] = ev.predict_from(params, ev.channels(params))[0]
-        return Signal(out)
+        return Signal(_Pass(ws, params, sig.values.T).pred.T)
 
     return layer
 
@@ -543,7 +515,7 @@ def run_ring_task(cfg: RingTaskConfig = RingTaskConfig()) -> RingTaskResult:
         params, trace = fit_ring_model(ws, kind, dataset)
         models[kind] = params
         traces[kind] = trace
-        test_mse[kind] = _Evaluator(ws, kind, dataset.test_x, dataset.test_y).loss(params)
+        test_mse[kind] = _Pass(ws, params, dataset.test_x).loss(dataset.test_y)
         val_mse[kind] = min(trace, key=lambda row: row[1])[2]
     windows = build_windows(ws.features, 2, cfg.n_windows)
     probe = _shift_probe(cfg)

@@ -203,7 +203,8 @@ class TestRingCommand:
 
 class TestPmoGridCommand:
     def test_short_run_writes_artifacts(self, tmp_path):
-        cfg = _write_cfg(tmp_path, {"side": 3, "max_iters": 3})
+        cfg = _write_cfg(tmp_path, {"side": 3, "max_iters": 3,
+                                    "grad_mode": "spectral-pair"})
         out = tmp_path / "out"
         rc = main(["pmo-grid", "--config", cfg, "--out", str(out)])
         assert rc in (0, 1)
@@ -219,6 +220,13 @@ class TestPmoGridCommand:
 
         summary = _read_summary(out)
         assert summary["assertions"]["inputs_start_correlated"]["passed"] is True
+        assert summary["config"]["grad_mode"] == "spectral-pair"
+
+    def test_finite_difference_mode_rejected(self, tmp_path, capsys):
+        cfg = _write_cfg(tmp_path, {"grad_mode": "finite-difference"})
+        assert main(["pmo-grid", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "grad_mode" in capsys.readouterr().err
 
 
 @pytest.fixture()

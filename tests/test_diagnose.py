@@ -50,6 +50,25 @@ class TestBuildWindows:
         assert np.all(ws.weights[0][col <= 0.25] == 1.0)
         assert np.all(ws.weights[1][col >= 0.75] == 1.0)
 
+    @pytest.mark.parametrize("n_bins", [2, 4, 7])
+    def test_matches_per_node_interpolation(self, rng, n_bins):
+        # ties and values beyond both end centers included
+        col = np.round(rng.normal(size=200), 1)
+        ws = build_windows(FeatureLocations.single(col), 0, n_bins)
+        centers = ws.centers[0]
+        expected = np.zeros((n_bins, col.size))
+        for v, x in enumerate(col):
+            i = int(np.searchsorted(centers, x, side="right"))
+            if i == 0:
+                expected[0, v] = 1.0
+            elif i == n_bins:
+                expected[n_bins - 1, v] = 1.0
+            else:
+                lam = (x - centers[i - 1]) / (centers[i] - centers[i - 1])
+                expected[i - 1, v] = 1.0 - lam
+                expected[i, v] = lam
+        assert np.array_equal(ws.weights, expected)
+
     def test_ring_angle_windows_split_evenly(self):
         _, f = ring_graph(100)
         ws = build_windows(f, 2, 4)

@@ -112,6 +112,12 @@ class TestGridGraph:
         with pytest.raises(ContractError):
             GridPMOConfig(side=1)
 
+    def test_grid_pmo_config_takes_only_the_spectral_gradient(self):
+        assert GridPMOConfig().grad_mode == "spectral-pair"
+        assert GridPMOConfig(grad_mode="spectral-pair").grad_mode == "spectral-pair"
+        with pytest.raises(ContractError):
+            GridPMOConfig(grad_mode="finite-difference")
+
 
 class TestCenteredCosine:
     def test_identical_vectors(self, rng):

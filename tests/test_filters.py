@@ -19,6 +19,7 @@ from schro_gsp.filters import (
     schrodinger_filter,
 )
 from schro_gsp.graph_core import FeatureLocations, Signal
+from schro_gsp.operators import schrodinger_laplacian
 
 from conftest import make_instance
 
@@ -122,7 +123,8 @@ class TestFilterAction:
         params = FilterParams(terms=(FilterTerm(
             time=0.0, phase=0.0, direction=np.zeros(1),
             mix=np.eye(2, dtype=complex)),))
-        out = schrodinger_filter(graph, f, params, g)
+        lap = schrodinger_laplacian(graph, f)
+        out = schrodinger_filter(lap, f, params, g)
         assert np.array_equal(out.values, g.values)
 
     def test_opposite_mixes_cancel(self, rng):
@@ -133,7 +135,8 @@ class TestFilterAction:
         kw = {"time": 0.7, "phase": 1.3, "direction": np.array([0.8])}
         params = FilterParams(terms=(
             FilterTerm(mix=mix, **kw), FilterTerm(mix=-mix, **kw)))
-        out = schrodinger_filter(graph, f, params, g)
+        lap = schrodinger_laplacian(graph, f)
+        out = schrodinger_filter(lap, f, params, g)
         assert np.abs(out.values).max() == 0.0
 
     def test_linear_in_the_signal(self, rng):
@@ -144,10 +147,11 @@ class TestFilterAction:
         y = Signal(rng.normal(size=(graph.n_nodes, 2))
                    + 1j * rng.normal(size=(graph.n_nodes, 2)))
         a, b = 0.3 - 1.1j, -0.8 + 0.2j
+        lap = schrodinger_laplacian(graph, f)
         combined = schrodinger_filter(
-            graph, f, params, Signal(a * x.values + b * y.values))
-        parts = (a * schrodinger_filter(graph, f, params, x).values
-                 + b * schrodinger_filter(graph, f, params, y).values)
+            lap, f, params, Signal(a * x.values + b * y.values))
+        parts = (a * schrodinger_filter(lap, f, params, x).values
+                 + b * schrodinger_filter(lap, f, params, y).values)
         assert np.abs(combined.values - parts).max() <= 1e-9
 
     def test_constant_features_reduce_to_phased_mix(self, rng, path3):
@@ -157,7 +161,8 @@ class TestFilterAction:
         f = FeatureLocations(np.full((3, 2), [1.5, -0.5]))
         params = _random_params(rng, n_features=2, j=2, d=2)
         g = Signal(rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2)))
-        out = schrodinger_filter(graph, f, params, g)
+        lap = schrodinger_laplacian(graph, f)
+        out = schrodinger_filter(lap, f, params, g)
         expected = np.zeros((3, 2), dtype=np.complex128)
         for term in params.terms:
             c = float(np.array([1.5, -0.5]) @ term.direction)
@@ -172,7 +177,8 @@ class TestFilterAction:
             time=0.9, phase=1.7, direction=np.array([1.0]), mix=mix),))
         g = Signal(rng.normal(size=(graph.n_nodes, 2))
                    + 1j * rng.normal(size=(graph.n_nodes, 2)))
-        out = schrodinger_filter(graph, f, params, g)
+        lap = schrodinger_laplacian(graph, f)
+        out = schrodinger_filter(lap, f, params, g)
         assert np.linalg.norm(out.values) == pytest.approx(
             np.linalg.norm(g.values), rel=1e-9)
 
@@ -180,15 +186,17 @@ class TestFilterAction:
         graph, f, _ = make_instance(47)  # one feature column
         params = _random_params(rng, n_features=2, j=1, d=1)
         g = Signal(np.ones(graph.n_nodes, dtype=complex))
+        lap = schrodinger_laplacian(graph, f)
         with pytest.raises(ContractError):
-            schrodinger_filter(graph, f, params, g)
+            schrodinger_filter(lap, f, params, g)
 
     def test_channel_count_mismatch_rejected(self, rng):
         graph, f, _ = make_instance(53)
         params = _random_params(rng, n_features=1, j=2, d=1)
         g = Signal(np.ones(graph.n_nodes, dtype=complex))
+        lap = schrodinger_laplacian(graph, f)
         with pytest.raises(ContractError):
-            schrodinger_filter(graph, f, params, g)
+            schrodinger_filter(lap, f, params, g)
 
 
 class TestInputModulation:

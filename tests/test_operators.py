@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from schro_gsp.graph_core import FeatureLocations, Graph
 from schro_gsp.operators import (
     DiagonalOperator,
+    _power_iteration,
     commutator,
     feature_derivative,
     infinity_norm,
@@ -177,6 +178,24 @@ class TestNorms:
         op = feature_derivative(graph, f, 0)
         oracle = np.linalg.svd(op.materialize(), compute_uv=False)[0]
         assert float(operator_norm(op)) == pytest.approx(oracle, abs=1e-6)
+
+    def test_power_iteration_returns_top_singular_pair(self):
+        # [D_0, X_1] is symmetric; on this instance its top singular value
+        # is simple, so the right singular vector is unique up to sign
+        graph, f, _ = make_instance(8, n_features=2)
+        mat = commutator(
+            feature_derivative(graph, f, 0), location_observable(f, 1)
+        ).tosparse()
+        dense = mat.toarray()
+        svals = np.linalg.svd(dense, compute_uv=False)
+        assert svals[1] < 0.95 * svals[0]
+        sigma, converged, _, v = _power_iteration(
+            mat, mat.T.tocsr(), np.ones(graph.n_nodes), 1e-12, 5000)
+        assert converged
+        assert sigma == pytest.approx(np.linalg.norm(dense, 2), rel=1e-9)
+        u = dense @ v / np.linalg.norm(dense @ v)
+        assert np.linalg.norm(dense @ v - sigma * u) <= 1e-9 * sigma
+        assert np.linalg.norm(dense.T @ u - sigma * v) <= 1e-5 * sigma
 
     def test_estimate_reports_convergence(self):
         est = operator_norm(DiagonalOperator(np.array([2.0, 1.0])))

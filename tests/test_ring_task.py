@@ -14,7 +14,7 @@ from schro_gsp.ring_task import (
     make_dataset,
     predict_model,
 )
-from schro_gsp.ring_task import _RingWorkspace, _wrapped_bump
+from schro_gsp.ring_task import _grid_init, _Pass, _RingWorkspace, _wrapped_bump
 
 
 class TestConfig:
@@ -30,7 +30,6 @@ class TestConfig:
         {"channels": 5},
         {"max_iters": 0},
         {"learning_rate": 0.0},
-        {"fd_step": 0.0},
         {"n_windows": 1},
     ])
     def test_bad_settings_rejected(self, kwargs):
@@ -220,6 +219,29 @@ class TestFit:
         params, trace = fit_ring_model(ws, "modulated", make_dataset(cfg))
         assert params.kind == "modulated"
         assert len(trace) == 3
+
+    @pytest.mark.parametrize("kind", ["modulated", "plain", "diffusion"])
+    def test_gradient_matches_central_differences(self, kind):
+        cfg = RingTaskConfig(n_nodes=40, shift=7, n_samples=20, seed=3,
+                             channels=2)
+        ws = _RingWorkspace(cfg)
+        ds = make_dataset(cfg)
+        start = _grid_init(ws, kind, ds.train_x, ds.train_y)
+        vec = start.pack() + 0.05 * np.random.default_rng(5).normal(
+            size=start.pack().size)
+        params = start.unpack(vec)
+        exact = _Pass(ws, params, ds.train_x).gradient(ds.train_y)
+
+        def loss(v):
+            return _Pass(ws, params.unpack(v), ds.train_x).loss(ds.train_y)
+
+        step = 1e-5
+        fd = np.empty_like(vec)
+        for i in range(vec.size):
+            bump = np.zeros_like(vec)
+            bump[i] = step
+            fd[i] = (loss(vec + bump) - loss(vec - bump)) / (2.0 * step)
+        assert np.linalg.norm(exact - fd) <= 1e-5 * np.linalg.norm(fd)
 
     # the runaway step overflows on purpose before the guard trips
     @pytest.mark.filterwarnings("ignore:overflow encountered")
