@@ -17,6 +17,7 @@ class TestConfig:
         {"out_features": 2, "lam": -0.5},
         {"out_features": 2, "learning_rate": 0.0},
         {"out_features": 2, "max_iters": 0},
+        {"out_features": 2, "learning_rate": -0.02},
         {"out_features": 2, "norm_tol": 0.0},
     ])
     def test_bad_settings_rejected(self, kwargs):
@@ -109,6 +110,16 @@ class TestFit:
         recomputed = commuting_deficiency(
             graph, FeatureLocations(q.values @ result.transform))
         assert result.final_deficiency == pytest.approx(recomputed, rel=1e-6)
+
+    def test_spectral_mode_descends(self):
+        # the spectral-pair gradient is the only one; a second instance
+        rng = np.random.default_rng(22)
+        graph = random_connected_graph(rng, n_min=8, n_max=12)
+        q = random_features(rng, graph.n_nodes, 2)
+        cfg = PMOConfig(out_features=2, max_iters=25)
+        init = pmo_objective(graph, q, np.eye(2), cfg.lam)
+        result = pmo_fit(graph, q, cfg)
+        assert pmo_objective(graph, q, result.transform, cfg.lam) <= init + 1e-12
 
     def test_spectral_gradient_matches_finite_differences(self):
         from schro_gsp.pmo import _spectral_gradient, _Workspace

@@ -30,6 +30,7 @@ class TestConfig:
         {"channels": 5},
         {"max_iters": 0},
         {"learning_rate": 0.0},
+        {"max_iters": -5},
         {"n_windows": 1},
     ])
     def test_bad_settings_rejected(self, kwargs):
