@@ -8,8 +8,9 @@ complex matrix:
     out = sum_m  propagate(t_m, modulate(theta_m * (f @ dir_m)) @ g) @ W_m
 
 applied in ascending term order so evaluation is deterministic.  The map is
-linear in the signal; per-term cost is one diagonal scaling, one truncated
-propagation, and one channel mix, so work grows linearly in the edge count.
+linear in the signal; per-term cost is one diagonal scaling, one
+Chebyshev-series propagation, and one channel mix, so work grows linearly in
+the edge count.
 
 There are no bias terms anywhere.
 """

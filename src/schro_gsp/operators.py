@@ -63,11 +63,12 @@ class LinearNodeOperator:
         return self.tosparse().toarray()
 
     def is_self_adjoint(self, tol: float = 1e-12) -> bool:
+        """Whether ``max |A - A*| <= tol * max |A|``, a scale-free test."""
         mat = self.tosparse()
         diff = mat - mat.conjugate().T
         if diff.nnz == 0:
             return True
-        return float(np.abs(diff.data).max()) <= tol
+        return float(np.abs(diff.data).max()) <= tol * float(np.abs(mat.data).max())
 
     def _check_operand(self, values: np.ndarray) -> np.ndarray:
         arr = np.asarray(values)

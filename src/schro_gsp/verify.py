@@ -344,24 +344,22 @@ def _unitarity_dense():
 
 @_suite("unitarity-taylor")
 def _unitarity_taylor():
-    cfg = EvolutionConfig(taylor_order=15, split_threshold=1.0)
     worst = 0.0
     for g, f, t, vec in _propagation_family():
         lap = schrodinger_laplacian(g, f)
-        worst = max(worst, unitarity_defect(lap, t, Signal(vec), cfg))
-    return worst, 1e-6, "norm drift, truncated-series propagation, 100 instances"
+        worst = max(worst, unitarity_defect(lap, t, Signal(vec)))
+    return worst, 1e-6, "norm drift, Chebyshev propagation, 100 instances"
 
 
 @_suite("taylor-dense-agreement")
 def _taylor_dense_agreement():
-    cfg = EvolutionConfig(taylor_order=15, split_threshold=1.0)
     worst = 0.0
     for g, f, t, vec in _propagation_family(50):
         lap = schrodinger_laplacian(g, f)
-        approx = evolve(lap, t, Signal(vec), cfg).values
+        approx = evolve(lap, t, Signal(vec)).values
         exact = DensePropagator(lap).apply(t, vec)[:, None]
         worst = max(worst, float(np.abs(approx - exact).max()))
-    return worst, 1e-6, "per-entry gap between series and factorized paths"
+    return worst, 1e-6, "per-entry gap between Chebyshev and factorized paths"
 
 
 @_suite("momentum-conservation")
@@ -398,13 +396,12 @@ def _derivative_evolution_commute():
 
 @_suite("evolution-inversion-taylor")
 def _evolution_inversion_taylor():
-    cfg = EvolutionConfig(taylor_order=15, split_threshold=1.0)
     worst = 0.0
     for g, f, t, vec in _propagation_family(50):
         lap = schrodinger_laplacian(g, f)
-        back = evolve(lap, -t, evolve(lap, t, Signal(vec), cfg), cfg).values[:, 0]
+        back = evolve(lap, -t, evolve(lap, t, Signal(vec))).values[:, 0]
         worst = max(worst, float(np.abs(back - vec).max()))
-    return worst, 1e-6, "forward/backward series propagation round trip"
+    return worst, 1e-6, "forward/backward Chebyshev propagation round trip"
 
 
 @_suite("evolution-inversion-dense")
@@ -644,7 +641,6 @@ def _mixed_derivative_fd():
 @_suite("sensitivity-probe-linear")
 def _sensitivity_probe_linear():
     rng = np.random.default_rng(121)
-    cfg = EvolutionConfig()
     worst = 0.0
     for _ in range(25):
         g = random_connected_graph(rng)
@@ -657,7 +653,7 @@ def _sensitivity_probe_linear():
         mod = modulation(h, theta)
 
         def layer(x, lap=lap, mod=mod, t=t, scale=scale):
-            return scale * evolve_array(lap, t, mod.apply(np.asarray(x)), cfg)
+            return scale * evolve_array(lap, t, mod.apply(np.asarray(x)))
 
         vec = random_unit(rng, g.n_nodes)
         worst = max(worst, abs(sensitivity_probe(layer, vec) - 1.0))
@@ -806,7 +802,6 @@ def _activation_idempotent():
 @_suite("filter-complexity-scaling")
 def _filter_complexity():
     sizes = (1000, 8000, 64000)
-    cfg = EvolutionConfig(taylor_order=15, split_threshold=1.0)
     rng = np.random.default_rng(128)
     params = FilterParams(
         terms=(
@@ -825,14 +820,14 @@ def _filter_complexity():
         x = Signal(rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4)))
         # Each timed call builds its generator, so it times the whole filter.
         schrodinger_filter(
-            schrodinger_laplacian(graph, two), two, params, x, cfg)  # warm-up
+            schrodinger_laplacian(graph, two), two, params, x)  # warm-up
         repeats = max(1, 64000 // n)
         best = np.inf
         for _ in range(3):
             start = time.perf_counter()
             for _ in range(repeats):
                 schrodinger_filter(
-                    schrodinger_laplacian(graph, two), two, params, x, cfg)
+                    schrodinger_laplacian(graph, two), two, params, x)
             best = min(best, (time.perf_counter() - start) / repeats)
         timings.append(best)
     worst = 0.0

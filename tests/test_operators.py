@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from schro_gsp.graph_core import FeatureLocations, Graph
 from schro_gsp.operators import (
     DiagonalOperator,
+    SparseOperator,
     _power_iteration,
     commutator,
     feature_derivative,
@@ -147,6 +148,20 @@ class TestSmoothingAndCommutators:
     def test_momentum_observable_is_self_adjoint(self):
         graph, f, _ = make_instance(3)
         assert momentum_observable(graph, f, 0).is_self_adjoint()
+
+
+class TestSelfAdjointness:
+    def test_tiny_asymmetric_operator_rejected(self):
+        # The whole operator is its asymmetry, however small its entries.
+        op = SparseOperator(np.array([[0.0, 1e-13], [0.0, 0.0]]))
+        assert not op.is_self_adjoint()
+
+    def test_one_rounding_step_at_large_scale_accepted(self):
+        sym = np.random.default_rng(5).uniform(-1e8, 1e8, size=(6, 6))
+        sym = sym + sym.T
+        sym[0, 1] = np.nextafter(sym[1, 0], np.inf)
+        assert 0.0 < sym[0, 1] - sym[1, 0] < 1.5e-8
+        assert SparseOperator(sym).is_self_adjoint()
 
 
 class TestNorms:

@@ -1,39 +1,40 @@
-"""Propagation: unitarity, oracle agreement, splitting, and failure modes."""
+"""Propagation: unitarity, oracle agreement, cost, and failure modes."""
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.special import jv
 
 from schro_gsp.errors import ContractError, NumericalError, SizeError
-from schro_gsp.graph_core import FeatureLocations, Signal, ring_graph
-from schro_gsp.operators import schrodinger_laplacian
+from schro_gsp.graph_core import FeatureLocations, Graph, Signal, ring_graph
+from schro_gsp.operators import (
+    SecondOrderGenerator,
+    SparseOperator,
+    schrodinger_laplacian,
+)
 from schro_gsp.propagate import (
+    CHEB_TAIL_TOL,
     DensePropagator,
     EvolutionConfig,
+    _chebyshev_coefficients,
     evolve,
     evolve_dense,
     unitarity_defect,
 )
+from schro_gsp.verify import random_connected_graph, random_features, random_unit
 
 from conftest import make_instance
 
 
 class TestConfig:
-    def test_order_bounds(self):
-        EvolutionConfig(taylor_order=1)
-        EvolutionConfig(taylor_order=64)
-        with pytest.raises(ContractError):
-            EvolutionConfig(taylor_order=0)
-        with pytest.raises(ContractError):
-            EvolutionConfig(taylor_order=65)
-
-    def test_split_threshold_positive(self):
-        with pytest.raises(ContractError):
-            EvolutionConfig(split_threshold=0.0)
-
     def test_method_names(self):
+        EvolutionConfig(method="chebyshev")
         EvolutionConfig(method="dense-oracle")
         with pytest.raises(ContractError):
-            EvolutionConfig(method="chebyshev")
+            EvolutionConfig(method="taylor")
 
 
 class TestExactCases:
@@ -55,9 +56,9 @@ class TestExactCases:
         graph, f = path3
         lap = schrodinger_laplacian(graph, f)
         g = Signal(np.array([1.0, 0.0, 0.0]))
-        taylor = evolve(lap, 0.3, g, EvolutionConfig(taylor_order=15))
+        series = evolve(lap, 0.3, g)
         oracle = evolve_dense(lap, 0.3, g)
-        assert np.max(np.abs(taylor.values - oracle.values)) <= 1e-8
+        assert np.max(np.abs(series.values - oracle.values)) <= 1e-8
 
 
 class TestUnitarity:
@@ -116,16 +117,28 @@ class TestFailureModes:
         with pytest.raises(SizeError):
             DensePropagator(lap)
 
-    # the huge coefficient overflows on purpose before the guard trips
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
-    def test_overflow_names_sub_step(self, path3):
+    def test_huge_time_names_term_count(self, path3):
         graph, f = path3
         lap = schrodinger_laplacian(graph, f)
         g = Signal(np.array([1.0, 0.0, 0.0]))
-        # disable splitting so the truncated series blows up
-        cfg = EvolutionConfig(taylor_order=64, split_threshold=1e308)
-        with pytest.raises(NumericalError, match="sub-step"):
-            evolve(lap, 1e40, g, cfg)
+        with pytest.raises(NumericalError, match="needs about 1e\\+40 Chebyshev terms"):
+            evolve(lap, 1e40, g)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "cfg", [EvolutionConfig(), EvolutionConfig(method="dense-oracle")],
+        ids=["default", "dense-oracle"])
+    def test_non_finite_time_rejected(self, path3, t, cfg):
+        graph, f = path3
+        lap = schrodinger_laplacian(graph, f)
+        g = Signal(np.array([1.0, 0.0, 0.0]))
+        with pytest.raises(ContractError, match="time must be finite"):
+            evolve(lap, t, g, cfg)
+
+    def test_tiny_non_self_adjoint_generator_rejected(self):
+        op = SparseOperator(np.array([[0.0, 1e-13], [0.0, 0.0]]))
+        with pytest.raises(ContractError, match="self-adjoint"):
+            evolve(op, 1.0, Signal(np.array([1.0, 0.0])))
 
     def test_size_mismatch_rejected(self, path3):
         graph, f = path3
@@ -142,3 +155,86 @@ class TestFailureModes:
         joint = prop.apply(0.6, batch)
         for j in range(3):
             assert np.allclose(joint[:, j], prop.apply(0.6, batch[:, j]), atol=0.0)
+
+
+class TestChebyshevCoefficients:
+    @pytest.mark.parametrize("z", [3e-9, 0.3, -7.0, 123.4, -2500.0, 1e4])
+    def test_match_scipy_bessel_and_drop_a_negligible_tail(self, z):
+        coef = _chebyshev_coefficients(z)
+        k = np.arange(coef.size + 300)
+        expect = 2.0 * jv(k, z) * (-1j) ** (k % 4)
+        expect[0] /= 2.0
+        # Rounding in the downward recurrence grows at most linearly with its
+        # number of steps, about |z|.
+        gap = np.max(np.abs(coef - expect[: coef.size]))
+        assert gap <= 8 * np.finfo(float).eps * (1.0 + abs(z))
+        assert np.sum(np.abs(expect[coef.size:])) < CHEB_TAIL_TOL
+
+
+class TestCost:
+    def test_generator_applications_near_half_time_bandwidth(self, monkeypatch):
+        graph, f, vec = make_instance(3)
+        lap = schrodinger_laplacian(graph, f)
+        t = -0.75
+        calls = []
+        apply = SecondOrderGenerator.apply
+
+        def counted(self, values):
+            calls.append(1)
+            return apply(self, values)
+
+        monkeypatch.setattr(SecondOrderGenerator, "apply", counted)
+        evolve(lap, t, Signal.single(vec))
+        # A Taylor-like cost of 15 applications per unit of |t| b is 750 here.
+        assert len(calls) <= math.ceil(abs(t) * lap.norm_bound / 2) + 40
+
+
+def _log_weight_instance(seed: int, n_parts: int):
+    """``n_parts`` disjoint random components, edge weights in [1e-8, 1e8]."""
+    gen = np.random.default_rng(seed)
+    us, vs, n = [], [], 0
+    for _ in range(n_parts):
+        part = random_connected_graph(gen, n_min=2, n_max=12)
+        us.append(part.edge_u + n)
+        vs.append(part.edge_v + n)
+        n += part.n_nodes
+    u, v = np.concatenate(us), np.concatenate(vs)
+    graph = Graph(n, u, v, 10.0 ** gen.uniform(-8.0, 8.0, size=u.size))
+    return graph, random_features(gen, n, 2), random_unit(gen, n)
+
+
+def _check_against_oracle(lap, t: float, vec: np.ndarray) -> None:
+    out = evolve(lap, t, Signal.single(vec)).values[:, 0]
+    exact = DensePropagator(lap).apply(t, vec)
+    assert np.max(np.abs(out - exact)) <= 1e-8
+    assert abs(np.linalg.norm(out) - 1.0) <= 1e-6
+
+
+class TestExtremes:
+    """Series against the dense oracle with |t| b up to 2000."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2 ** 31), st.floats(-2000.0, 2000.0))
+    @example(seed=0, tau=-2000.0)
+    @example(seed=0, tau=2000.0)
+    def test_log_uniform_weights(self, seed, tau):
+        graph, f, vec = _log_weight_instance(seed, 1)
+        lap = schrodinger_laplacian(graph, f)
+        _check_against_oracle(lap, tau / lap.norm_bound, vec)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 2 ** 31), st.floats(-2000.0, 2000.0))
+    def test_disconnected_graph(self, seed, tau):
+        graph, f, vec = _log_weight_instance(seed, 3)
+        lap = schrodinger_laplacian(graph, f)
+        _check_against_oracle(lap, tau / lap.norm_bound, vec)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_single_node_returns_input(self, t):
+        graph = Graph(1, np.array([]), np.array([]), np.array([]))
+        lap = schrodinger_laplacian(graph, FeatureLocations.single([0.5]))
+        vec = np.array([0.6 + 0.8j])
+        assert lap.norm_bound == 0.0
+        assert np.array_equal(evolve(lap, t, Signal.single(vec)).values[:, 0], vec)
+        _check_against_oracle(lap, t, vec)
