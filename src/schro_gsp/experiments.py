@@ -307,6 +307,6 @@ def run_grid_pmo(cfg: GridPMOConfig = GridPMOConfig()) -> GridPMOResult:
         initial_deficiency=initial_deficiency,
         final_deficiency=fit.final_deficiency,
         initial_objective=initial_objective,
-        final_objective=pmo_objective(graph, q, fit.transform, cfg.lam),
+        final_objective=fit.objective_trace[-1][1],
         derivative_norms=norms,
     )

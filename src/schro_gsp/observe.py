@@ -31,7 +31,7 @@ from .operators import (
     NORM_MAX_ITER,
     NORM_TOL,
     SparseOperator,
-    commutator,
+    cross_commutators,
     feature_derivative,
     location_observable,
     operator_norm,
@@ -299,22 +299,11 @@ def commuting_deficiency(
     """Largest pairwise obstruction to treating the feature set as jointly
     diagonal: max over ordered pairs (i, j), i != j, of the spectral norm of
     ``[grad_j^2, X_i]``.  Zero when there is a single feature."""
-    k_total = f.n_features
-    if k_total < 2:
-        return 0.0
-    worst = 0.0
-    squares = []
-    for j in range(k_total):
-        gj = feature_derivative(graph, f, j).tosparse()
-        squares.append(SparseOperator((gj @ gj).tocsr()))
-    for i in range(k_total):
-        loc = location_observable(f, i)
-        for j in range(k_total):
-            if i == j:
-                continue
-            comm = commutator(squares[j], loc)
-            worst = max(worst, float(operator_norm(comm, tol, max_iter)))
-    return worst
+    grads = [feature_derivative(graph, f, k).tosparse()
+             for k in range(f.n_features)]
+    cols = [f.column(k) for k in range(f.n_features)]
+    return max((float(operator_norm(comm, tol, max_iter))
+                for _, _, comm in cross_commutators(grads, cols)), default=0.0)
 
 
 def mixed_derivative_rhs(

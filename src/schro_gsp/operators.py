@@ -307,21 +307,42 @@ def commutator(a: LinearNodeOperator, b: LinearNodeOperator) -> SparseOperator:
     return SparseOperator((am @ bm - bm @ am).tocsr())
 
 
+def cross_commutators(grads, cols):
+    """Yield ``(i, j, [G_j^2, X_i])`` over ordered pairs ``i != j``.
+
+    ``grads`` holds the derivative matrices ``G_k`` and ``cols`` the feature
+    columns ``x_k`` they were built from; ``X_i = diag(x_i)``.
+    """
+    squares = [SparseOperator((g @ g).tocsr()) for g in grads]
+    for i, col in enumerate(cols):
+        loc = SparseOperator(sparse.diags(col, format="csr"))
+        for j, square in enumerate(squares):
+            if i != j:
+                yield i, j, commutator(square, loc)
+
+
 # ---------------------------------------------------------------------------
 # Norms.
 # ---------------------------------------------------------------------------
 
 
 class NormEstimate(float):
-    """Float carrying power-iteration convergence metadata."""
+    """Float carrying power-iteration convergence metadata.
+
+    ``vector`` is the unit right singular vector estimate of the kept run,
+    with ``|op v|`` equal to the value, so ``op v / value`` is the left one.
+    """
 
     converged: bool
     iterations: int
+    vector: np.ndarray
 
-    def __new__(cls, value: float, converged: bool, iterations: int):
+    def __new__(cls, value: float, converged: bool, iterations: int,
+                vector: np.ndarray):
         obj = super().__new__(cls, value)
         obj.converged = converged
         obj.iterations = iterations
+        obj.vector = vector
         return obj
 
 
@@ -329,25 +350,24 @@ def _power_iteration(mat, adj, start, tol, max_iter):
     """Power iteration on ``adj @ mat`` from ``start``.
 
     Returns ``(sigma, converged, iterations, v)``: the top singular value
-    estimate and the unit right singular vector estimate it ended on, from
-    which ``mat @ v / |mat @ v|`` gives the left one.
+    estimate ``sigma = |mat @ v|`` and the unit right singular vector
+    estimate ``v`` it was measured on.
     """
     v = start / np.linalg.norm(start)
     sigma = 0.0
     for it in range(1, max_iter + 1):
         av = mat @ v
         new_sigma = float(np.linalg.norm(av))
-        if new_sigma == 0.0:
-            return 0.0, True, it, v
+        converged = (new_sigma == 0.0
+                     or abs(new_sigma - sigma) <= tol * max(new_sigma, 1e-300))
+        if converged or it == max_iter:
+            return new_sigma, converged, it, v
         w = adj @ av
         nw = float(np.linalg.norm(w))
         if nw == 0.0:
             return new_sigma, True, it, v
         v = w / nw
-        if abs(new_sigma - sigma) <= tol * max(new_sigma, 1e-300):
-            return new_sigma, True, it, v
         sigma = new_sigma
-    return sigma, False, max_iter, v
 
 
 def operator_norm(
@@ -358,24 +378,26 @@ def operator_norm(
     """Largest singular value estimate via power iteration on op* op.
 
     Runs once from the normalized all-ones vector and once from a fixed
-    pseudo-random start, and keeps the larger estimate.  Non-convergence
-    within ``max_iter`` is reported through the ``converged`` flag on the
-    returned value, not as an exception.
+    pseudo-random start, and keeps the larger estimate (the all-ones run on
+    a tie, unless only the other converged) together with its singular
+    vector.  Non-convergence within ``max_iter`` is reported through the
+    ``converged`` flag on the returned value, not as an exception.
     """
+    if max_iter < 1:
+        raise ContractError("max_iter must be at least 1")
     mat = op.tosparse()
     adj = mat.conjugate().T.tocsr()
     n = mat.shape[0]
-    starts = [np.ones(n, dtype=np.complex128)]
     rng = np.random.default_rng(0x5EED)
-    starts.append(rng.normal(size=n) + 1j * rng.normal(size=n))
-    best, best_conv, best_it = 0.0, True, 0
+    starts = [np.ones(n, dtype=np.complex128),
+              rng.normal(size=n) + 1j * rng.normal(size=n)]
+    best = None
     for start in starts:
-        sigma, conv, it, _ = _power_iteration(mat, adj, start, tol, max_iter)
-        if sigma > best:
-            best, best_conv, best_it = sigma, conv, it
-        elif sigma == best and conv and not best_conv:
-            best_conv, best_it = conv, it
-    return NormEstimate(best, best_conv, best_it)
+        run = _power_iteration(mat, adj, start, tol, max_iter)
+        if best is None or run[0] > best[0] or (
+                run[0] == best[0] and run[1] and not best[1]):
+            best = run
+    return NormEstimate(*best)
 
 
 def infinity_norm(op: LinearNodeOperator) -> float:

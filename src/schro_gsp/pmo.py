@@ -8,14 +8,17 @@ norm of those cross commutators over ordered pairs, plus a penalty keeping
 each derivative's infinity norm near one (otherwise T = 0 is a trivial
 minimizer).
 
-The optimizer is Adam on the entries of T.  Its gradient is exact up to
-the norm estimates: each cross commutator's top singular pair (u, v) gives
-d(sigma) = u^T dM v, which costs one norm estimate per commutator.
+The optimizer is Adam on the entries of T.  Each iterate is evaluated in
+one pass that builds every cross commutator once and estimates its norm
+once; the gradient uses the singular pair of that kept estimate, (u, v)
+with d(sigma) = Re(u^H dM v), so it is exact up to the norm estimates and
+differentiates the same value the objective sums.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -27,11 +30,8 @@ from .graph_core import FeatureLocations, Graph
 from .observe import commuting_deficiency
 from .operators import (
     NORM_MAX_ITER,
-    SparseOperator,
     _derivative_csr,
-    _power_iteration,
-    commutator,
-    infinity_norm,
+    cross_commutators,
     operator_norm,
 )
 from .optim import Adam
@@ -58,14 +58,14 @@ class PMOConfig:
     def __post_init__(self):
         if self.out_features < 1:
             raise ContractError("out_features must be at least 1")
-        if self.lam < 0:
-            raise ContractError("penalty weight must be nonnegative")
-        if self.learning_rate <= 0:
-            raise ContractError("learning_rate must be positive")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ContractError("penalty weight must be finite and nonnegative")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ContractError("learning_rate must be finite and positive")
         if self.max_iters < 1:
             raise ContractError("max_iters must be at least 1")
-        if self.norm_tol <= 0:
-            raise ContractError("norm_tol must be positive")
+        if not (math.isfinite(self.norm_tol) and self.norm_tol > 0):
+            raise ContractError("norm_tol must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -126,32 +126,65 @@ class _Workspace:
         return FeatureLocations(self.q.values @ transform)
 
 
-def _objective_terms(
+def _evaluate(
     ws: _Workspace,
     transform: np.ndarray,
     lam: float,
     norm_tol: float,
-) -> tuple[float, float]:
-    """Return (cross-commutator mass, penalty) at the given transform."""
-    k_out = transform.shape[1]
+) -> tuple[float, np.ndarray]:
+    """Objective and its gradient at the given transform, in one pass.
+
+    Each cross commutator M = [G_j^2, X_i] gets one norm estimate; its value
+    sigma enters the objective, and its singular vector v (with
+    sigma = |M v|) gives d(sigma^2) = 2 Re((M v)^H dM v).  M and every dM
+    are real skew-symmetric, so the top singular value is a pair and this
+    is the same for every unit v in the pair's span; only where a third
+    singular value meets the pair is it a subgradient, which is all
+    descent needs.  The penalty's subgradient runs along the sign pattern of the row that
+    attains each derivative's infinity norm.
+    """
+    m_in, k_out = transform.shape
     cols = [ws.q.values @ transform[:, k] for k in range(k_out)]
     grads = [ws.out_grad(transform[:, k]) for k in range(k_out)]
-    squares = [SparseOperator((g @ g).tocsr()) for g in grads]
+    grad = np.zeros_like(transform)
+
     cross = 0.0
-    for i in range(k_out):
-        loc = SparseOperator(sparse.diags(cols[i], format="csr"))
-        for j in range(k_out):
-            if i == j:
-                continue
-            sigma = operator_norm(
-                commutator(squares[j], loc), norm_tol, NORM_MAX_ITER
+    for i, j, comm in cross_commutators(grads, cols):
+        est = operator_norm(comm, norm_tol, NORM_MAX_ITER)
+        cross += float(est) ** 2
+        if est == 0.0:
+            continue
+        v = est.vector
+        av = comm.apply(v)
+        xi, gj = cols[i], grads[j]
+        gj_v = gj @ v
+        gj_xiv = gj @ (xi * v)
+        sq_v = gj @ gj_v
+        for a in range(m_in):
+            ga = ws.raw_grads[a]
+            qa = ws.q.column(a)
+            # d/dT[a,j]: [Ga Gj + Gj Ga, X_i]
+            dm_v = (
+                ga @ gj_xiv + gj @ (ga @ (xi * v))
+                - xi * (ga @ gj_v) - xi * (gj @ (ga @ v))
             )
-            cross += float(sigma) ** 2
+            grad[a, j] += 2.0 * float(np.real(np.vdot(av, dm_v)))
+            # d/dT[a,i]: [Gj^2, X_{q_a}]
+            dm_v = gj @ (gj @ (qa * v)) - qa * sq_v
+            grad[a, i] += 2.0 * float(np.real(np.vdot(av, dm_v)))
+
     penalty = 0.0
-    for g in grads:
-        inf = infinity_norm(SparseOperator(g))
+    for k, gk in enumerate(grads):
+        sums = np.asarray(np.abs(gk).sum(axis=1)).ravel()
+        row = int(np.argmax(sums))
+        inf = float(sums[row])
         penalty += (inf - 1.0) ** 2
-    return cross, lam * penalty
+        coef = 2.0 * lam * (inf - 1.0)
+        signs = np.sign(gk.getrow(row).toarray().ravel())
+        for a in range(m_in):
+            ga_row = ws.raw_grads[a].getrow(row).toarray().ravel()
+            grad[a, k] += coef * float(np.dot(signs, ga_row))
+    return cross + lam * penalty, grad
 
 
 def pmo_objective(
@@ -170,86 +203,12 @@ def pmo_objective(
     if transform.ndim != 2 or transform.shape[0] != q.n_features:
         raise ContractError(
             f"transform must be ({q.n_features}, K), got {transform.shape}")
-    ws = _Workspace(graph, q)
-    cross, penalty = _objective_terms(ws, transform, lam, norm_tol)
-    return cross + penalty
+    return _evaluate(_Workspace(graph, q), transform, lam, norm_tol)[0]
 
 
-def _spectral_gradient(
-    ws: _Workspace,
-    transform: np.ndarray,
-    lam: float,
-    norm_tol: float,
-) -> np.ndarray:
-    """Objective gradient from top singular pairs of each cross commutator.
-
-    Uses d(sigma)/d(M) = u v^T at a simple top singular value; at the rare
-    nonsimple points this is a subgradient, which is all descent needs.
-    The pair comes from the same power iteration as the objective's norms,
-    run once from the normalized all-ones vector.
-    """
-    m_in, k_out = transform.shape
-    cols = [ws.q.values @ transform[:, k] for k in range(k_out)]
-    grads = [ws.out_grad(transform[:, k]) for k in range(k_out)]
-    squares = [(g @ g).tocsr() for g in grads]
-    grad = np.zeros_like(transform)
-
-    for i in range(k_out):
-        xi = cols[i]
-        for j in range(k_out):
-            if i == j:
-                continue
-            loc = sparse.diags(xi)
-            comm = (squares[j] @ loc - loc @ squares[j]).tocsr()
-            *_, v = _power_iteration(
-                comm, comm.conjugate().T.tocsr(), np.ones(ws.n), norm_tol,
-                NORM_MAX_ITER)
-            av = comm @ v
-            sigma = float(np.linalg.norm(av))
-            if sigma == 0.0:
-                continue
-            u = av / sigma
-            gj = grads[j]
-            gj_v = gj @ v
-            gj_xiv = gj @ (xi * v)
-            sq_v = gj @ gj_v
-            for a in range(m_in):
-                ga = ws.raw_grads[a]
-                qa = ws.q.column(a)
-                # d/dT[a,j]: [Ga Gj + Gj Ga, X_i]
-                dm_v = (
-                    ga @ gj_xiv + gj @ (ga @ (xi * v))
-                    - xi * (ga @ gj_v) - xi * (gj @ (ga @ v))
-                )
-                grad[a, j] += 2.0 * sigma * float(np.real(np.vdot(u, dm_v)))
-                # d/dT[a,i]: [Gj^2, X_{q_a}]
-                dm_v = gj @ (gj @ (qa * v)) - qa * sq_v
-                grad[a, i] += 2.0 * sigma * float(np.real(np.vdot(u, dm_v)))
-
-    if lam > 0.0:
-        for k in range(k_out):
-            gk = grads[k]
-            if gk.nnz == 0:
-                inf = 0.0
-                row = None
-            else:
-                sums = np.asarray(np.abs(gk).sum(axis=1)).ravel()
-                row = int(np.argmax(sums))
-                inf = float(sums[row])
-            coef = 2.0 * lam * (inf - 1.0)
-            if row is None:
-                continue
-            gk_row = gk.getrow(row).toarray().ravel()
-            signs = np.sign(gk_row)
-            for a in range(m_in):
-                ga_row = ws.raw_grads[a].getrow(row).toarray().ravel()
-                grad[a, k] += coef * float(np.dot(signs, ga_row))
-    return grad
-
-
-def _adam_run(objective, grad_fn, t0: np.ndarray, cfg: PMOConfig):
+def _adam_run(evaluate, t0: np.ndarray, cfg: PMOConfig):
     t = t0.copy()
-    obj = objective(t)
+    obj, g = evaluate(t)
     if not np.isfinite(obj):
         raise DivergedError("objective not finite at the starting transform",
                             last_good=None)
@@ -258,12 +217,11 @@ def _adam_run(objective, grad_fn, t0: np.ndarray, cfg: PMOConfig):
     best_history = [obj]
     adam = Adam(cfg.learning_rate)
     for it in range(1, cfg.max_iters + 1):
-        g = grad_fn(t)
         if not np.all(np.isfinite(g)):
             raise DivergedError(
                 f"gradient not finite at iteration {it}", last_good=best_t)
         t = adam.step(t, g)
-        obj = objective(t)
+        obj, g = evaluate(t)
         if not np.isfinite(obj):
             raise DivergedError(
                 f"objective not finite at iteration {it}", last_good=best_t)
@@ -295,22 +253,18 @@ def pmo_fit(graph: Graph, q: FeatureLocations, cfg: PMOConfig) -> PMOResult:
         warnings.warn("alignment fit on a disconnected graph", stacklevel=2)
     ws = _Workspace(graph, q)
 
-    def objective(t):
-        cross, penalty = _objective_terms(ws, t, cfg.lam, cfg.norm_tol)
-        return cross + penalty
-
-    def grad_fn(t):
-        return _spectral_gradient(ws, t, cfg.lam, cfg.norm_tol)
+    def evaluate(t):
+        return _evaluate(ws, t, cfg.lam, cfg.norm_tol)
 
     t0 = np.zeros((m_in, k_out))
     t0[:k_out, :k_out] = np.eye(k_out)
-    init_obj = objective(t0)
-    best_t, best_obj, trace = _adam_run(objective, grad_fn, t0, cfg)
+    best_t, best_obj, trace = _adam_run(evaluate, t0, cfg)
+    init_obj = trace[0][1]
 
     if init_obj > 0 and (init_obj - best_obj) < 0.01 * abs(init_obj):
         rng = np.random.default_rng(cfg.seed)
         t_rand = rng.normal(0.0, 1.0, size=(m_in, k_out))
-        alt_t, alt_obj, alt_trace = _adam_run(objective, grad_fn, t_rand, cfg)
+        alt_t, alt_obj, alt_trace = _adam_run(evaluate, t_rand, cfg)
         if alt_obj < best_obj:
             best_t, best_obj, trace = alt_t, alt_obj, alt_trace
 

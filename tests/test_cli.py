@@ -81,6 +81,19 @@ class TestConfigErrors:
         assert main(["clusters", "--config", cfg,
                      "--out", str(tmp_path / "o")]) == 2
 
+    # json.loads accepts NaN, and every range comparison with it is false
+    @pytest.mark.parametrize("command,data", [
+        ("ring", {"noise_std": float("nan")}),
+        ("pmo-grid", {"learning_rate": float("nan")}),
+        ("pmo-grid", {"lam": float("nan")}),
+    ])
+    def test_nan_setting_rejected(self, tmp_path, capsys, command, data):
+        cfg = _write_cfg(tmp_path, data)
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
 
 class TestClusters:
     def test_default_sweep_passes_and_writes_artifacts(self, tmp_path):

@@ -11,10 +11,12 @@ from schro_gsp.experiments import (
     centered_cosine,
     grid_graph,
     run_cluster_sweep,
+    run_grid_pmo,
 )
 from schro_gsp.graph_core import cluster_graph
 from schro_gsp.observe import mean, variance
 from schro_gsp.operators import location_observable, schrodinger_laplacian
+from schro_gsp.pmo import pmo_objective
 from schro_gsp.propagate import DensePropagator
 
 
@@ -117,6 +119,18 @@ class TestGridGraph:
         assert GridPMOConfig(grad_mode="spectral-pair").grad_mode == "spectral-pair"
         with pytest.raises(ContractError):
             GridPMOConfig(grad_mode="finite-difference")
+
+
+class TestGridPMO:
+    def test_final_objective_is_the_objective_at_the_fit(self):
+        cfg = GridPMOConfig(side=4, max_iters=8)
+        result = run_grid_pmo(cfg)
+        graph, q = grid_graph(cfg.side)
+        summary = result.summary()
+        assert summary["final_objective"] == pmo_objective(
+            graph, q, result.fit.transform, cfg.lam)
+        assert summary["initial_objective"] == pmo_objective(
+            graph, q, np.eye(2), cfg.lam)
 
 
 class TestCenteredCosine:

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
+from schro_gsp.errors import ContractError
 from schro_gsp.graph_core import FeatureLocations, Graph
 from schro_gsp.operators import (
     DiagonalOperator,
@@ -212,9 +214,28 @@ class TestNorms:
         assert np.linalg.norm(dense @ v - sigma * u) <= 1e-9 * sigma
         assert np.linalg.norm(dense.T @ u - sigma * v) <= 1e-5 * sigma
 
+        # the Laplacian of the unit 8-cycle annihilates the all-ones start
+        # exactly, so the kept estimate (the simple top eigenvalue 4) and
+        # its vector come from the seeded start
+        ring = Graph.from_edges(8, [(k, (k + 1) % 8, 1.0) for k in range(8)])
+        lap = SparseOperator(2.0 * sparse.eye(8) - ring.adjacency)
+        mat = lap.tosparse()
+        assert _power_iteration(mat, mat, np.ones(8), 1e-12, 5000)[0] == 0.0
+        est = operator_norm(lap, 1e-12, 5000)
+        assert est.converged
+        assert float(est) == pytest.approx(4.0, rel=1e-9)
+        v = est.vector
+        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)
+        assert np.linalg.norm(lap.apply(v)) == pytest.approx(
+            float(est), rel=1e-14)
+
     def test_estimate_reports_convergence(self):
         est = operator_norm(DiagonalOperator(np.array([2.0, 1.0])))
         assert est.converged and est.iterations >= 1
+
+    def test_zero_iteration_cap_rejected(self):
+        with pytest.raises(ContractError):
+            operator_norm(DiagonalOperator(np.array([2.0, 1.0])), max_iter=0)
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 2 ** 31))

@@ -1,8 +1,11 @@
 """Feature-alignment objective and its optimizer."""
 
+import sys
+
 import numpy as np
 import pytest
 
+from schro_gsp import operators
 from schro_gsp.errors import ContractError, DivergedError
 from schro_gsp.experiments import grid_graph
 from schro_gsp.graph_core import FeatureLocations, Graph
@@ -19,6 +22,11 @@ class TestConfig:
         {"out_features": 2, "max_iters": 0},
         {"out_features": 2, "learning_rate": -0.02},
         {"out_features": 2, "norm_tol": 0.0},
+        {"out_features": 2, "lam": float("nan")},
+        {"out_features": 2, "lam": float("inf")},
+        {"out_features": 2, "learning_rate": float("nan")},
+        {"out_features": 2, "learning_rate": float("inf")},
+        {"out_features": 2, "norm_tol": float("nan")},
     ])
     def test_bad_settings_rejected(self, kwargs):
         with pytest.raises(ContractError):
@@ -122,14 +130,14 @@ class TestFit:
         assert pmo_objective(graph, q, result.transform, cfg.lam) <= init + 1e-12
 
     def test_spectral_gradient_matches_finite_differences(self):
-        from schro_gsp.pmo import _spectral_gradient, _Workspace
+        from schro_gsp.pmo import _evaluate, _Workspace
 
         rng = np.random.default_rng(23)
         graph = random_connected_graph(rng, n_min=6, n_max=10)
         q = random_features(rng, graph.n_nodes, 2)
         t = np.eye(2) + 0.3 * rng.normal(size=(2, 2))
         ws = _Workspace(graph, q)
-        spectral = _spectral_gradient(ws, t, 1.0, 1e-12)
+        spectral = _evaluate(ws, t, 1.0, 1e-12)[1]
 
         fd = np.zeros_like(t)
         step = 1e-6
@@ -170,3 +178,38 @@ class TestFit:
         data = result.as_dict()
         assert set(data) == {"transform", "objective_trace", "final_deficiency"}
         assert data["objective_trace"][0][0] == 0
+
+
+class TestWorkBudget:
+    def test_one_norm_estimate_per_commutator_and_iterate(self, monkeypatch):
+        original = operators._power_iteration
+        callers = []
+
+        def counted(*args):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return original(*args)
+
+        for name, module in list(sys.modules.items()):
+            if (name.startswith("schro_gsp")
+                    and getattr(module, "_power_iteration", None) is original):
+                monkeypatch.setattr(module, "_power_iteration", counted)
+
+        rng = np.random.default_rng(21)
+        graph = random_connected_graph(rng, n_min=8, n_max=12)
+        q = random_features(rng, graph.n_nodes, 2)
+        calls = {}
+        for iters in (3, 6):
+            callers.clear()
+            result = pmo_fit(
+                graph, q, PMOConfig(out_features=2, max_iters=iters, seed=1))
+            assert set(callers) == {"operator_norm"}
+            calls[iters] = len(callers)
+        monkeypatch.undo()
+        # the identity-start run improved by more than 1%: no restart
+        values = [v for _, v in result.objective_trace]
+        assert values[0] == pmo_objective(graph, q, np.eye(2), 1.0)
+        assert values[-1] < 0.99 * values[0]
+        # two ordered pairs with two power-iteration starts each per iterate
+        assert calls[6] - calls[3] == 4 * 3
+        # the start, each iterate, and the final deficiency
+        assert calls[3] == 4 * (1 + 3) + 4

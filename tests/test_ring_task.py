@@ -32,6 +32,11 @@ class TestConfig:
         {"learning_rate": 0.0},
         {"max_iters": -5},
         {"n_windows": 1},
+        {"noise_std": float("nan")},
+        {"noise_std": float("inf")},
+        {"learning_rate": float("nan")},
+        {"learning_rate": float("inf")},
+        {"width_hi": float("inf")},
     ])
     def test_bad_settings_rejected(self, kwargs):
         with pytest.raises(ContractError):
