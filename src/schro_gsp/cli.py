@@ -24,6 +24,7 @@ import json
 import os
 import sys
 import time
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,8 +91,9 @@ class DiagnoseConfig:
 def _load_config(path: str | None, cls, overrides: dict):
     """Build a command config from a JSON file plus flag overrides.
 
-    Every key must name a field of ``cls``; range checks run in the config
-    constructor, so nothing is computed from a bad config."""
+    Every key must name a field of ``cls``, and a field annotated ``int``
+    takes only a JSON integer (not a bool, a float or NaN); range checks run
+    in the config constructor, so nothing is computed from a bad config."""
     data: dict = {}
     if path is not None:
         try:
@@ -114,6 +116,12 @@ def _load_config(path: str | None, cls, overrides: dict):
     for key, value in overrides.items():
         if value is not None:
             data[key] = value
+    hints = typing.get_type_hints(cls)
+    for key, value in data.items():
+        if hints[key] is int and (
+                isinstance(value, bool) or not isinstance(value, int)):
+            raise ContractError(
+                f"config key {key!r} must be an integer, got {value!r}")
     try:
         return cls(**data)
     except SchroGspError:

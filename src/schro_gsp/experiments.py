@@ -59,6 +59,8 @@ class ClusterSweepConfig:
     target: float = 1.0
 
     def __post_init__(self):
+        if not (np.isfinite(self.theta_min) and np.isfinite(self.theta_max)):
+            raise ContractError("theta range must be finite")
         if not self.theta_min < self.theta_max:
             raise ContractError("theta range must satisfy theta_min < theta_max")
         if self.n_theta < 2:

@@ -28,8 +28,6 @@ from .graph_core import FeatureLocations, Graph, Signal
 from .operators import (
     DiagonalOperator,
     LinearNodeOperator,
-    NORM_MAX_ITER,
-    NORM_TOL,
     SparseOperator,
     cross_commutators,
     feature_derivative,
@@ -290,19 +288,14 @@ def epsilon_regularity(graph: Graph, f: np.ndarray, g) -> float:
     return float(np.linalg.norm(smooth.apply(vec) - vec))
 
 
-def commuting_deficiency(
-    graph: Graph,
-    f: FeatureLocations,
-    tol: float = NORM_TOL,
-    max_iter: int = NORM_MAX_ITER,
-) -> float:
+def commuting_deficiency(graph: Graph, f: FeatureLocations) -> float:
     """Largest pairwise obstruction to treating the feature set as jointly
     diagonal: max over ordered pairs (i, j), i != j, of the spectral norm of
     ``[grad_j^2, X_i]``.  Zero when there is a single feature."""
     grads = [feature_derivative(graph, f, k).tosparse()
              for k in range(f.n_features)]
     cols = [f.column(k) for k in range(f.n_features)]
-    return max((float(operator_norm(comm, tol, max_iter))
+    return max((float(operator_norm(comm))
                 for _, _, comm in cross_commutators(grads, cols)), default=0.0)
 
 

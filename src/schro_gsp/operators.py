@@ -16,6 +16,10 @@ The second-order generator keeps the per-feature derivative factors and
 applies them in sequence rather than storing its own matrix; a sparse or
 dense materialization exists as an escape hatch for small verification
 problems.
+
+There is one spectral norm, ``operator_norm``: a single Lanczos solve that
+is exact to machine precision and raises when it does not converge.
+``infinity_norm`` is the cheap row-sum upper bound.
 """
 
 from __future__ import annotations
@@ -23,16 +27,11 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
-from .errors import ContractError, SizeError
+from .errors import ContractError, NumericalError, SizeError
 from .graph_core import FeatureLocations, Graph
 
 # Dense materialization is reserved for oracle-sized problems.
 MATERIALIZE_MAX_DIM = 256
-
-# Power iteration defaults: tolerance on the relative change of the singular
-# value estimate, and the iteration cap before the result is flagged.
-NORM_TOL = 1e-8
-NORM_MAX_ITER = 500
 
 
 class LinearNodeOperator:
@@ -327,77 +326,50 @@ def cross_commutators(grads, cols):
 
 
 class NormEstimate(float):
-    """Float carrying power-iteration convergence metadata.
+    """Spectral norm carrying the right singular vector it was measured on.
 
-    ``vector`` is the unit right singular vector estimate of the kept run,
-    with ``|op v|`` equal to the value, so ``op v / value`` is the left one.
+    ``vector`` is a unit right singular vector with ``|op v|`` equal to the
+    value, so ``op v / value`` is the left one.  ``converged`` is always
+    true, because a failed solve raises instead, and ``iterations`` is 1, for
+    the one solve; both stay for callers that count them.
     """
 
-    converged: bool
-    iterations: int
+    converged = True
+    iterations = 1
     vector: np.ndarray
 
-    def __new__(cls, value: float, converged: bool, iterations: int,
-                vector: np.ndarray):
+    def __new__(cls, value: float, vector: np.ndarray):
         obj = super().__new__(cls, value)
-        obj.converged = converged
-        obj.iterations = iterations
         obj.vector = vector
         return obj
 
 
-def _power_iteration(mat, adj, start, tol, max_iter):
-    """Power iteration on ``adj @ mat`` from ``start``.
+def operator_norm(op: LinearNodeOperator) -> NormEstimate:
+    """Largest singular value and its right singular vector.
 
-    Returns ``(sigma, converged, iterations, v)``: the top singular value
-    estimate ``sigma = |mat @ v|`` and the unit right singular vector
-    estimate ``v`` it was measured on.
+    One Lanczos solve (ARPACK through ``scipy.sparse.linalg.svds``) to
+    machine precision from a fixed seeded start, so repeated calls agree
+    bit for bit.  A zero or 1x1 operator, which ARPACK cannot take, gets the
+    answer directly.  A solve that does not converge raises
+    :class:`NumericalError`.
     """
-    v = start / np.linalg.norm(start)
-    sigma = 0.0
-    for it in range(1, max_iter + 1):
-        av = mat @ v
-        new_sigma = float(np.linalg.norm(av))
-        converged = (new_sigma == 0.0
-                     or abs(new_sigma - sigma) <= tol * max(new_sigma, 1e-300))
-        if converged or it == max_iter:
-            return new_sigma, converged, it, v
-        w = adj @ av
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            return new_sigma, True, it, v
-        v = w / nw
-        sigma = new_sigma
+    # Imported here: loading scipy.sparse.linalg slows every CLI start.
+    from scipy.sparse.linalg import ArpackNoConvergence, svds
 
-
-def operator_norm(
-    op: LinearNodeOperator,
-    tol: float = NORM_TOL,
-    max_iter: int = NORM_MAX_ITER,
-) -> NormEstimate:
-    """Largest singular value estimate via power iteration on op* op.
-
-    Runs once from the normalized all-ones vector and once from a fixed
-    pseudo-random start, and keeps the larger estimate (the all-ones run on
-    a tie, unless only the other converged) together with its singular
-    vector.  Non-convergence within ``max_iter`` is reported through the
-    ``converged`` flag on the returned value, not as an exception.
-    """
-    if max_iter < 1:
-        raise ContractError("max_iter must be at least 1")
     mat = op.tosparse()
-    adj = mat.conjugate().T.tocsr()
     n = mat.shape[0]
-    rng = np.random.default_rng(0x5EED)
-    starts = [np.ones(n, dtype=np.complex128),
-              rng.normal(size=n) + 1j * rng.normal(size=n)]
-    best = None
-    for start in starts:
-        run = _power_iteration(mat, adj, start, tol, max_iter)
-        if best is None or run[0] > best[0] or (
-                run[0] == best[0] and run[1] and not best[1]):
-            best = run
-    return NormEstimate(*best)
+    if n == 1 or mat.count_nonzero() == 0:
+        vector = np.zeros(n)
+        vector[0] = 1.0
+        return NormEstimate(abs(mat[0, 0]) if n == 1 else 0.0, vector)
+    start = np.random.default_rng(0x5EED).standard_normal(n)
+    try:
+        _, s, vh = svds(mat, k=1, tol=0, v0=start)
+    except ArpackNoConvergence as exc:
+        raise NumericalError(
+            f"spectral norm of a {n}-node operator did not converge: {exc}"
+        ) from exc
+    return NormEstimate(float(s[0]), vh[0].conj())
 
 
 def infinity_norm(op: LinearNodeOperator) -> float:

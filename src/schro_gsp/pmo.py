@@ -9,9 +9,9 @@ each derivative's infinity norm near one (otherwise T = 0 is a trivial
 minimizer).
 
 The optimizer is Adam on the entries of T.  Each iterate is evaluated in
-one pass that builds every cross commutator once and estimates its norm
-once; the gradient uses the singular pair of that kept estimate, (u, v)
-with d(sigma) = Re(u^H dM v), so it is exact up to the norm estimates and
+one pass that builds every cross commutator once and takes its spectral
+norm once, from one Lanczos solve; the gradient uses the top singular pair
+(u, v) of that solve, with d(sigma) = Re(u^H dM v), so it is exact and
 differentiates the same value the objective sums.
 """
 
@@ -28,12 +28,7 @@ from scipy import sparse
 from .errors import ContractError, DivergedError
 from .graph_core import FeatureLocations, Graph
 from .observe import commuting_deficiency
-from .operators import (
-    NORM_MAX_ITER,
-    _derivative_csr,
-    cross_commutators,
-    operator_norm,
-)
+from .operators import _derivative_csr, cross_commutators, operator_norm
 from .optim import Adam
 
 # Stop when the best objective improves by less than this relative amount
@@ -53,7 +48,6 @@ class PMOConfig:
     learning_rate: float = 0.02
     max_iters: int = 2000
     seed: int = 0
-    norm_tol: float = 1e-8
 
     def __post_init__(self):
         if self.out_features < 1:
@@ -64,8 +58,6 @@ class PMOConfig:
             raise ContractError("learning_rate must be finite and positive")
         if self.max_iters < 1:
             raise ContractError("max_iters must be at least 1")
-        if not (math.isfinite(self.norm_tol) and self.norm_tol > 0):
-            raise ContractError("norm_tol must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -127,14 +119,11 @@ class _Workspace:
 
 
 def _evaluate(
-    ws: _Workspace,
-    transform: np.ndarray,
-    lam: float,
-    norm_tol: float,
+    ws: _Workspace, transform: np.ndarray, lam: float
 ) -> tuple[float, np.ndarray]:
     """Objective and its gradient at the given transform, in one pass.
 
-    Each cross commutator M = [G_j^2, X_i] gets one norm estimate; its value
+    Each cross commutator M = [G_j^2, X_i] gets one spectral norm; its value
     sigma enters the objective, and its singular vector v (with
     sigma = |M v|) gives d(sigma^2) = 2 Re((M v)^H dM v).  M and every dM
     are real skew-symmetric, so the top singular value is a pair and this
@@ -150,7 +139,7 @@ def _evaluate(
 
     cross = 0.0
     for i, j, comm in cross_commutators(grads, cols):
-        est = operator_norm(comm, norm_tol, NORM_MAX_ITER)
+        est = operator_norm(comm)
         cross += float(est) ** 2
         if est == 0.0:
             continue
@@ -192,7 +181,6 @@ def pmo_objective(
     q: FeatureLocations,
     transform: np.ndarray,
     lam: float,
-    norm_tol: float = 1e-8,
 ) -> float:
     """Alignment objective at a given transform.
 
@@ -203,7 +191,7 @@ def pmo_objective(
     if transform.ndim != 2 or transform.shape[0] != q.n_features:
         raise ContractError(
             f"transform must be ({q.n_features}, K), got {transform.shape}")
-    return _evaluate(_Workspace(graph, q), transform, lam, norm_tol)[0]
+    return _evaluate(_Workspace(graph, q), transform, lam)[0]
 
 
 def _adam_run(evaluate, t0: np.ndarray, cfg: PMOConfig):
@@ -254,7 +242,7 @@ def pmo_fit(graph: Graph, q: FeatureLocations, cfg: PMOConfig) -> PMOResult:
     ws = _Workspace(graph, q)
 
     def evaluate(t):
-        return _evaluate(ws, t, cfg.lam, cfg.norm_tol)
+        return _evaluate(ws, t, cfg.lam)
 
     t0 = np.zeros((m_in, k_out))
     t0[:k_out, :k_out] = np.eye(k_out)

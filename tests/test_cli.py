@@ -2,10 +2,14 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import schro_gsp
 from schro_gsp.cli import main
 from schro_gsp.filters import FilterParams, FilterTerm, save_filter_params
 from schro_gsp.graph_core import (
@@ -86,6 +90,7 @@ class TestConfigErrors:
         ("ring", {"noise_std": float("nan")}),
         ("pmo-grid", {"learning_rate": float("nan")}),
         ("pmo-grid", {"lam": float("nan")}),
+        ("clusters", {"theta_min": float("-inf")}),
     ])
     def test_nan_setting_rejected(self, tmp_path, capsys, command, data):
         cfg = _write_cfg(tmp_path, data)
@@ -93,6 +98,38 @@ class TestConfigErrors:
         assert main([command, "--config", cfg, "--out", str(out)]) == 2
         assert "finite" in capsys.readouterr().err
         assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize("command,data", [
+        ("pmo-grid", {"side": float("nan")}),
+        ("pmo-grid", {"side": 2.5}),
+        ("pmo-grid", {"max_iters": float("nan")}),
+        ("pmo-grid", {"seed": True}),
+        ("ring", {"max_iters": float("nan")}),
+        ("clusters", {"n_theta": float("nan")}),
+        ("clusters", {"repeats": float("nan")}),
+        ("clusters", {"seed": float("nan")}),
+        ("diagnose", {"coordinate": float("nan")}),
+    ])
+    def test_non_integer_count_rejected(self, tmp_path, capsys, request,
+                                        command, data):
+        if command == "diagnose":
+            data = dict(request.getfixturevalue("diagnose_inputs"), **data)
+        cfg = _write_cfg(tmp_path, data)
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert "must be an integer" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
+    def test_import_leaves_heavy_scipy_modules_unloaded(self):
+        # each adds start-up time and memory to every command
+        src = os.path.dirname(os.path.dirname(schro_gsp.__file__))
+        code = (f"import sys; sys.path.insert(0, {src!r}); "
+                "import schro_gsp.cli; "
+                "print(sorted(m for m in ('scipy.sparse.linalg', "
+                "'scipy.special') if m in sys.modules))")
+        done = subprocess.run([sys.executable, "-I", "-c", code],
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "[]"
 
 
 class TestClusters:
@@ -234,6 +271,19 @@ class TestPmoGridCommand:
         summary = _read_summary(out)
         assert summary["assertions"]["inputs_start_correlated"]["passed"] is True
         assert summary["config"]["grad_mode"] == "spectral-pair"
+
+    def test_norm_failure_exits_three(self, tmp_path, capsys, monkeypatch):
+        from scipy.sparse import linalg
+
+        def stalled(*args, **kwargs):
+            raise linalg.ArpackNoConvergence("no convergence", [], [])
+
+        monkeypatch.setattr(linalg, "svds", stalled)
+        cfg = _write_cfg(tmp_path, {"side": 3, "max_iters": 3})
+        out = tmp_path / "out"
+        assert main(["pmo-grid", "--config", cfg, "--out", str(out)]) == 3
+        assert "did not converge" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
 
     def test_finite_difference_mode_rejected(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path, {"grad_mode": "finite-difference"})

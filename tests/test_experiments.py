@@ -28,6 +28,7 @@ class TestSweepConfig:
         {"repeats": 0},
         {"time": float("nan")},
         {"target": float("inf")},
+        {"theta_max": float("inf")},
     ])
     def test_bad_settings_rejected(self, kwargs):
         with pytest.raises(ContractError):
