@@ -51,14 +51,7 @@ from .operators import (
     schrodinger_laplacian,
     smoothing_operator,
 )
-from .propagate import (
-    DENSE_MAX_NODES,
-    DensePropagator,
-    EvolutionConfig,
-    evolve,
-    evolve_dense,
-    unitarity_defect,
-)
+from .propagate import DENSE_MAX_NODES, DensePropagator, evolve, unitarity_defect
 from .observe import (
     VARIANCE_FLOOR,
     ObservableStats,
@@ -80,7 +73,6 @@ from .filters import (
     FilterParams,
     FilterTerm,
     InputModulationParams,
-    LayerConfig,
     activation,
     init_times,
     input_modulation,

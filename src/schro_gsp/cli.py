@@ -24,7 +24,6 @@ import json
 import os
 import sys
 import time
-import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +35,7 @@ from .errors import (
     FormatError,
     NumericalError,
     SchroGspError,
+    check_config_fields,
 )
 from .experiments import (
     ClusterSweepConfig,
@@ -64,8 +64,7 @@ class VerifyConfig:
     filter: str | None = None
 
     def __post_init__(self):
-        if self.filter is not None and not isinstance(self.filter, str):
-            raise ContractError("suite filter must be a string")
+        check_config_fields(self)
 
 
 @dataclass(frozen=True)
@@ -78,9 +77,9 @@ class DiagnoseConfig:
     n_windows: int = 4
 
     def __post_init__(self):
+        check_config_fields(self)
         for name in ("filter_params", "graph", "features", "signal"):
-            value = getattr(self, name)
-            if not isinstance(value, str) or not value:
+            if not getattr(self, name):
                 raise ContractError(f"diagnose config needs a {name!r} file path")
         if self.coordinate < 0:
             raise ContractError("window coordinate must be nonnegative")
@@ -91,9 +90,8 @@ class DiagnoseConfig:
 def _load_config(path: str | None, cls, overrides: dict):
     """Build a command config from a JSON file plus flag overrides.
 
-    Every key must name a field of ``cls``, and a field annotated ``int``
-    takes only a JSON integer (not a bool, a float or NaN); range checks run
-    in the config constructor, so nothing is computed from a bad config."""
+    Every key must name a field of ``cls``; the config constructor checks
+    each value's type and range, so nothing is computed from a bad config."""
     data: dict = {}
     if path is not None:
         try:
@@ -116,18 +114,7 @@ def _load_config(path: str | None, cls, overrides: dict):
     for key, value in overrides.items():
         if value is not None:
             data[key] = value
-    hints = typing.get_type_hints(cls)
-    for key, value in data.items():
-        if hints[key] is int and (
-                isinstance(value, bool) or not isinstance(value, int)):
-            raise ContractError(
-                f"config key {key!r} must be an integer, got {value!r}")
-    try:
-        return cls(**data)
-    except SchroGspError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ContractError(f"bad config value: {exc}") from exc
+    return cls(**data)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,21 @@
-"""Exception types shared across the library.
+"""Exception types and config value rules shared across the library.
 
 Every error raised by the package derives from :class:`SchroGspError`, so
 callers can catch library failures without also swallowing programming
 errors.  The subclasses separate the failure modes that calling code is
 expected to distinguish: malformed input files, violated preconditions,
 signals with no usable mass, and numerical breakdown.
+
+:func:`check_config_fields` holds the one rule for which values a config
+field's annotation admits; each config adds only its range checks.
 """
 
 from __future__ import annotations
+
+import dataclasses
+import math
+import numbers
+import typing
 
 
 class SchroGspError(Exception):
@@ -54,3 +62,34 @@ class DivergedError(NumericalError):
 
 class SizeError(SchroGspError, ValueError):
     """Problem size exceeds a hard bound (dense-oracle feasibility)."""
+
+
+def check_config_fields(config) -> None:
+    """Check each field of a config dataclass against its annotation.
+
+    An ``int`` field takes a Python or numpy integer but not a bool; a
+    ``float`` field takes a finite real number, an integer included; a
+    ``str`` field takes a string, and ``str | None`` also ``None``.  Every
+    config calls this first in ``__post_init__`` and keeps only its range
+    checks, so a bad value fails at construction, before any work, whether
+    the config came from a JSON file or from Python.
+    """
+    hints = typing.get_type_hints(type(config))
+    for field in dataclasses.fields(config):
+        kind = hints[field.name]
+        value = getattr(config, field.name)
+        where = f"{type(config).__name__}.{field.name}"
+        number = not isinstance(value, bool)
+        if kind is int:
+            rule = "an integer"
+            ok = number and isinstance(value, numbers.Integral)
+        elif kind is float:
+            rule = "a finite number"
+            ok = number and isinstance(value, numbers.Real) and math.isfinite(value)
+        elif kind is str or kind == (str | None):
+            rule = "a string"
+            ok = isinstance(value, str) or (value is None and kind is not str)
+        else:
+            raise TypeError(f"no value rule for {where}: {kind!r}")
+        if not ok:
+            raise ContractError(f"{where} must be {rule}, got {value!r}")

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, check_config_fields
 from .graph_core import (
     FeatureLocations,
     Graph,
@@ -59,18 +59,13 @@ class ClusterSweepConfig:
     target: float = 1.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.theta_min) and np.isfinite(self.theta_max)):
-            raise ContractError("theta range must be finite")
+        check_config_fields(self)
         if not self.theta_min < self.theta_max:
             raise ContractError("theta range must satisfy theta_min < theta_max")
         if self.n_theta < 2:
             raise ContractError("need at least 2 sweep points")
         if self.repeats < 1:
             raise ContractError("need at least one propagation repeat")
-        if not np.isfinite(self.time):
-            raise ContractError("propagation time must be finite")
-        if not np.isfinite(self.target):
-            raise ContractError("routing target must be finite")
 
 
 @dataclass(frozen=True)
@@ -240,6 +235,7 @@ class GridPMOConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_config_fields(self)
         if self.side < 2:
             raise ContractError("a grid needs side at least 2")
         if self.grad_mode != "spectral-pair":

@@ -18,14 +18,14 @@ There are no bias terms anywhere.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError, FormatError
 from .graph_core import FeatureLocations, Signal
 from .operators import SecondOrderGenerator
-from .propagate import EvolutionConfig, evolve_array
+from .propagate import evolve_array
 
 _ACTIVATIONS = ("split-relu", "modulus", "none")
 
@@ -172,24 +172,11 @@ class InputModulationParams:
         object.__setattr__(self, "phase_map", ph)
 
 
-@dataclass(frozen=True)
-class LayerConfig:
-    """Activation choice plus propagation settings for one layer."""
-
-    activation: str = "split-relu"
-    evolution: EvolutionConfig = field(default_factory=EvolutionConfig)
-
-    def __post_init__(self):
-        if self.activation not in _ACTIVATIONS:
-            raise ContractError(f"activation must be one of {_ACTIVATIONS}")
-
-
 def schrodinger_filter(
     lap: SecondOrderGenerator,
     f: FeatureLocations,
     params: FilterParams,
     g: Signal,
-    cfg: EvolutionConfig = EvolutionConfig(),
 ) -> Signal:
     """Apply the filter; linear in ``g``, evaluated term by term in order.
 
@@ -211,7 +198,7 @@ def schrodinger_filter(
     for term in params.terms:
         direction = f.values @ term.direction
         modulated = np.exp(1j * term.phase * direction)[:, None] * g.values
-        evolved = evolve_array(lap, term.time, modulated, cfg)
+        evolved = evolve_array(lap, term.time, modulated)
         out += evolved @ term.mix
     return Signal(out)
 

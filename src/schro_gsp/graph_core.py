@@ -116,10 +116,6 @@ class Graph:
         vals = np.concatenate([self.edge_w, self.edge_w])
         return sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
-    def weight(self, n: int, m: int) -> float:
-        """Edge weight a(n, m); zero when the nodes are not adjacent."""
-        return float(self.adjacency[n, m])
-
     def is_connected(self) -> bool:
         if self.n_nodes == 1:
             return True

@@ -33,6 +33,10 @@ from .graph_core import FeatureLocations, Graph
 # Dense materialization is reserved for oracle-sized problems.
 MATERIALIZE_MAX_DIM = 256
 
+# Relative asymmetry ``max |A - A*| / max |A|`` (or the largest imaginary
+# part of a real-observable diagonal) that still counts as self-adjoint.
+SELF_ADJOINT_TOL = 1e-12
+
 
 class LinearNodeOperator:
     """Linear map on node signals; concrete classes fix storage and apply."""
@@ -53,21 +57,23 @@ class LinearNodeOperator:
     def tosparse(self) -> sparse.csr_matrix:
         raise NotImplementedError
 
-    def materialize(self, max_dim: int = MATERIALIZE_MAX_DIM) -> np.ndarray:
-        """Dense coefficient matrix; only for problems up to ``max_dim``."""
-        if self.dim > max_dim:
+    def materialize(self) -> np.ndarray:
+        """Dense coefficient matrix, for at most ``MATERIALIZE_MAX_DIM`` nodes."""
+        if self.dim > MATERIALIZE_MAX_DIM:
             raise SizeError(
-                f"refusing to densify a {self.dim}-node operator (cap {max_dim})"
+                f"refusing to densify a {self.dim}-node operator "
+                f"(cap {MATERIALIZE_MAX_DIM})"
             )
         return self.tosparse().toarray()
 
-    def is_self_adjoint(self, tol: float = 1e-12) -> bool:
-        """Whether ``max |A - A*| <= tol * max |A|``, a scale-free test."""
+    def is_self_adjoint(self) -> bool:
+        """Whether ``max |A - A*| <= SELF_ADJOINT_TOL max |A|``, a scale-free test."""
         mat = self.tosparse()
         diff = mat - mat.conjugate().T
         if diff.nnz == 0:
             return True
-        return float(np.abs(diff.data).max()) <= tol * float(np.abs(mat.data).max())
+        scale = float(np.abs(mat.data).max())
+        return float(np.abs(diff.data).max()) <= SELF_ADJOINT_TOL * scale
 
     def _check_operand(self, values: np.ndarray) -> np.ndarray:
         arr = np.asarray(values)
@@ -146,10 +152,10 @@ class DiagonalOperator(LinearNodeOperator):
     def tosparse(self) -> sparse.csr_matrix:
         return sparse.diags(self._diag, format="csr")
 
-    def is_self_adjoint(self, tol: float = 1e-12) -> bool:
-        return bool(np.abs(self._diag.imag).max() <= tol) if np.iscomplexobj(
-            self._diag
-        ) else True
+    def is_self_adjoint(self) -> bool:
+        if not np.iscomplexobj(self._diag):
+            return True
+        return bool(np.abs(self._diag.imag).max() <= SELF_ADJOINT_TOL)
 
 
 class SecondOrderGenerator(LinearNodeOperator):
@@ -207,7 +213,7 @@ class SecondOrderGenerator(LinearNodeOperator):
             self._sparse = (-acc).tocsr()
         return self._sparse
 
-    def is_self_adjoint(self, tol: float = 1e-12) -> bool:
+    def is_self_adjoint(self) -> bool:
         return True
 
     @property

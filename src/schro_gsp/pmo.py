@@ -18,14 +18,13 @@ differentiates the same value the objective sums.
 from __future__ import annotations
 
 import json
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 
-from .errors import ContractError, DivergedError
+from .errors import ContractError, DivergedError, check_config_fields
 from .graph_core import FeatureLocations, Graph
 from .observe import commuting_deficiency
 from .operators import _derivative_csr, cross_commutators, operator_norm
@@ -50,12 +49,13 @@ class PMOConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_config_fields(self)
         if self.out_features < 1:
             raise ContractError("out_features must be at least 1")
-        if not (math.isfinite(self.lam) and self.lam >= 0):
-            raise ContractError("penalty weight must be finite and nonnegative")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ContractError("learning_rate must be finite and positive")
+        if self.lam < 0:
+            raise ContractError("penalty weight must be nonnegative")
+        if self.learning_rate <= 0:
+            raise ContractError("learning_rate must be positive")
         if self.max_iters < 1:
             raise ContractError("max_iters must be at least 1")
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,24 +36,11 @@ CHEB_TAIL_TOL = 1e-16
 # Longest expansion attempted; each term costs one generator application.
 CHEB_MAX_TERMS = 1_000_000
 
-_METHODS = ("chebyshev", "dense-oracle")
-
 # (-i)^k for k mod 4.
 _MINUS_I_POWERS = np.array([1.0, -1j, -1.0, 1j])
 
 # Bound on the unnormalized Bessel recurrence before it is scaled down.
 _RESCALE = 1e250
-
-
-@dataclass(frozen=True)
-class EvolutionConfig:
-    """Propagation settings: the Chebyshev series or the dense oracle."""
-
-    method: str = "chebyshev"
-
-    def __post_init__(self):
-        if self.method not in _METHODS:
-            raise ContractError(f"method must be one of {_METHODS}")
 
 
 def _require_inputs(laplacian: LinearNodeOperator, t: float, n_nodes: int) -> None:
@@ -169,26 +155,16 @@ def _chebyshev(
 
 
 def evolve_array(
-    laplacian: LinearNodeOperator,
-    t: float,
-    values: np.ndarray,
-    cfg: EvolutionConfig = EvolutionConfig(),
+    laplacian: LinearNodeOperator, t: float, values: np.ndarray
 ) -> np.ndarray:
     """Propagate a raw (N,) or (N, J) array for time ``t``."""
     _require_inputs(laplacian, t, np.shape(values)[0])
-    if cfg.method == "dense-oracle":
-        return DensePropagator(laplacian).apply(t, values)
     return _chebyshev(laplacian, t, values)
 
 
-def evolve(
-    laplacian: LinearNodeOperator,
-    t: float,
-    g: Signal,
-    cfg: EvolutionConfig = EvolutionConfig(),
-) -> Signal:
+def evolve(laplacian: LinearNodeOperator, t: float, g: Signal) -> Signal:
     """Propagate every channel of ``g`` for time ``t`` under the generator."""
-    return Signal(evolve_array(laplacian, t, g.values, cfg))
+    return Signal(evolve_array(laplacian, t, g.values))
 
 
 class DensePropagator:
@@ -206,6 +182,7 @@ class DensePropagator:
             )
         if not laplacian.is_self_adjoint():
             raise ContractError("dense oracle requires a self-adjoint generator")
+        self._laplacian = laplacian
         dense = laplacian.tosparse().toarray()
         self._eigvals, self._eigvecs = np.linalg.eigh(dense)
 
@@ -219,6 +196,8 @@ class DensePropagator:
         return self._eigvecs
 
     def apply(self, t: float, values: np.ndarray) -> np.ndarray:
+        """``exp(-itL)`` applied to a (N,) or (N, J) array."""
+        _require_inputs(self._laplacian, t, np.shape(values)[0])
         arr = np.asarray(values, dtype=np.complex128)
         phases = np.exp(-1j * t * self._eigvals)
         coeff = self._eigvecs.conj().T @ arr
@@ -226,21 +205,10 @@ class DensePropagator:
         return self._eigvecs @ coeff
 
 
-def evolve_dense(laplacian: LinearNodeOperator, t: float, g: Signal) -> Signal:
-    """Exact propagation through the spectral factorization (oracle path)."""
-    _require_inputs(laplacian, t, g.n_nodes)
-    return Signal(DensePropagator(laplacian).apply(t, g.values))
-
-
-def unitarity_defect(
-    laplacian: LinearNodeOperator,
-    t: float,
-    g: Signal,
-    cfg: EvolutionConfig = EvolutionConfig(),
-) -> float:
+def unitarity_defect(laplacian: LinearNodeOperator, t: float, g: Signal) -> float:
     """Relative norm drift of one propagation: |(out norm) - (in norm)| / (in norm)."""
     before = g.norm()
     if before == 0.0:
         raise ContractError("unitarity defect needs a nonzero signal")
-    after = evolve(laplacian, t, g, cfg).norm()
+    after = evolve(laplacian, t, g).norm()
     return abs(after - before) / before

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .diagnose import ShiftReport, WindowSet, build_windows, relative_shift
-from .errors import ContractError, DivergedError
+from .errors import ContractError, DivergedError, check_config_fields
 from .filters import FilterParams, FilterTerm
 from .graph_core import FeatureLocations, Signal, ring_graph
 from .operators import feature_derivative, infinity_norm, schrodinger_laplacian
@@ -67,23 +67,21 @@ class RingTaskConfig:
     n_windows: int = 4
 
     def __post_init__(self):
+        check_config_fields(self)
         if self.n_nodes < 3:
             raise ContractError("a ring needs at least 3 nodes")
         if not 0 <= self.shift < self.n_nodes:
             raise ContractError("shift must lie in [0, n_nodes)")
         if self.n_samples < 10:
             raise ContractError("need at least 10 samples to split")
-        if not (0 < self.width_lo <= self.width_hi
-                and math.isfinite(self.width_hi)):
-            raise ContractError(
-                "bump variance range must be finite, positive and ordered")
-        if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
-            raise ContractError("noise level must be finite and nonnegative")
+        if not 0 < self.width_lo <= self.width_hi:
+            raise ContractError("bump variance range must be positive and ordered")
+        if self.noise_std < 0:
+            raise ContractError("noise level must be nonnegative")
         if not 1 <= self.channels <= 4:
             raise ContractError("the model is capped at 4 channels")
-        if self.max_iters < 1 or not (
-                math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ContractError("optimizer settings must be finite and positive")
+        if self.max_iters < 1 or self.learning_rate <= 0:
+            raise ContractError("optimizer settings must be positive")
         if self.n_windows < 2:
             raise ContractError("need at least 2 diagnostic windows")
 

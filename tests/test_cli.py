@@ -80,9 +80,15 @@ class TestConfigErrors:
         assert main(["clusters", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "o")]) == 2
 
-    def test_wrong_value_type_rejected(self, tmp_path):
+    def test_wrong_value_type_rejected(self, tmp_path, diagnose_inputs):
         cfg = _write_cfg(tmp_path, {"n_theta": "many"})
         assert main(["clusters", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 2
+        cfg = _write_cfg(tmp_path, {"filter": 3})
+        assert main(["verify", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 2
+        cfg = _write_cfg(tmp_path, dict(diagnose_inputs, graph=1.5))
+        assert main(["diagnose", "--config", cfg,
                      "--out", str(tmp_path / "o")]) == 2
 
     # json.loads accepts NaN, and every range comparison with it is false

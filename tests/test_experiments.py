@@ -29,6 +29,8 @@ class TestSweepConfig:
         {"time": float("nan")},
         {"target": float("inf")},
         {"theta_max": float("inf")},
+        {"n_theta": 3.5},
+        {"seed": 1.5},
     ])
     def test_bad_settings_rejected(self, kwargs):
         with pytest.raises(ContractError):
@@ -114,6 +116,10 @@ class TestGridGraph:
     def test_grid_pmo_config_checks_side(self):
         with pytest.raises(ContractError):
             GridPMOConfig(side=1)
+        for bad in ({"lam": float("nan")}, {"max_iters": 2.5}):
+            with pytest.raises(ContractError):
+                GridPMOConfig(**bad)
+        assert GridPMOConfig(seed=np.int64(3)).seed == 3
 
     def test_grid_pmo_config_takes_only_the_spectral_gradient(self):
         assert GridPMOConfig().grad_mode == "spectral-pair"

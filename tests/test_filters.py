@@ -8,7 +8,6 @@ from schro_gsp.filters import (
     FilterParams,
     FilterTerm,
     InputModulationParams,
-    LayerConfig,
     TIME_INIT_HIGH,
     TIME_INIT_LOW,
     activation,
@@ -259,10 +258,6 @@ class TestActivation:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ContractError):
             activation(Signal(np.ones(2, dtype=complex)), "tanh")
-
-    def test_layer_config_checks_activation(self):
-        with pytest.raises(ContractError):
-            LayerConfig(activation="tanh")
 
 
 class TestInitTimes:

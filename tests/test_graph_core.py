@@ -27,13 +27,13 @@ class TestGraph:
     def test_path_adjacency_is_symmetric(self):
         g = Graph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)])
         assert g.n_nodes == 3 and g.n_edges == 2
-        assert g.weight(0, 1) == g.weight(1, 0) == 1.0
-        assert g.weight(0, 2) == 0.0
-        assert g.weight(1, 1) == 0.0
+        assert g.adjacency[0, 1] == g.adjacency[1, 0] == 1.0
+        assert g.adjacency[0, 2] == 0.0
+        assert g.adjacency[1, 1] == 0.0
 
     def test_edges_accepted_in_any_orientation(self):
         g = Graph.from_edges(3, [(1, 0, 2.0), (2, 1, 3.0)])
-        assert g.weight(0, 1) == 2.0 and g.weight(2, 1) == 3.0
+        assert g.adjacency[0, 1] == 2.0 and g.adjacency[2, 1] == 3.0
 
     def test_self_loop_rejected(self):
         with pytest.raises(ContractError):
@@ -115,7 +115,8 @@ class TestGraphFiles:
         p = tmp_path / "g.tsv"
         p.write_text("#nodes=3\n0\t1\t1.0\n1\t2\t1.0\n")
         g = load_graph(p)
-        assert g.n_nodes == 3 and g.weight(0, 1) == 1.0 and g.weight(1, 0) == 1.0
+        assert g.n_nodes == 3
+        assert g.adjacency[0, 1] == g.adjacency[1, 0] == 1.0
 
     def test_comments_and_blank_lines_skipped(self, tmp_path):
         p = tmp_path / "g.tsv"

@@ -26,6 +26,8 @@ class TestConfig:
         {"out_features": 2, "learning_rate": float("nan")},
         {"out_features": 2, "learning_rate": float("inf")},
         {"out_features": 2, "lam": float("-inf")},
+        {"out_features": 2, "max_iters": 2.5},
+        {"out_features": True},
     ])
     def test_bad_settings_rejected(self, kwargs):
         with pytest.raises(ContractError):

@@ -18,23 +18,13 @@ from schro_gsp.operators import (
 from schro_gsp.propagate import (
     CHEB_TAIL_TOL,
     DensePropagator,
-    EvolutionConfig,
     _chebyshev_coefficients,
     evolve,
-    evolve_dense,
     unitarity_defect,
 )
 from schro_gsp.verify import random_connected_graph, random_features, random_unit
 
 from conftest import make_instance
-
-
-class TestConfig:
-    def test_method_names(self):
-        EvolutionConfig(method="chebyshev")
-        EvolutionConfig(method="dense-oracle")
-        with pytest.raises(ContractError):
-            EvolutionConfig(method="taylor")
 
 
 class TestExactCases:
@@ -57,16 +47,16 @@ class TestExactCases:
         lap = schrodinger_laplacian(graph, f)
         g = Signal(np.array([1.0, 0.0, 0.0]))
         series = evolve(lap, 0.3, g)
-        oracle = evolve_dense(lap, 0.3, g)
-        assert np.max(np.abs(series.values - oracle.values)) <= 1e-8
+        oracle = DensePropagator(lap).apply(0.3, g.values)
+        assert np.max(np.abs(series.values - oracle)) <= 1e-8
 
 
 class TestUnitarity:
     def test_dense_preserves_norm(self):
         graph, f, vec = make_instance(41)
         lap = schrodinger_laplacian(graph, f)
-        out = evolve_dense(lap, 1.3, Signal.single(vec))
-        assert abs(out.norm() - 1.0) <= 1e-10
+        out = DensePropagator(lap).apply(1.3, vec)
+        assert abs(np.linalg.norm(out) - 1.0) <= 1e-10
 
     def test_taylor_defect_within_budget(self):
         graph, f, vec = make_instance(47, n_max=64)
@@ -90,10 +80,10 @@ class TestComposition:
     def test_dense_semigroup(self):
         graph, f, vec = make_instance(13)
         lap = schrodinger_laplacian(graph, f)
-        g = Signal.single(vec)
-        two_step = evolve_dense(lap, 0.4, evolve_dense(lap, 0.9, g))
-        one_step = evolve_dense(lap, 1.3, g)
-        assert np.max(np.abs(two_step.values - one_step.values)) <= 1e-9
+        prop = DensePropagator(lap)
+        two_step = prop.apply(0.4, prop.apply(0.9, vec))
+        one_step = prop.apply(1.3, vec)
+        assert np.max(np.abs(two_step - one_step)) <= 1e-9
 
     def test_taylor_inversion(self):
         graph, f, vec = make_instance(17)
@@ -105,9 +95,9 @@ class TestComposition:
     def test_dense_inversion(self):
         graph, f, vec = make_instance(19)
         lap = schrodinger_laplacian(graph, f)
-        g = Signal.single(vec)
-        back = evolve_dense(lap, -1.1, evolve_dense(lap, 1.1, g))
-        assert np.max(np.abs(back.values - g.values)) <= 1e-9
+        prop = DensePropagator(lap)
+        back = prop.apply(-1.1, prop.apply(1.1, vec))
+        assert np.max(np.abs(back - vec)) <= 1e-9
 
 
 class TestFailureModes:
@@ -126,14 +116,15 @@ class TestFailureModes:
 
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(
-        "cfg", [EvolutionConfig(), EvolutionConfig(method="dense-oracle")],
+        "propagate",
+        [evolve, lambda lap, t, g: DensePropagator(lap).apply(t, g.values)],
         ids=["default", "dense-oracle"])
-    def test_non_finite_time_rejected(self, path3, t, cfg):
+    def test_non_finite_time_rejected(self, path3, t, propagate):
         graph, f = path3
         lap = schrodinger_laplacian(graph, f)
         g = Signal(np.array([1.0, 0.0, 0.0]))
         with pytest.raises(ContractError, match="time must be finite"):
-            evolve(lap, t, g, cfg)
+            propagate(lap, t, g)
 
     def test_tiny_non_self_adjoint_generator_rejected(self):
         op = SparseOperator(np.array([[0.0, 1e-13], [0.0, 0.0]]))
@@ -145,6 +136,8 @@ class TestFailureModes:
         lap = schrodinger_laplacian(graph, f)
         with pytest.raises(ContractError):
             evolve(lap, 0.1, Signal(np.ones(5)))
+        with pytest.raises(ContractError):
+            DensePropagator(lap).apply(0.1, np.ones(5))
 
     def test_batched_apply_matches_per_column(self):
         graph, f, _ = make_instance(29)

@@ -37,6 +37,7 @@ class TestConfig:
         {"learning_rate": float("nan")},
         {"learning_rate": float("inf")},
         {"width_hi": float("inf")},
+        {"channels": 2.0},
     ])
     def test_bad_settings_rejected(self, kwargs):
         with pytest.raises(ContractError):
