@@ -36,6 +36,7 @@ from .graph_core import (
     save_signal,
 )
 from .operators import (
+    DENSE_MAX_NODES,
     DiagonalOperator,
     LinearNodeOperator,
     NormEstimate,
@@ -51,7 +52,7 @@ from .operators import (
     schrodinger_laplacian,
     smoothing_operator,
 )
-from .propagate import DENSE_MAX_NODES, DensePropagator, evolve, unitarity_defect
+from .propagate import DensePropagator, evolve, unitarity_defect
 from .observe import (
     VARIANCE_FLOOR,
     ObservableStats,

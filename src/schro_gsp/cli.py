@@ -409,8 +409,8 @@ def cmd_diagnose(args) -> int:
     windows = build_windows(feats, cfg.coordinate, cfg.n_windows)
     lap = schrodinger_laplacian(graph, feats)
 
-    def layer(sig):
-        return schrodinger_filter(lap, feats, params, sig)
+    def layer(stack):
+        return schrodinger_filter(lap, feats, params, stack)
 
     report = relative_shift(layer, signal, feats, windows)
     _write_csv(

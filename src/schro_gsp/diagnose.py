@@ -7,12 +7,13 @@ two linear interpolation weights onto those centers, so the windows form a
 partition of unity by construction.  Two window sets can be multiplied into
 product windows over coordinate pairs.
 
-The relative-shift diagnostic windows a signal, pushes each windowed piece
+The relative-shift diagnostic windows a signal, pushes the windowed pieces
 through a signal map, and compares per-node energy centroids of input and
 output along each windowed coordinate, normalized by the coordinate's
 spread.  A map that only reweights phases cannot move the centroid; a map
 that transports mass shows up as a nonzero shift in units of the feature's
-standard deviation.
+standard deviation.  The map receives every windowed piece at once, as a
+stack ``(N, J, B)`` of ``B`` signals, and must act on each one alone.
 """
 
 from __future__ import annotations
@@ -200,29 +201,41 @@ def relative_shift(
     """Per-window centroid displacement of a signal map, in feature units.
 
     Each window is applied to every channel of ``g`` with sqrt-weights and
-    jointly renormalized; the map's output localization is compared to the
-    input's along every windowed coordinate.  Windows with no usable input
-    or output mass are reported missing rather than as zero shifts.
-    Rescaling ``layer_fn`` by a positive constant leaves all shifts
-    unchanged.
+    jointly renormalized.  The windows with usable mass are stacked into
+    one complex array ``(N, J, B)`` and ``layer_fn`` is called once on it;
+    it must return an ``(N, D, B)`` array whose slice ``[:, :, b]`` is the
+    map applied to window ``b`` alone, as ``schrodinger_filter`` does.  The
+    map's output localization is compared to the input's along every
+    windowed coordinate.  Windows with no usable input or output mass are
+    reported missing rather than as zero shifts.  Rescaling ``layer_fn`` by
+    a positive constant leaves all shifts unchanged.
     """
     if g.n_nodes != f.n_nodes or windows.n_nodes != g.n_nodes:
         raise ContractError("signal, features, and windows disagree on size")
-    entries = []
-    shifts = []
-    for wid, w in windows.windows():
+    pieces = []
+    for w in windows.weights:
         windowed = np.sqrt(w)[:, None] * g.values
         mass = float(np.linalg.norm(windowed))
-        if mass <= NORM_FLOOR:
-            for k in windows.coordinates:
-                entries.append(WindowShift(wid, k, True, None, None, None, None, None))
-            continue
-        windowed = windowed / mass
-        out = layer_fn(Signal(windowed))
-        if not isinstance(out, Signal):
-            out = Signal(np.asarray(out))
-        p_pre = _energy_profile(windowed)
-        p_post = _energy_profile(out.values)
+        pieces.append(windowed / mass if mass > NORM_FLOOR else None)
+    live = [b for b, piece in enumerate(pieces) if piece is not None]
+    outputs = {}
+    if live:
+        batch = np.stack([pieces[b] for b in live], axis=2)
+        out = np.asarray(layer_fn(batch))
+        if out.ndim != 3 or out.shape[0] != g.n_nodes or out.shape[2] != len(live):
+            raise ContractError(
+                f"layer_fn mapped a {batch.shape} window stack to shape "
+                f"{out.shape}, expected ({g.n_nodes}, D, {len(live)})")
+        if not np.all(np.isfinite(out)):
+            raise ContractError("layer_fn output must be finite")
+        outputs = {b: out[:, :, i] for i, b in enumerate(live)}
+    entries = []
+    shifts = []
+    for b, wid in enumerate(windows.window_ids):
+        p_pre = p_post = None
+        if b in outputs:
+            p_pre = _energy_profile(pieces[b])
+            p_post = _energy_profile(outputs[b])
         if p_pre is None or p_post is None:
             for k in windows.coordinates:
                 entries.append(WindowShift(wid, k, True, None, None, None, None, None))

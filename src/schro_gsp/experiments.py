@@ -224,6 +224,8 @@ def centered_cosine(a: np.ndarray, b: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class GridPMOConfig:
+    """Grid PMO settings; ``pmo`` holds the inner fit's checked PMOConfig."""
+
     side: int = 12
     lam: float = 1.0
     learning_rate: float = 0.02
@@ -241,6 +243,14 @@ class GridPMOConfig:
         if self.grad_mode != "spectral-pair":
             raise ContractError(
                 f"grad_mode must be 'spectral-pair', got {self.grad_mode!r}")
+        # Not a field, so it stays out of asdict() and the summary.
+        object.__setattr__(self, "pmo", PMOConfig(
+            out_features=2,
+            lam=self.lam,
+            learning_rate=self.learning_rate,
+            max_iters=self.max_iters,
+            seed=self.seed,
+        ))
 
 
 @dataclass(frozen=True)
@@ -280,17 +290,10 @@ class GridPMOResult:
 def run_grid_pmo(cfg: GridPMOConfig = GridPMOConfig()) -> GridPMOResult:
     """Recover near-orthogonal feature directions from a correlated pair."""
     graph, q = grid_graph(cfg.side)
-    pmo_cfg = PMOConfig(
-        out_features=2,
-        lam=cfg.lam,
-        learning_rate=cfg.learning_rate,
-        max_iters=cfg.max_iters,
-        seed=cfg.seed,
-    )
     initial_cosine = centered_cosine(q.column(0), q.column(1))
     initial_deficiency = commuting_deficiency(graph, q)
     initial_objective = pmo_objective(graph, q, np.eye(2), cfg.lam)
-    fit = pmo_fit(graph, q, pmo_cfg)
+    fit = pmo_fit(graph, q, cfg.pmo)
     recovered = FeatureLocations(q.values @ fit.transform)
     norms = tuple(
         float(infinity_norm(feature_derivative(graph, recovered, k)))

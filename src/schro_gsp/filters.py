@@ -12,6 +12,12 @@ linear in the signal; per-term cost is one diagonal scaling, one
 Chebyshev-series propagation, and one channel mix, so work grows linearly in
 the edge count.
 
+The filter also takes a stack ``(N, J, B)`` of ``B`` signals and filters
+each one on its own: modulation acts per node, propagation acts column by
+column on the ``(N, J*B)`` block, and the mix acts over ``J`` only.  One
+propagation then carries every signal of the stack, which is how the window
+diagnostic runs all its windows at once.
+
 There are no bias terms anywhere.
 """
 
@@ -176,31 +182,39 @@ def schrodinger_filter(
     lap: SecondOrderGenerator,
     f: FeatureLocations,
     params: FilterParams,
-    g: Signal,
-) -> Signal:
+    g: Signal | np.ndarray,
+) -> Signal | np.ndarray:
     """Apply the filter; linear in ``g``, evaluated term by term in order.
 
-    ``lap`` is the shared generator ``schrodinger_laplacian(graph, f)``.
-    Callers that filter many signals build it once, so its norm bound is
-    computed once too.
+    ``g`` is a :class:`Signal` ``(N, J)``, filtered into a ``Signal``
+    ``(N, D)``, or a complex stack ``(N, J, B)`` of ``B`` signals, filtered
+    independently into an array ``(N, D, B)``.  ``lap`` is the shared
+    generator ``schrodinger_laplacian(graph, f)``.  Callers that filter many
+    signals build it once, so its norm bound is computed once too.
     """
-    if f.n_nodes != lap.dim or g.n_nodes != lap.dim:
+    stack = g.values[:, :, None] if isinstance(g, Signal) else np.asarray(g)
+    if stack.ndim != 3:
+        raise ContractError(
+            f"filter input must be a Signal or an (N, J, B) stack, got shape "
+            f"{stack.shape}")
+    n, j, b = stack.shape
+    if f.n_nodes != lap.dim or n != lap.dim:
         raise ContractError("generator, features, and signal disagree on size")
     if params.n_features != f.n_features:
         raise ContractError(
             f"filter directions expect {params.n_features} features, "
             f"got {f.n_features}")
-    if params.in_channels != g.n_channels:
+    if params.in_channels != j:
         raise ContractError(
             f"filter mix expects {params.in_channels} input channels, "
-            f"got {g.n_channels}")
-    out = np.zeros((g.n_nodes, params.out_channels), dtype=np.complex128)
+            f"got {j}")
+    out = np.zeros((n, params.out_channels, b), dtype=np.complex128)
     for term in params.terms:
         direction = f.values @ term.direction
-        modulated = np.exp(1j * term.phase * direction)[:, None] * g.values
-        evolved = evolve_array(lap, term.time, modulated)
-        out += evolved @ term.mix
-    return Signal(out)
+        modulated = np.exp(1j * term.phase * direction)[:, None, None] * stack
+        evolved = evolve_array(lap, term.time, modulated.reshape(n, j * b))
+        out += term.mix.T @ evolved.reshape(n, j, b)
+    return Signal(out[:, :, 0]) if isinstance(g, Signal) else out
 
 
 def input_modulation(q: FeatureLocations, params: InputModulationParams) -> Signal:

@@ -14,6 +14,7 @@ cached decompositions.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -75,8 +76,10 @@ class Graph:
                 raise ContractError("self-loops are not allowed")
             if np.any(u > v):
                 raise ContractError("edges must be stored with u < v")
-            pairs = set(zip(u.tolist(), v.tolist()))
-            if len(pairs) != u.size:
+            # u * n + v names the pair uniquely and stays below 2**62 for
+            # n below 2**31; equal neighbours after a sort are duplicates.
+            keys = np.sort(u * self.n_nodes + v)
+            if np.any(keys[1:] == keys[:-1]):
                 raise ContractError("duplicate undirected edge")
         if not np.all(np.isfinite(w)):
             raise ContractError("edge weights must be finite")
@@ -228,7 +231,49 @@ def normalize_channel(g: Signal, j: int) -> Signal:
 # header) are comments.  Signals and feature locations are CSV; complex
 # values are interleaved re/im column pairs.  Floats are serialized with
 # repr(), which round-trips float64 exactly in at most 17 significant digits.
+#
+# Each loader first parses the file with numpy: its header from the first
+# line, then every other line with ``np.loadtxt``.  A file that this fast
+# parse does not take is read again line by line (``_scan_*``), which raises
+# a FormatError naming the first bad line.  The line reader also accepts the
+# rare valid files numpy does not parse: comment lines, blank lines before
+# the header, whitespace-only lines, and numbers written like ``1_000``.
 # ---------------------------------------------------------------------------
+
+_EDGE_DTYPE = np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)])
+
+
+def _header_count(line: str, key: str) -> int:
+    """The positive count of a ``key=N`` header line; ValueError otherwise."""
+    line = line.strip()
+    if not line.startswith(key):
+        raise ValueError(f"no {key!r} header")
+    count = int(line[len(key):])
+    if count <= 0:
+        raise ValueError(f"non-positive {key!r} count")
+    return count
+
+
+def _load_rows(fh, delimiter: str, dtype, ndmin: int) -> np.ndarray:
+    """The rest of ``fh`` as numpy rows; every warning is an error.
+
+    ``comments=None`` keeps a ``#`` a parse failure, as the line readers
+    treat it, and an empty remainder warns, so it fails too."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return np.loadtxt(fh, delimiter=delimiter, comments=None, dtype=dtype,
+                          ndmin=ndmin)
+
+
+def _oriented_graph(n_nodes: int, u, v, w) -> Graph:
+    """Graph from edges in any orientation, stored ``u < v`` in lexsort order."""
+    u = np.asarray(u, dtype=np.int64)
+    v = np.asarray(v, dtype=np.int64)
+    a, b = np.minimum(u, v), np.maximum(u, v)
+    # The stable order of a * n + b is lexsort((b, a)) for in-range
+    # endpoints, and much faster on rows that are already sorted.
+    order = np.argsort(a * n_nodes + b, kind="stable")
+    return Graph(n_nodes, a[order], b[order], np.asarray(w, dtype=np.float64)[order])
 
 
 def save_graph(graph: Graph, path) -> None:
@@ -240,54 +285,68 @@ def save_graph(graph: Graph, path) -> None:
 
 
 def load_graph(path) -> Graph:
+    with open(path, "r", encoding="ascii") as fh:
+        try:
+            n_nodes = _header_count(fh.readline(), "#nodes=")
+            rows = _load_rows(fh, "\t", _EDGE_DTYPE, 1)
+            # Graph raises ContractError, a ValueError, on a self-loop, an
+            # endpoint out of range or a duplicate edge.
+            return _oriented_graph(n_nodes, rows["u"], rows["v"], rows["w"])
+        except (ValueError, Warning):
+            fh.seek(0)
+            n_nodes, u, v, w = _scan_graph(fh)
+    return _oriented_graph(n_nodes, u, v, w)
+
+
+def _scan_graph(fh):
+    """Read a graph file line by line; FormatError at the first bad line."""
     n_nodes = None
     us, vs, ws = [], [], []
     seen: dict[tuple[int, int], float] = {}
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#nodes="):
-                if n_nodes is not None:
-                    raise FormatError("repeated #nodes header", lineno)
-                try:
-                    n_nodes = int(line[len("#nodes="):])
-                except ValueError:
-                    raise FormatError(f"bad node count {line!r}", lineno) from None
-                if n_nodes <= 0:
-                    raise FormatError("node count must be positive", lineno)
-                continue
-            if line.startswith("#"):
-                continue
-            if n_nodes is None:
-                raise FormatError("edge listed before #nodes header", lineno)
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise FormatError(f"expected 'u<TAB>v<TAB>w', got {line!r}", lineno)
+    for lineno, raw in enumerate(fh, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#nodes="):
+            if n_nodes is not None:
+                raise FormatError("repeated #nodes header", lineno)
             try:
-                u, v, w = int(parts[0]), int(parts[1]), float(parts[2])
+                n_nodes = int(line[len("#nodes="):])
             except ValueError:
-                raise FormatError(f"unparsable edge {line!r}", lineno) from None
-            if u == v:
-                raise FormatError(f"self-loop at node {u}", lineno)
-            if not 0 <= u < n_nodes or not 0 <= v < n_nodes:
-                raise FormatError(f"edge endpoint out of range in {line!r}", lineno)
-            a, b = (u, v) if u < v else (v, u)
-            prev = seen.get((a, b))
-            if prev is not None:
-                if prev != w:
-                    raise FormatError(
-                        f"edge ({u},{v}) repeats an earlier edge with a "
-                        f"different weight", lineno)
-                raise FormatError(f"duplicate undirected edge ({u},{v})", lineno)
-            seen[(a, b)] = w
-            us.append(a)
-            vs.append(b)
-            ws.append(w)
+                raise FormatError(f"bad node count {line!r}", lineno) from None
+            if n_nodes <= 0:
+                raise FormatError("node count must be positive", lineno)
+            continue
+        if line.startswith("#"):
+            continue
+        if n_nodes is None:
+            raise FormatError("edge listed before #nodes header", lineno)
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise FormatError(f"expected 'u<TAB>v<TAB>w', got {line!r}", lineno)
+        try:
+            u, v, w = int(parts[0]), int(parts[1]), float(parts[2])
+        except ValueError:
+            raise FormatError(f"unparsable edge {line!r}", lineno) from None
+        if u == v:
+            raise FormatError(f"self-loop at node {u}", lineno)
+        if not 0 <= u < n_nodes or not 0 <= v < n_nodes:
+            raise FormatError(f"edge endpoint out of range in {line!r}", lineno)
+        a, b = (u, v) if u < v else (v, u)
+        prev = seen.get((a, b))
+        if prev is not None:
+            if prev != w:
+                raise FormatError(
+                    f"edge ({u},{v}) repeats an earlier edge with a "
+                    f"different weight", lineno)
+            raise FormatError(f"duplicate undirected edge ({u},{v})", lineno)
+        seen[(a, b)] = w
+        us.append(a)
+        vs.append(b)
+        ws.append(w)
     if n_nodes is None:
         raise FormatError("missing #nodes header")
-    return Graph.from_edges(n_nodes, zip(us, vs, ws))
+    return n_nodes, us, vs, ws
 
 
 def save_signal(g: Signal, path) -> None:
@@ -305,7 +364,23 @@ def save_signal(g: Signal, path) -> None:
 
 def load_signal(path) -> Signal:
     with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+        try:
+            j = _header_count(fh.readline(), "channels=")
+            rows = _load_rows(fh, ",", np.float64, 2)
+            if rows.shape[1] != 2 * j:
+                raise ValueError("column count does not match the channels")
+            # Interleaved re/im pairs are exactly the complex128 layout.
+            return Signal(rows.view(np.complex128))
+        except (ValueError, Warning):
+            fh.seek(0)
+            return _scan_signal(fh)
+
+
+def _scan_signal(fh) -> Signal:
+    """Read a signal file line by line; FormatError at the first bad line.
+
+    Line numbers count non-blank lines, the header being line 1."""
+    lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines or not lines[0].startswith("channels="):
         raise FormatError("missing 'channels=' header", 1)
     try:
@@ -337,23 +412,32 @@ def save_features(f: FeatureLocations, path) -> None:
 
 
 def load_features(path) -> FeatureLocations:
+    with open(path, "r", encoding="ascii") as fh:
+        try:
+            return FeatureLocations(_load_rows(fh, ",", np.float64, 2))
+        except (ValueError, Warning):
+            fh.seek(0)
+            return _scan_features(fh)
+
+
+def _scan_features(fh) -> FeatureLocations:
+    """Read a feature file line by line; FormatError at the first bad line."""
     rows = []
     width = None
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            if width is None:
-                width = len(cells)
-            elif len(cells) != width:
-                raise FormatError(
-                    f"expected {width} columns, got {len(cells)}", lineno)
-            try:
-                rows.append([float(c) for c in cells])
-            except ValueError:
-                raise FormatError(f"unparsable value in {line!r}", lineno) from None
+    for lineno, raw in enumerate(fh, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        cells = line.split(",")
+        if width is None:
+            width = len(cells)
+        elif len(cells) != width:
+            raise FormatError(
+                f"expected {width} columns, got {len(cells)}", lineno)
+        try:
+            rows.append([float(c) for c in cells])
+        except ValueError:
+            raise FormatError(f"unparsable value in {line!r}", lineno) from None
     if not rows:
         raise FormatError("feature file has no rows")
     return FeatureLocations(np.array(rows, dtype=np.float64))

@@ -13,13 +13,13 @@ Operators come in three storage kinds:
 * ``diagonal-unit-modulus`` -- unit-modulus complex diagonals (modulations).
 
 The second-order generator keeps the per-feature derivative factors and
-applies them in sequence rather than storing its own matrix; a sparse or
-dense materialization exists as an escape hatch for small verification
-problems.
+composes them once into one sparse matrix, which its norm bound, its
+applications and the small verification oracles all share.
 
 There is one spectral norm, ``operator_norm``: a single Lanczos solve that
-is exact to machine precision and raises when it does not converge.
-``infinity_norm`` is the cheap row-sum upper bound.
+is exact to machine precision.  When it does not converge, an operator of
+at most ``DENSE_MAX_NODES`` nodes gets a dense SVD instead, and a larger
+one raises.  ``infinity_norm`` is the cheap row-sum upper bound.
 """
 
 from __future__ import annotations
@@ -32,6 +32,10 @@ from .graph_core import FeatureLocations, Graph
 
 # Dense materialization is reserved for oracle-sized problems.
 MATERIALIZE_MAX_DIM = 256
+
+# Largest operator given a dense factorization: the propagation oracle's
+# eigendecomposition and the spectral norm's SVD fallback.
+DENSE_MAX_NODES = 1024
 
 # Relative asymmetry ``max |A - A*| / max |A|`` (or the largest imaginary
 # part of a real-observable diagonal) that still counts as self-adjoint.
@@ -159,12 +163,12 @@ class DiagonalOperator(LinearNodeOperator):
 
 
 class SecondOrderGenerator(LinearNodeOperator):
-    """Negated sum of squared feature derivatives, applied factor by factor.
+    """Negated sum of squared feature derivatives.
 
-    Holds one sparse derivative per feature column and evaluates
-    ``-sum_k grad_k(grad_k(x))`` as 2K sparse passes, so the composed matrix
-    is never formed during propagation.  ``tosparse`` composes it on demand
-    (still sparse; the pattern is two-hop) for norms and small oracles.
+    Holds one sparse derivative per feature column.  ``tosparse`` composes
+    ``-sum_k grad_k grad_k`` once (still sparse; the pattern is two-hop) and
+    caches it; ``norm_bound`` needs that matrix before any propagation, so
+    ``apply`` multiplies by it too: one sparse pass instead of 2K.
     """
 
     kind = "sparse-general"
@@ -194,11 +198,14 @@ class SecondOrderGenerator(LinearNodeOperator):
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         arr = self._check_operand(values)
-        acc = None
-        for grad in self._grads:
-            term = grad @ (grad @ arr)
-            acc = term if acc is None else acc + term
-        return -acc
+        mat = self.tosparse()
+        if not np.iscomplexobj(arr):
+            return mat @ arr
+        # The matrix is real: multiply the (N, 2J) float64 view of a complex
+        # operand, so scipy does not upcast the matrix to complex.
+        arr = np.ascontiguousarray(arr, dtype=np.complex128)
+        out = mat @ arr.view(np.float64).reshape(arr.shape[0], -1)
+        return out.view(np.complex128).reshape(arr.shape)
 
     def adjoint(self) -> "SecondOrderGenerator":
         # Each factor is real skew-symmetric, so each square is symmetric.
@@ -356,8 +363,9 @@ def operator_norm(op: LinearNodeOperator) -> NormEstimate:
     One Lanczos solve (ARPACK through ``scipy.sparse.linalg.svds``) to
     machine precision from a fixed seeded start, so repeated calls agree
     bit for bit.  A zero or 1x1 operator, which ARPACK cannot take, gets the
-    answer directly.  A solve that does not converge raises
-    :class:`NumericalError`.
+    answer directly.  A solve that does not converge, as on top singular
+    values packed within about 1e-8, falls back to a dense SVD for at most
+    ``DENSE_MAX_NODES`` nodes and raises :class:`NumericalError` above that.
     """
     # Imported here: loading scipy.sparse.linalg slows every CLI start.
     from scipy.sparse.linalg import ArpackNoConvergence, svds
@@ -372,9 +380,11 @@ def operator_norm(op: LinearNodeOperator) -> NormEstimate:
     try:
         _, s, vh = svds(mat, k=1, tol=0, v0=start)
     except ArpackNoConvergence as exc:
-        raise NumericalError(
-            f"spectral norm of a {n}-node operator did not converge: {exc}"
-        ) from exc
+        if n > DENSE_MAX_NODES:
+            raise NumericalError(
+                f"spectral norm of a {n}-node operator did not converge: {exc}"
+            ) from exc
+        _, s, vh = np.linalg.svd(mat.toarray())
     return NormEstimate(float(s[0]), vh[0].conj())
 
 

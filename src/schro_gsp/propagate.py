@@ -25,9 +25,12 @@ import numpy as np
 
 from .errors import ContractError, NumericalError, SizeError
 from .graph_core import Signal
-from .operators import LinearNodeOperator, SecondOrderGenerator, infinity_norm
-
-DENSE_MAX_NODES = 1024
+from .operators import (
+    DENSE_MAX_NODES,
+    LinearNodeOperator,
+    SecondOrderGenerator,
+    infinity_norm,
+)
 
 # The series is cut where sum_{k > K} eps_k |J_k(t h)|, which bounds the
 # truncation error relative to the input norm, falls below this.

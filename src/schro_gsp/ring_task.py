@@ -487,8 +487,11 @@ class RingTaskResult:
 
 
 def _layer_fn(ws: _RingWorkspace, params: RingModelParams):
-    def layer(sig: Signal) -> Signal:
-        return Signal(_Pass(ws, params, sig.values.T).pred.T)
+    """The model as a map on ``(N, J, B)`` stacks; each of the ``J*B``
+    columns is one input row of the model."""
+    def layer(stack: np.ndarray) -> np.ndarray:
+        n, j, b = stack.shape
+        return _Pass(ws, params, stack.reshape(n, j * b).T).pred.T.reshape(n, j, b)
 
     return layer
 

@@ -867,11 +867,11 @@ def _shift_scale_invariance():
     windows = build_windows(f, 0, 3)
     sig = Signal(random_unit(rng, g.n_nodes))
 
-    def layer(x):
-        return Signal(prop.apply(0.4, x.values))
+    def layer(stack):
+        return prop.apply(0.4, stack.reshape(len(stack), -1)).reshape(stack.shape)
 
-    def scaled(x):
-        return Signal(3.7 * prop.apply(0.4, x.values))
+    def scaled(stack):
+        return 3.7 * layer(stack)
 
     a = relative_shift(layer, sig, f, windows)
     b = relative_shift(scaled, sig, f, windows)
@@ -898,8 +898,8 @@ def _shift_full_window():
         centers=(np.array([float(np.median(f.column(0)))]),),
     )
 
-    def layer(x):
-        return Signal(prop.apply(0.7, x.values))
+    def layer(stack):
+        return prop.apply(0.7, stack.reshape(len(stack), -1)).reshape(stack.shape)
 
     report = relative_shift(layer, Signal(vec), f, full)
     loc = location_observable(f, 0)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import schro_gsp
+from schro_gsp import operators
 from schro_gsp.cli import main
 from schro_gsp.filters import FilterParams, FilterTerm, save_filter_params
 from schro_gsp.graph_core import (
@@ -285,6 +286,8 @@ class TestPmoGridCommand:
             raise linalg.ArpackNoConvergence("no convergence", [], [])
 
         monkeypatch.setattr(linalg, "svds", stalled)
+        # The 9-node commutators sit above this cap, so no dense fallback.
+        monkeypatch.setattr(operators, "DENSE_MAX_NODES", 4)
         cfg = _write_cfg(tmp_path, {"side": 3, "max_iters": 3})
         out = tmp_path / "out"
         assert main(["pmo-grid", "--config", cfg, "--out", str(out)]) == 3

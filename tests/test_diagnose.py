@@ -14,7 +14,9 @@ from schro_gsp.diagnose import (
     relative_shift,
     window_signal,
 )
+from schro_gsp.filters import FilterParams, FilterTerm, schrodinger_filter
 from schro_gsp.graph_core import (
+    NORM_FLOOR,
     FeatureLocations,
     Signal,
     cluster_graph,
@@ -141,6 +143,14 @@ class TestWindowSignal:
             window_signal(rng.normal(size=(4, 2)), np.ones(4))
 
 
+def _columnwise(fn):
+    """Lift a map on (N, K) arrays that acts column by column to window stacks."""
+    def layer(stack):
+        return fn(stack.reshape(len(stack), -1)).reshape(stack.shape)
+
+    return layer
+
+
 def _full_window(col: np.ndarray) -> WindowSet:
     n = col.size
     return WindowSet(
@@ -167,8 +177,7 @@ class TestRelativeShift:
                    + 1j * rng.normal(size=graph.n_nodes))
         ws = build_windows(f, 0, 3)
         mod = modulation(f.column(0), 2.2)
-        report = relative_shift(
-            lambda s: Signal(mod.apply(s.values)), g, f, ws)
+        report = relative_shift(_columnwise(mod.apply), g, f, ws)
         assert abs(report.mean_shift) <= 1e-12
         assert all(abs(e.shift) <= 1e-12 for e in report.entries)
 
@@ -179,11 +188,8 @@ class TestRelativeShift:
         ws = build_windows(f, 0, 3)
         prop = DensePropagator(schrodinger_laplacian(graph, f))
 
-        def layer(s):
-            return Signal(prop.apply(0.5, s.values))
-
-        def scaled(s):
-            return Signal(3.7 * prop.apply(0.5, s.values))
+        layer = _columnwise(lambda x: prop.apply(0.5, x))
+        scaled = _columnwise(lambda x: 3.7 * prop.apply(0.5, x))
 
         base = relative_shift(layer, g, f, ws)
         other = relative_shift(scaled, g, f, ws)
@@ -198,9 +204,7 @@ class TestRelativeShift:
         col = f.column(0)
         prop = DensePropagator(schrodinger_laplacian(graph, f))
 
-        def layer(s):
-            return Signal(prop.apply(0.4, s.values))
-
+        layer = _columnwise(lambda x: prop.apply(0.4, x))
         report = relative_shift(layer, g, f, _full_window(col))
         out = prop.apply(0.4, vals)
         pre = np.dot(col, np.abs(vals) ** 2)
@@ -213,8 +217,7 @@ class TestRelativeShift:
         g = Signal(rng.normal(size=graph.n_nodes)
                    + 1j * rng.normal(size=graph.n_nodes))
         ws = build_windows(f, 0, 3)
-        report = relative_shift(
-            lambda s: Signal(0.0 * s.values), g, f, ws)
+        report = relative_shift(lambda s: 0.0 * s, g, f, ws)
         assert report.mean_shift is None
         assert all(e.missing for e in report.entries)
         rows = report.csv_rows()
@@ -227,12 +230,64 @@ class TestRelativeShift:
         prop = DensePropagator(schrodinger_laplacian(graph, f))
         mod = modulation(f.column(0), 4.4)
 
-        def layer(s):
-            return Signal(prop.apply(0.3, mod.apply(s.values)))
+        layer = _columnwise(lambda x: prop.apply(0.3, mod.apply(x)))
 
         report = relative_shift(layer, g0, f, ws)
         assert report.mean_shift is not None
         assert report.mean_shift > 0.05
+
+    def test_batched_windows_match_per_window_filter_calls(self, rng):
+        graph, f, _ = make_instance(251, n_features=2)
+        n = graph.n_nodes
+        terms = tuple(
+            FilterTerm(time=t, phase=ph, direction=rng.normal(size=2),
+                       mix=rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3)))
+            for t, ph in ((0.3, 0.8), (0.6, -1.1)))
+        params = FilterParams(terms)
+        lap = schrodinger_laplacian(graph, f)
+        g = Signal(rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2)))
+        hats = build_windows(f, 0, 3)
+        # A fourth window with no weight anywhere carries no mass.
+        ws = WindowSet(
+            coordinates=(0,),
+            weights=np.vstack([hats.weights[:1], np.zeros((1, n)), hats.weights[1:]]),
+            window_ids=((0,), (9,), (1,), (2,)),
+            centers=hats.centers,
+        )
+        calls = []
+
+        def layer(stack):
+            calls.append(stack.shape)
+            return schrodinger_filter(lap, f, params, stack)
+
+        report = relative_shift(layer, g, f, ws)
+        assert calls == [(n, 2, 3)]
+        col = f.column(0)
+        for e, w in zip(report.entries, ws.weights):
+            windowed = np.sqrt(w)[:, None] * g.values
+            mass = np.linalg.norm(windowed)
+            if mass <= NORM_FLOOR:
+                assert e.missing and e.window_id == (9,)
+                continue
+            windowed = windowed / mass
+            out = schrodinger_filter(lap, f, params, Signal(windowed)).values
+            p_pre = (np.abs(windowed) ** 2).sum(axis=1)
+            p_post = (np.abs(out) ** 2).sum(axis=1)
+            p_post = p_post / p_post.sum()
+            pre, post = col @ p_pre, col @ p_post
+            expected = (pre, post, (col - pre) ** 2 @ p_pre, (col - post) ** 2 @ p_post)
+            got = (e.pre_mean, e.post_mean, e.pre_variance, e.post_variance)
+            for a, b in zip(got, expected):
+                assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
+            assert e.shift == pytest.approx((post - pre) / col.std(), rel=1e-12, abs=1e-12)
+        assert sum(e.missing for e in report.entries) == 1
+
+    def test_stack_shape_mismatch_rejected(self, rng):
+        graph, f, _ = make_instance(257)
+        g = Signal(rng.normal(size=graph.n_nodes) + 1j)
+        ws = build_windows(f, 0, 3)
+        with pytest.raises(ContractError, match="window stack"):
+            relative_shift(lambda s: s[:, :, :1], g, f, ws)
 
     def test_constant_windowed_coordinate_rejected(self, rng):
         graph, _, _ = make_instance(239)

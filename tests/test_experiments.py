@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from schro_gsp import experiments
 from schro_gsp.errors import ContractError
 from schro_gsp.experiments import (
     ClusterSweepConfig,
@@ -16,7 +17,7 @@ from schro_gsp.experiments import (
 from schro_gsp.graph_core import cluster_graph
 from schro_gsp.observe import mean, variance
 from schro_gsp.operators import location_observable, schrodinger_laplacian
-from schro_gsp.pmo import pmo_objective
+from schro_gsp.pmo import PMOConfig, pmo_objective
 from schro_gsp.propagate import DensePropagator
 
 
@@ -120,6 +121,20 @@ class TestGridGraph:
             with pytest.raises(ContractError):
                 GridPMOConfig(**bad)
         assert GridPMOConfig(seed=np.int64(3)).seed == 3
+
+    def test_grid_pmo_config_checks_the_fit_settings_before_any_grid(
+            self, monkeypatch):
+        built = []
+        monkeypatch.setattr(experiments, "grid_graph",
+                            lambda side: built.append(side))
+        for bad in ({"max_iters": 0, "learning_rate": -1.0}, {"max_iters": 0},
+                    {"learning_rate": -1.0}, {"lam": -0.5}):
+            with pytest.raises(ContractError):
+                run_grid_pmo(GridPMOConfig(**bad))
+        assert built == []
+        cfg = GridPMOConfig(side=3, lam=0.5, learning_rate=0.01, max_iters=7, seed=4)
+        assert cfg.pmo == PMOConfig(out_features=2, lam=0.5, learning_rate=0.01,
+                                    max_iters=7, seed=4)
 
     def test_grid_pmo_config_takes_only_the_spectral_gradient(self):
         assert GridPMOConfig().grad_mode == "spectral-pair"

@@ -181,6 +181,26 @@ class TestFilterAction:
         assert np.linalg.norm(out.values) == pytest.approx(
             np.linalg.norm(g.values), rel=1e-9)
 
+    def test_stack_filters_each_signal_alone(self, rng):
+        graph, f, _ = make_instance(59, n_features=2)
+        params = _random_params(rng, n_features=2, j=2, d=3)
+        n = graph.n_nodes
+        stack = rng.normal(size=(n, 2, 4)) + 1j * rng.normal(size=(n, 2, 4))
+        lap = schrodinger_laplacian(graph, f)
+        out = schrodinger_filter(lap, f, params, stack)
+        assert out.shape == (n, 3, 4)
+        for b in range(4):
+            alone = schrodinger_filter(lap, f, params, Signal(stack[:, :, b]))
+            err = np.abs(out[:, :, b] - alone.values).max()
+            assert err <= 1e-12 * np.abs(alone.values).max()
+
+    def test_two_dimensional_array_rejected(self, rng):
+        graph, f, _ = make_instance(61)
+        params = _random_params(rng, n_features=1, j=1, d=1)
+        lap = schrodinger_laplacian(graph, f)
+        with pytest.raises(ContractError, match="stack"):
+            schrodinger_filter(lap, f, params, np.ones((graph.n_nodes, 1)))
+
     def test_feature_count_mismatch_rejected(self, rng):
         graph, f, _ = make_instance(47)  # one feature column
         params = _random_params(rng, n_features=2, j=1, d=1)

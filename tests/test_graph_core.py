@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from schro_gsp.errors import ContractError, DegenerateSignalError, FormatError
@@ -151,6 +151,158 @@ class TestGraphFiles:
         assert np.array_equal(back.edge_u, g.edge_u)
         assert np.array_equal(back.edge_v, g.edge_v)
         assert np.array_equal(back.edge_w, g.edge_w)
+
+
+@st.composite
+def _graphs(draw):
+    """Graphs of up to 12 nodes, often disconnected, weights in [1e-8, 1e8]."""
+    n = draw(st.integers(1, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    weights = draw(st.lists(st.floats(1e-8, 1e8), min_size=len(chosen),
+                            max_size=len(chosen)))
+    signs = draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=len(chosen),
+                          max_size=len(chosen)))
+    edges = [(u, v, s * w) for (u, v), w, s in zip(chosen, weights, signs)]
+    return Graph.from_edges(n, edges)
+
+
+def _bits(arr):
+    return np.ascontiguousarray(arr).tobytes()
+
+
+class TestFileRoundTrips:
+    @settings(max_examples=60, deadline=None)
+    @given(_graphs())
+    @example(Graph.from_edges(1, []))
+    @example(Graph.from_edges(6, [(0, 1, 1e-8), (1, 2, 1e8), (4, 5, 0.3)]))
+    def test_graph_round_trips_bit_exactly(self, graph):
+        import tempfile
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/g.tsv"
+            save_graph(graph, path)
+            back = load_graph(path)
+        assert back.n_nodes == graph.n_nodes
+        for a, b in ((back.edge_u, graph.edge_u), (back.edge_v, graph.edge_v),
+                     (back.edge_w, graph.edge_w)):
+            assert a.dtype == b.dtype and _bits(a) == _bits(b)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 3), st.data())
+    def test_signal_and_features_round_trip_bit_exactly(self, rows, cols, data):
+        import tempfile
+
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        vals = np.array(data.draw(st.lists(finite, min_size=2 * rows * cols,
+                                           max_size=2 * rows * cols)))
+        sig = Signal(vals.reshape(rows, 2 * cols).view(np.complex128))
+        feats = FeatureLocations(vals[: rows * cols].reshape(rows, cols))
+        with tempfile.TemporaryDirectory() as tmp:
+            save_signal(sig, f"{tmp}/s.csv")
+            save_features(feats, f"{tmp}/f.csv")
+            assert _bits(load_signal(f"{tmp}/s.csv").values) == _bits(sig.values)
+            assert _bits(load_features(f"{tmp}/f.csv").values) == _bits(feats.values)
+
+    def test_header_without_edges_loads_a_graph_with_no_edges(self, tmp_path):
+        p = tmp_path / "g.tsv"
+        p.write_text("#nodes=4\n")
+        g = load_graph(p)
+        assert (g.n_nodes, g.n_edges) == (4, 0)
+        p.write_text("#nodes=1\n\n\n")
+        assert load_graph(p).n_edges == 0
+
+    def test_valid_files_numpy_does_not_parse_still_load(self, tmp_path):
+        p = tmp_path / "g.tsv"
+        p.write_text("# made by hand\n#nodes=1_0\n0\t1_0_0\t2.5\n \t\n3\t1\t1.0\n")
+        with pytest.raises(FormatError, match="out of range"):
+            load_graph(p)
+        p.write_text("# made by hand\n#nodes=1_0\n0\t9\t2.5\n \t\n3\t1\t1_0.0\n")
+        g = load_graph(p)
+        assert g.edge_u.tolist() == [0, 1] and g.edge_v.tolist() == [9, 3]
+        assert g.edge_w.tolist() == [2.5, 10.0]
+
+    def test_nonfinite_weight_is_a_contract_error(self, tmp_path):
+        p = tmp_path / "g.tsv"
+        p.write_text("#nodes=3\n0\t1\t1.0\n1\t2\tnan\n")
+        with pytest.raises(ContractError, match="finite"):
+            load_graph(p)
+
+    def test_million_edge_ring_loads(self, tmp_path):
+        n = 1_000_000
+        p = tmp_path / "ring.tsv"
+        with open(p, "w", encoding="ascii") as fh:
+            fh.write(f"#nodes={n}\n")
+            fh.writelines(f"{i}\t{i + 1}\t1.0\n" for i in range(n - 1))
+            fh.write(f"{n - 1}\t0\t1.0\n")
+        g = load_graph(p)
+        assert (g.n_nodes, g.n_edges) == (n, n)
+        assert g.edge_u[:2].tolist() == [0, 0] and g.edge_v[:2].tolist() == [1, n - 1]
+        assert np.all(g.edge_w == 1.0)
+
+
+# (file text, reported line, message fragment); line None means no line.
+_BAD_GRAPHS = {
+    "bad-count": ("#nodes=x\n0\t1\t1.0\n", 1, "bad node count"),
+    "zero-count": ("#nodes=0\n", 1, "must be positive"),
+    "repeated-header": ("#nodes=3\n0\t1\t1.0\n#nodes=3\n", 3, "repeated"),
+    "edge-before-header": ("# c\n0\t1\t1.0\n#nodes=2\n", 2, "before #nodes"),
+    "missing-header": ("# only a comment\n", None, "missing #nodes"),
+    "two-fields": ("#nodes=3\n0\t1\t1.0\n0\t2\n", 3, "expected 'u<TAB>v<TAB>w'"),
+    "four-fields": ("#nodes=3\n0\t1\t1.0\t7\n", 2, "expected 'u<TAB>v<TAB>w'"),
+    "space-separated": ("#nodes=3\n0 1 1.0\n", 2, "expected 'u<TAB>v<TAB>w'"),
+    "bad-weight": ("#nodes=3\n0\t1\t1.0\n0\t2\tx\n", 3, "unparsable edge"),
+    "float-endpoint": ("#nodes=3\n0\t1.0\t1.0\n", 2, "unparsable edge"),
+    "trailing-comment": ("#nodes=3\n0\t1\t1.0\n1\t2\t1.0 # c\n", 3, "unparsable edge"),
+    "self-loop-after-blanks": ("#nodes=3\n\n\n0\t1\t1.0\n2\t2\t1.0\n", 5, "self-loop"),
+    "endpoint-too-large": ("#nodes=3\n0\t1\t1.0\n0\t3\t1.0\n", 3, "out of range"),
+    "negative-endpoint": ("#nodes=3\n-1\t1\t1.0\n", 2, "out of range"),
+    "duplicate": ("#nodes=3\n0\t1\t1.0\n1\t2\t1.0\n1\t0\t1.0\n", 4, "duplicate"),
+    "conflicting-duplicate": ("#nodes=3\n0\t1\t1.0\n0\t1\t2.0\n", 3, "different weight"),
+}
+
+_BAD_SIGNALS = {
+    "missing-header": ("1.0,0.0\n", 1, "missing 'channels='"),
+    "bad-count": ("channels=two\n1.0,0.0\n", 1, "bad channel count"),
+    "zero-count": ("channels=0\n", 1, "must be positive"),
+    "no-rows": ("channels=1\n\n", None, "no node rows"),
+    "short-row": ("channels=2\n1,2,3,4\n1,2,3\n", 3, "expected 4 columns"),
+    # Signal line numbers count non-blank lines only.
+    "bad-value-after-blank": ("channels=1\n1.0,0.0\n\n1.0,x\n", 3, "unparsable value"),
+}
+
+_BAD_FEATURES = {
+    "ragged": ("1.0,2.0\n\n3.0\n", 3, "expected 2 columns"),
+    "bad-value": ("1.0,2.0\n3.0,4.0\n5.0,nope\n", 3, "unparsable value"),
+    "comment": ("# x\n1.0\n", 1, "unparsable value"),
+    "empty": ("\n\n", None, "no rows"),
+}
+
+
+class TestMalformedFiles:
+    @pytest.mark.parametrize("text,line,fragment", _BAD_GRAPHS.values(), ids=_BAD_GRAPHS)
+    def test_graph_error_names_the_line(self, tmp_path, text, line, fragment):
+        p = tmp_path / "g.tsv"
+        p.write_text(text)
+        with pytest.raises(FormatError, match=fragment) as err:
+            load_graph(p)
+        assert err.value.line == line
+
+    @pytest.mark.parametrize("text,line,fragment", _BAD_SIGNALS.values(), ids=_BAD_SIGNALS)
+    def test_signal_error_names_the_line(self, tmp_path, text, line, fragment):
+        p = tmp_path / "s.csv"
+        p.write_text(text)
+        with pytest.raises(FormatError, match=fragment) as err:
+            load_signal(p)
+        assert err.value.line == line
+
+    @pytest.mark.parametrize("text,line,fragment", _BAD_FEATURES.values(), ids=_BAD_FEATURES)
+    def test_features_error_names_the_line(self, tmp_path, text, line, fragment):
+        p = tmp_path / "f.csv"
+        p.write_text(text)
+        with pytest.raises(FormatError, match=fragment) as err:
+            load_features(p)
+        assert err.value.line == line
 
 
 class TestSignalFiles:

@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
+from schro_gsp import operators
 from schro_gsp.errors import NumericalError
 from schro_gsp.graph_core import FeatureLocations, Graph
 from schro_gsp.operators import (
+    DENSE_MAX_NODES,
     DiagonalOperator,
     SparseOperator,
     commutator,
@@ -76,6 +78,26 @@ class TestLaplacian:
         lhs = np.vdot(h, lap.apply(g))
         rhs = np.vdot(lap.apply(h), g)
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
+
+    @pytest.mark.parametrize("complex_operand", [False, True])
+    @pytest.mark.parametrize("shape", ["vector", "block", "column-slice"])
+    def test_apply_matches_factor_by_factor(self, rng, complex_operand, shape):
+        graph, f, _ = make_instance(67, n_features=3)
+        lap = schrodinger_laplacian(graph, f)
+        n = graph.n_nodes
+        raw = rng.normal(size=(n, 5))
+        if complex_operand:
+            raw = raw + 1j * rng.normal(size=(n, 5))
+        x = {"vector": raw[:, 0].copy(), "block": raw, "column-slice": raw[:, 1::2]}[shape]
+        if shape == "column-slice":
+            assert not x.flags.c_contiguous
+        expected = -sum(
+            lap.derivative_matrix(k) @ (lap.derivative_matrix(k) @ x)
+            for k in range(lap.n_features))
+        got = lap.apply(x)
+        assert got.shape == x.shape
+        assert np.iscomplexobj(got) == complex_operand
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def test_adjoint_round_trip(self):
         graph, f, _ = make_instance(5)
@@ -246,8 +268,41 @@ class TestNorms:
             raise linalg.ArpackNoConvergence("no convergence", [], [])
 
         monkeypatch.setattr(linalg, "svds", stalled)
+        # Above the dense cap there is no fallback.
+        monkeypatch.setattr(operators, "DENSE_MAX_NODES", 2)
         with pytest.raises(NumericalError, match="3-node"):
             operator_norm(DiagonalOperator(np.array([2.0, 1.0, 0.5])))
+
+    def test_no_convergence_above_the_cap_raises(self, monkeypatch):
+        from scipy.sparse import linalg
+
+        def stalled(*args, **kwargs):
+            raise linalg.ArpackNoConvergence("no convergence", [], [])
+
+        monkeypatch.setattr(linalg, "svds", stalled)
+        n = DENSE_MAX_NODES + 1
+        with pytest.raises(NumericalError, match=f"{n}-node"):
+            operator_norm(DiagonalOperator(np.linspace(1.0, 2.0, n)))
+
+    def test_no_convergence_within_the_cap_takes_dense_svd(self, monkeypatch):
+        from scipy.sparse import linalg
+
+        def stalled(*args, **kwargs):
+            raise linalg.ArpackNoConvergence("no convergence", [], [])
+
+        monkeypatch.setattr(linalg, "svds", stalled)
+        est = operator_norm(DiagonalOperator(np.array([2.0, -3.0, 0.5])))
+        assert float(est) == 3.0
+        assert np.abs(est.vector).tolist() == [0.0, 1.0, 0.0]
+
+    @pytest.mark.parametrize("n", [50, 200])
+    def test_clustered_top_singular_values(self, n):
+        # Distinct top values packed within 1e-8, where ARPACK stalls.
+        op = DiagonalOperator(1.0 - np.geomspace(1e-8, 1.0, n))
+        est = operator_norm(op)
+        exact = np.linalg.svd(op.materialize(), compute_uv=False)[0]
+        assert float(est) == pytest.approx(exact, rel=1e-12)
+        assert np.linalg.norm(op.apply(est.vector)) == pytest.approx(exact, rel=1e-12)
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 2 ** 31))
