@@ -379,18 +379,19 @@ def load_signal(path) -> Signal:
 def _scan_signal(fh) -> Signal:
     """Read a signal file line by line; FormatError at the first bad line.
 
-    Line numbers count non-blank lines, the header being line 1."""
-    lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or not lines[0].startswith("channels="):
-        raise FormatError("missing 'channels=' header", 1)
+    Line numbers count physical lines, blank ones included."""
+    lines = [(no, ln.strip()) for no, ln in enumerate(fh, start=1) if ln.strip()]
+    head_no, head = lines[0] if lines else (1, "")
+    if not head.startswith("channels="):
+        raise FormatError("missing 'channels=' header", head_no)
     try:
-        j = int(lines[0][len("channels="):])
+        j = int(head[len("channels="):])
     except ValueError:
-        raise FormatError(f"bad channel count {lines[0]!r}", 1) from None
+        raise FormatError(f"bad channel count {head!r}", head_no) from None
     if j <= 0:
-        raise FormatError("channel count must be positive", 1)
+        raise FormatError("channel count must be positive", head_no)
     rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         cells = line.split(",")
         if len(cells) != 2 * j:
             raise FormatError(

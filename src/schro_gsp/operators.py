@@ -17,7 +17,8 @@ composes them once into one sparse matrix, which its norm bound, its
 applications and the small verification oracles all share.
 
 There is one spectral norm, ``operator_norm``: a single Lanczos solve that
-is exact to machine precision.  When it does not converge, an operator of
+is exact to machine precision, on an operand whose forward and adjoint
+products are plain CSR products.  When it does not converge, an operator of
 at most ``DENSE_MAX_NODES`` nodes gets a dense SVD instead, and a larger
 one raises.  ``infinity_norm`` is the cheap row-sum upper bound.
 """
@@ -323,14 +324,19 @@ def cross_commutators(grads, cols):
     """Yield ``(i, j, [G_j^2, X_i])`` over ordered pairs ``i != j``.
 
     ``grads`` holds the derivative matrices ``G_k`` and ``cols`` the feature
-    columns ``x_k`` they were built from; ``X_i = diag(x_i)``.
+    columns ``x_k`` they were built from; ``X_i = diag(x_i)``.  Entry
+    ``(n, m)`` of ``[S, X_i]`` is ``S(n, m) (x_i(m) - x_i(n))``, so each
+    commutator rescales the entries of ``S = G_j^2``: no sparse products.
     """
-    squares = [SparseOperator((g @ g).tocsr()) for g in grads]
+    squares = [(g @ g).tocsr() for g in grads]
     for i, col in enumerate(cols):
-        loc = SparseOperator(sparse.diags(col, format="csr"))
-        for j, square in enumerate(squares):
+        for j, sq in enumerate(squares):
             if i != j:
-                yield i, j, commutator(square, loc)
+                comm = sq.copy()
+                rows = np.repeat(np.arange(sq.shape[0]), np.diff(sq.indptr))
+                comm.data *= col[sq.indices] - col[rows]
+                comm.eliminate_zeros()
+                yield i, j, SparseOperator(comm)
 
 
 # ---------------------------------------------------------------------------
@@ -362,13 +368,15 @@ def operator_norm(op: LinearNodeOperator) -> NormEstimate:
 
     One Lanczos solve (ARPACK through ``scipy.sparse.linalg.svds``) to
     machine precision from a fixed seeded start, so repeated calls agree
-    bit for bit.  A zero or 1x1 operator, which ARPACK cannot take, gets the
+    bit for bit.  Its operand multiplies by the CSR matrix and a CSR copy
+    of its adjoint, which skips the wrapping ``svds`` puts around a bare
+    matrix.  A zero or 1x1 operator, which ARPACK cannot take, gets the
     answer directly.  A solve that does not converge, as on top singular
     values packed within about 1e-8, falls back to a dense SVD for at most
     ``DENSE_MAX_NODES`` nodes and raises :class:`NumericalError` above that.
     """
     # Imported here: loading scipy.sparse.linalg slows every CLI start.
-    from scipy.sparse.linalg import ArpackNoConvergence, svds
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, svds
 
     mat = op.tosparse()
     n = mat.shape[0]
@@ -376,9 +384,11 @@ def operator_norm(op: LinearNodeOperator) -> NormEstimate:
         vector = np.zeros(n)
         vector[0] = 1.0
         return NormEstimate(abs(mat[0, 0]) if n == 1 else 0.0, vector)
+    operand = LinearOperator(mat.shape, matvec=mat.dot,
+                             rmatvec=mat.conj().T.tocsr().dot, dtype=mat.dtype)
     start = np.random.default_rng(0x5EED).standard_normal(n)
     try:
-        _, s, vh = svds(mat, k=1, tol=0, v0=start)
+        _, s, vh = svds(operand, k=1, tol=0, v0=start)
     except ArpackNoConvergence as exc:
         if n > DENSE_MAX_NODES:
             raise NumericalError(

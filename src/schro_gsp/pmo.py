@@ -22,7 +22,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .errors import ContractError, DivergedError, check_config_fields
 from .graph_core import FeatureLocations, Graph
@@ -102,18 +101,6 @@ class _Workspace:
         ]
         self.n = graph.n_nodes
 
-    def out_grad(self, t_col: np.ndarray) -> sparse.csr_matrix:
-        # The derivative is linear in the feature column.
-        acc = None
-        for a, coef in enumerate(t_col):
-            if coef == 0.0:
-                continue
-            term = self.raw_grads[a] * coef
-            acc = term if acc is None else acc + term
-        if acc is None:
-            return sparse.csr_matrix((self.n, self.n))
-        return acc.tocsr()
-
     def features(self, transform: np.ndarray) -> FeatureLocations:
         return FeatureLocations(self.q.values @ transform)
 
@@ -134,7 +121,7 @@ def _evaluate(
     """
     m_in, k_out = transform.shape
     cols = [ws.q.values @ transform[:, k] for k in range(k_out)]
-    grads = [ws.out_grad(transform[:, k]) for k in range(k_out)]
+    grads = [_derivative_csr(ws.graph, col) for col in cols]
     grad = np.zeros_like(transform)
 
     cross = 0.0
@@ -169,10 +156,12 @@ def _evaluate(
         inf = float(sums[row])
         penalty += (inf - 1.0) ** 2
         coef = 2.0 * lam * (inf - 1.0)
-        signs = np.sign(gk.getrow(row).toarray().ravel())
-        for a in range(m_in):
-            ga_row = ws.raw_grads[a].getrow(row).toarray().ravel()
-            grad[a, k] += coef * float(np.dot(signs, ga_row))
+        signs = np.zeros(ws.n)
+        lo, hi = gk.indptr[row], gk.indptr[row + 1]
+        signs[gk.indices[lo:hi]] = np.sign(gk.data[lo:hi])
+        for a, ga in enumerate(ws.raw_grads):
+            lo, hi = ga.indptr[row], ga.indptr[row + 1]
+            grad[a, k] += coef * float(signs[ga.indices[lo:hi]] @ ga.data[lo:hi])
     return cross + lam * penalty, grad
 
 

@@ -267,8 +267,8 @@ _BAD_SIGNALS = {
     "zero-count": ("channels=0\n", 1, "must be positive"),
     "no-rows": ("channels=1\n\n", None, "no node rows"),
     "short-row": ("channels=2\n1,2,3,4\n1,2,3\n", 3, "expected 4 columns"),
-    # Signal line numbers count non-blank lines only.
-    "bad-value-after-blank": ("channels=1\n1.0,0.0\n\n1.0,x\n", 3, "unparsable value"),
+    # Blank lines count: the bad value is on physical line 4.
+    "bad-value-after-blank": ("channels=1\n1.0,0.0\n\n1.0,x\n", 4, "unparsable value"),
 }
 
 _BAD_FEATURES = {

@@ -14,6 +14,7 @@ from schro_gsp.operators import (
     DiagonalOperator,
     SparseOperator,
     commutator,
+    cross_commutators,
     feature_derivative,
     infinity_norm,
     location_observable,
@@ -24,7 +25,7 @@ from schro_gsp.operators import (
     smoothing_operator,
 )
 
-from conftest import make_instance
+from conftest import log_weight_instance, make_instance
 
 
 class TestFeatureDerivative:
@@ -171,6 +172,29 @@ class TestSmoothingAndCommutators:
     def test_momentum_observable_is_self_adjoint(self):
         graph, f, _ = make_instance(3)
         assert momentum_observable(graph, f, 0).is_self_adjoint()
+
+
+class TestCrossCommutators:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 31), st.integers(1, 3), st.booleans())
+    def test_matches_the_product_form(self, seed, n_parts, constant):
+        # Edge weights in [1e-8, 1e8]; more than one part is a disconnected
+        # graph.  A constant column commutes with everything.
+        graph, f, _ = log_weight_instance(seed, n_parts)
+        if constant:
+            f = FeatureLocations(np.column_stack([
+                np.full(graph.n_nodes, f.column(0)[0]), f.column(1)]))
+        grads = [feature_derivative(graph, f, k).tosparse() for k in range(2)]
+        pairs = list(cross_commutators(grads, [f.column(0), f.column(1)]))
+        assert [(i, j) for i, j, _ in pairs] == [(0, 1), (1, 0)]
+        for i, j, comm in pairs:
+            square = SparseOperator(grads[j] @ grads[j])
+            ref = commutator(square, location_observable(f, i)).materialize()
+            got = comm.materialize()
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+            if constant:
+                assert comm.tosparse().nnz == 0
+                assert float(operator_norm(comm)) == 0.0
 
 
 class TestSelfAdjointness:

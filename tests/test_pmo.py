@@ -213,3 +213,56 @@ class TestWorkBudget:
         assert calls[6] - calls[3] == 2 * 3
         # the start, each iterate, and the final deficiency
         assert calls[3] == 2 * (1 + 3) + 2
+
+    def test_one_sparse_product_per_output_feature(self, monkeypatch):
+        # The squares G_k G_k are the only sparse-sparse products of an
+        # iterate; each commutator rescales the entries of its square.
+        from scipy.sparse import _compressed
+
+        from schro_gsp.pmo import _evaluate, _Workspace
+
+        original = _compressed.csr_matmat
+        calls = []
+
+        def counted(*args):
+            calls.append(args[:2])
+            return original(*args)
+
+        rng = np.random.default_rng(25)
+        graph = random_connected_graph(rng, n_min=8, n_max=12)
+        q = random_features(rng, graph.n_nodes, 3)
+        ws = _Workspace(graph, q)
+        monkeypatch.setattr(_compressed, "csr_matmat", counted)
+        for k_out in (2, 3):
+            calls.clear()
+            _evaluate(ws, rng.normal(size=(3, k_out)), 1.0)
+            assert len(calls) == k_out
+
+
+class TestNormsAlongAFit:
+    def test_every_norm_matches_the_dense_svd(self, monkeypatch):
+        # On the 12-side grid the top two singular pairs of a commutator
+        # cross at iterates 141-147 (sigma_1 and sigma_3 agree to 1e-9
+        # relative).  A solve started from the previous iterate's vector
+        # stays on the lower pair there and returns a norm short by up to
+        # 4.5e-7 without raising; every norm must be the dense SVD's.
+        from schro_gsp import pmo
+
+        original = pmo.operator_norm
+        errors, gaps = [], []
+
+        def checked(op, *args, **kwargs):
+            est = original(op, *args, **kwargs)
+            svals = np.linalg.svd(op.tosparse().toarray(), compute_uv=False)
+            errors.append(abs(float(est) - svals[0]) / svals[0])
+            gaps.append((svals[0] - svals[2]) / svals[0])
+            return est
+
+        monkeypatch.setattr(pmo, "operator_norm", checked)
+        graph, q = grid_graph(12)
+        pmo_fit(graph, q, PMOConfig(out_features=2, max_iters=150))
+        # the start, then two ordered pairs per iterate, with no early stop
+        assert len(errors) == 2 * 151
+        # the instance still crosses after the start
+        assert min(gaps[2:]) < 1e-7
+        assert max(errors) <= 1e-12

@@ -22,9 +22,8 @@ from schro_gsp.propagate import (
     evolve,
     unitarity_defect,
 )
-from schro_gsp.verify import random_connected_graph, random_features, random_unit
 
-from conftest import make_instance
+from conftest import log_weight_instance, make_instance
 
 
 class TestExactCases:
@@ -182,20 +181,6 @@ class TestCost:
         assert len(calls) <= math.ceil(abs(t) * lap.norm_bound / 2) + 40
 
 
-def _log_weight_instance(seed: int, n_parts: int):
-    """``n_parts`` disjoint random components, edge weights in [1e-8, 1e8]."""
-    gen = np.random.default_rng(seed)
-    us, vs, n = [], [], 0
-    for _ in range(n_parts):
-        part = random_connected_graph(gen, n_min=2, n_max=12)
-        us.append(part.edge_u + n)
-        vs.append(part.edge_v + n)
-        n += part.n_nodes
-    u, v = np.concatenate(us), np.concatenate(vs)
-    graph = Graph(n, u, v, 10.0 ** gen.uniform(-8.0, 8.0, size=u.size))
-    return graph, random_features(gen, n, 2), random_unit(gen, n)
-
-
 def _check_against_oracle(lap, t: float, vec: np.ndarray) -> None:
     out = evolve(lap, t, Signal.single(vec)).values[:, 0]
     exact = DensePropagator(lap).apply(t, vec)
@@ -211,14 +196,14 @@ class TestExtremes:
     @example(seed=0, tau=-2000.0)
     @example(seed=0, tau=2000.0)
     def test_log_uniform_weights(self, seed, tau):
-        graph, f, vec = _log_weight_instance(seed, 1)
+        graph, f, vec = log_weight_instance(seed, 1)
         lap = schrodinger_laplacian(graph, f)
         _check_against_oracle(lap, tau / lap.norm_bound, vec)
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 2 ** 31), st.floats(-2000.0, 2000.0))
     def test_disconnected_graph(self, seed, tau):
-        graph, f, vec = _log_weight_instance(seed, 3)
+        graph, f, vec = log_weight_instance(seed, 3)
         lap = schrodinger_laplacian(graph, f)
         _check_against_oracle(lap, tau / lap.norm_bound, vec)
 
