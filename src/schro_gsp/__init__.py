@@ -55,7 +55,6 @@ from .operators import (
 from .propagate import DensePropagator, evolve, unitarity_defect
 from .observe import (
     VARIANCE_FLOOR,
-    ObservableStats,
     RoutingReport,
     commuting_deficiency,
     dynamics_rhs_multi,
@@ -64,7 +63,6 @@ from .observe import (
     mean,
     mixed_derivative_rhs,
     momentum_mean_modulated_closed_form,
-    observable_stats,
     routing_measure,
     sensitivity_probe,
     variance,
@@ -88,7 +86,6 @@ from .diagnose import (
     WindowShift,
     build_windows,
     relative_shift,
-    window_signal,
 )
 
 __version__ = "0.1.0"

@@ -46,7 +46,13 @@ from .experiments import (
     run_grid_pmo,
 )
 from .filters import load_filter_params, schrodinger_filter
-from .graph_core import PINNED_CLUSTER_SEED, load_features, load_graph, load_signal
+from .graph_core import (
+    PINNED_CLUSTER_SEED,
+    load_features,
+    load_graph,
+    load_signal,
+    ring_graph,
+)
 from .operators import schrodinger_laplacian
 from .ring_task import RingTaskConfig, make_dataset, predict_model, run_ring_task
 from .verify import run_suite, select_suites
@@ -311,7 +317,7 @@ def cmd_ring(args) -> int:
         kind: predict_model(cfg, result.models[kind], dataset.test_x[0])[0]
         for kind in ("modulated", "plain", "diffusion")
     }
-    angles = -np.pi + 2.0 * np.pi * np.arange(cfg.n_nodes) / cfg.n_nodes
+    angles = ring_graph(cfg.n_nodes)[1].column(2)
     _write_csv(
         os.path.join(args.out, "predictions.csv"),
         ("node", "angle", "input", "target",

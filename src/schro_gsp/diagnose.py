@@ -22,11 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ContractError,
-    DegenerateFeatureError,
-    DegenerateSignalError,
-)
+from .errors import ContractError, DegenerateFeatureError
 from .graph_core import NORM_FLOOR, FeatureLocations, Signal
 
 
@@ -58,11 +54,6 @@ class WindowSet:
     @property
     def n_nodes(self) -> int:
         return self.weights.shape[1]
-
-    def windows(self):
-        """Yield (window_id, weight vector) pairs in order."""
-        for wid, row in zip(self.window_ids, self.weights):
-            yield wid, row
 
     def product(self, other: "WindowSet") -> "WindowSet":
         """Product windows over the coordinate pair (self, other)."""
@@ -122,29 +113,6 @@ def build_windows(f: FeatureLocations, k: int, n_bins: int) -> WindowSet:
         window_ids=tuple((b,) for b in range(n_bins)),
         centers=(centers,),
     )
-
-
-def window_signal(g, w: np.ndarray) -> np.ndarray:
-    """Window a channel with sqrt-weights and renormalize.
-
-    The sqrt scaling makes the windowed energies split the signal energy
-    exactly when the windows form a partition of unity.  Raises when the
-    windowed mass is at or below the norm floor.
-    """
-    vec = np.asarray(g, dtype=np.complex128)
-    if vec.ndim != 1:
-        raise ContractError("window_signal expects a single channel")
-    w = np.asarray(w, dtype=np.float64)
-    if w.shape != vec.shape:
-        raise ContractError("window weights must match the channel length")
-    if np.any(w < 0):
-        raise ContractError("window weights must be nonnegative")
-    vals = np.sqrt(w) * vec
-    mass = float(np.linalg.norm(vals))
-    if mass <= NORM_FLOOR:
-        raise DegenerateSignalError(
-            f"windowed mass {mass:.3e} at or below the norm floor")
-    return vals / mass
 
 
 @dataclass(frozen=True)

@@ -64,6 +64,11 @@ class Graph:
     def __post_init__(self):
         if self.n_nodes <= 0:
             raise ContractError("graph needs at least one node")
+        # The edge keys below (and in ``_oriented_graph``) are u * n + v,
+        # which fits int64 only for n below 2**31.
+        if self.n_nodes >= 2 ** 31:
+            raise ContractError(
+                f"graph has {self.n_nodes} nodes; at most 2**31 - 1 are supported")
         u = np.asarray(self.edge_u, dtype=np.int64)
         v = np.asarray(self.edge_v, dtype=np.int64)
         w = np.asarray(self.edge_w, dtype=np.float64)
@@ -76,8 +81,8 @@ class Graph:
                 raise ContractError("self-loops are not allowed")
             if np.any(u > v):
                 raise ContractError("edges must be stored with u < v")
-            # u * n + v names the pair uniquely and stays below 2**62 for
-            # n below 2**31; equal neighbours after a sort are duplicates.
+            # u * n + v names the pair uniquely and stays below 2**62;
+            # equal neighbours after a sort are duplicates.
             keys = np.sort(u * self.n_nodes + v)
             if np.any(keys[1:] == keys[:-1]):
                 raise ContractError("duplicate undirected edge")
@@ -201,6 +206,9 @@ class FeatureLocations:
         return self.values.shape[1]
 
     def column(self, k: int) -> np.ndarray:
+        if not 0 <= k < self.n_features:
+            raise ContractError(
+                f"feature index {k} out of range for {self.n_features} features")
         return self.values[:, k]
 
 

@@ -14,7 +14,6 @@ against.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,19 +111,6 @@ def variance(obs: LinearNodeOperator, g) -> float:
 
 
 @dataclass(frozen=True)
-class ObservableStats:
-    """Mean/variance pair tagged with the observable it came from."""
-
-    observable_id: str
-    mean: float
-    variance: float
-
-
-def observable_stats(obs: LinearNodeOperator, g, observable_id: str) -> ObservableStats:
-    return ObservableStats(observable_id, mean(obs, g), variance(obs, g))
-
-
-@dataclass(frozen=True)
 class RoutingReport:
     """Outcome of one routing measurement toward a target coordinate."""
 
@@ -133,18 +119,6 @@ class RoutingReport:
     initial_variance: float
     final_mean: float
     final_variance: float
-
-    def as_dict(self) -> dict:
-        return {
-            "measure": self.measure,
-            "target": self.target,
-            "initial_variance": self.initial_variance,
-            "final_mean": self.final_mean,
-            "final_variance": self.final_variance,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True)
 
 
 def routing_measure(
@@ -181,8 +155,7 @@ def momentum_mean_modulated_closed_form(
     h: np.ndarray,
     theta: float,
     g,
-    return_edge_signals: bool = False,
-):
+) -> float:
     """Momentum acquired by phase-modulating a real signal, summed over edges.
 
     For a real unit-norm channel g, modulation by ``exp(i theta h)`` turns
@@ -191,11 +164,6 @@ def momentum_mean_modulated_closed_form(
     adjacent pairs.  The term is orientation-invariant, so each stored edge
     contributes its value twice; the result equals the direct expectation
     ``mean(momentum_observable, modulated g)`` exactly.
-
-    With ``return_edge_signals=True`` also returns the two edge-indexed
-    factors (the modulation response, carrying the orientation doubling, and
-    the feature increment, both oriented from the stored lower endpoint),
-    whose inner product is the returned value.
     """
     vec = _as_channel(g)
     _require_normalized(vec)
@@ -206,11 +174,7 @@ def momentum_mean_modulated_closed_form(
         raise ContractError("feature and modulation columns must match the graph")
     u, v, w = graph.edge_u, graph.edge_v, graph.edge_w
     response = 2.0 * w * gr[u] * gr[v] * np.sin(theta * (h[v] - h[u]))
-    increment = f[v] - f[u]
-    value = float(np.dot(response, increment))
-    if return_edge_signals:
-        return value, response, increment
-    return value
+    return float(np.dot(response, f[v] - f[u]))
 
 
 def dynamics_rhs_single(graph: Graph, f: np.ndarray, g) -> float:
@@ -246,8 +210,6 @@ def dynamics_rhs_multi(graph: Graph, f: FeatureLocations, k: int, g) -> float:
     """
     vec = _as_channel(g)
     _require_normalized(vec)
-    if not 0 <= k < f.n_features:
-        raise ContractError(f"feature index {k} out of range")
     own = dynamics_rhs_single(graph, f.column(k), vec)
     loc_k = location_observable(f, k)
     correction = 0.0

@@ -6,15 +6,10 @@ skew-symmetric, so ``i`` times it is a self-adjoint momentum observable, and
 the negated sum of its squares over feature columns is a self-adjoint
 second-order generator that drives unitary propagation.
 
-Operators come in three storage kinds:
-
-* ``sparse-general`` -- CSR coefficients (derivatives, commutators, momenta);
-* ``diagonal-real`` -- real diagonals (location observables);
-* ``diagonal-unit-modulus`` -- unit-modulus complex diagonals (modulations).
-
-The second-order generator keeps the per-feature derivative factors and
-composes them once into one sparse matrix, which its norm bound, its
-applications and the small verification oracles all share.
+``SparseOperator`` holds a square CSR matrix: derivatives, momenta,
+smoothing operators, commutators, and the second-order generator, which
+composes its matrix once when it is built.  ``DiagonalOperator`` holds a
+real diagonal (location observables) or a unit-modulus one (modulations).
 
 There is one spectral norm, ``operator_norm``: a single Lanczos solve that
 is exact to machine precision, on an operand whose forward and adjoint
@@ -28,25 +23,21 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
-from .errors import ContractError, NumericalError, SizeError
+from .errors import ContractError, NumericalError
 from .graph_core import FeatureLocations, Graph
-
-# Dense materialization is reserved for oracle-sized problems.
-MATERIALIZE_MAX_DIM = 256
 
 # Largest operator given a dense factorization: the propagation oracle's
 # eigendecomposition and the spectral norm's SVD fallback.
 DENSE_MAX_NODES = 1024
 
-# Relative asymmetry ``max |A - A*| / max |A|`` (or the largest imaginary
-# part of a real-observable diagonal) that still counts as self-adjoint.
+# Relative asymmetry ``max |A - A*| / max |A|``, or the largest imaginary
+# part of a complex (unit-modulus) diagonal, that still counts as
+# self-adjoint.
 SELF_ADJOINT_TOL = 1e-12
 
 
 class LinearNodeOperator:
     """Linear map on node signals; concrete classes fix storage and apply."""
-
-    kind: str
 
     @property
     def dim(self) -> int:
@@ -56,20 +47,8 @@ class LinearNodeOperator:
         """Apply to a vector (N,) or channel stack (N, J)."""
         raise NotImplementedError
 
-    def adjoint(self) -> "LinearNodeOperator":
-        raise NotImplementedError
-
     def tosparse(self) -> sparse.csr_matrix:
         raise NotImplementedError
-
-    def materialize(self) -> np.ndarray:
-        """Dense coefficient matrix, for at most ``MATERIALIZE_MAX_DIM`` nodes."""
-        if self.dim > MATERIALIZE_MAX_DIM:
-            raise SizeError(
-                f"refusing to densify a {self.dim}-node operator "
-                f"(cap {MATERIALIZE_MAX_DIM})"
-            )
-        return self.tosparse().toarray()
 
     def is_self_adjoint(self) -> bool:
         """Whether ``max |A - A*| <= SELF_ADJOINT_TOL max |A|``, a scale-free test."""
@@ -92,8 +71,6 @@ class LinearNodeOperator:
 class SparseOperator(LinearNodeOperator):
     """General operator backed by a square CSR matrix."""
 
-    kind = "sparse-general"
-
     def __init__(self, mat):
         mat = sparse.csr_matrix(mat)
         if mat.shape[0] != mat.shape[1]:
@@ -105,10 +82,14 @@ class SparseOperator(LinearNodeOperator):
         return self._mat.shape[0]
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        return self._mat @ self._check_operand(values)
-
-    def adjoint(self) -> "SparseOperator":
-        return SparseOperator(self._mat.conjugate().T.tocsr())
+        arr = self._check_operand(values)
+        if not np.iscomplexobj(arr) or self._mat.dtype != np.float64:
+            return self._mat @ arr
+        # A real matrix multiplies the (N, 2J) float64 view of a complex
+        # operand, so scipy does not upcast the matrix to complex.
+        arr = np.ascontiguousarray(arr, dtype=np.complex128)
+        out = self._mat @ arr.view(np.float64).reshape(arr.shape[0], -1)
+        return out.view(np.complex128).reshape(arr.shape)
 
     def tosparse(self) -> sparse.csr_matrix:
         return self._mat
@@ -125,12 +106,10 @@ class DiagonalOperator(LinearNodeOperator):
             diag = diag.astype(np.complex128)
             if np.abs(np.abs(diag) - 1.0).max() > 1e-12:
                 raise ContractError("unit-modulus diagonal has off-circle entries")
-            self.kind = "diagonal-unit-modulus"
         else:
             if np.iscomplexobj(diag):
                 raise ContractError("real diagonal required")
             diag = diag.astype(np.float64)
-            self.kind = "diagonal-real"
         if not np.all(np.isfinite(diag.real)) or not np.all(np.isfinite(diag.imag)):
             raise ContractError("diagonal entries must be finite")
         diag.setflags(write=False)
@@ -149,11 +128,6 @@ class DiagonalOperator(LinearNodeOperator):
         d = self._diag if arr.ndim == 1 else self._diag[:, None]
         return d * arr
 
-    def adjoint(self) -> "DiagonalOperator":
-        if self.kind == "diagonal-real":
-            return self
-        return DiagonalOperator(np.conjugate(self._diag), unit_modulus=True)
-
     def tosparse(self) -> sparse.csr_matrix:
         return sparse.diags(self._diag, format="csr")
 
@@ -163,16 +137,14 @@ class DiagonalOperator(LinearNodeOperator):
         return bool(np.abs(self._diag.imag).max() <= SELF_ADJOINT_TOL)
 
 
-class SecondOrderGenerator(LinearNodeOperator):
-    """Negated sum of squared feature derivatives.
+class SecondOrderGenerator(SparseOperator):
+    """Negated sum of squared feature derivatives, ``-sum_k G_k G_k``.
 
-    Holds one sparse derivative per feature column.  ``tosparse`` composes
-    ``-sum_k grad_k grad_k`` once (still sparse; the pattern is two-hop) and
-    caches it; ``norm_bound`` needs that matrix before any propagation, so
-    ``apply`` multiplies by it too: one sparse pass instead of 2K.
+    Composed once from the derivative matrices into one sparse matrix (the
+    pattern is two-hop).  ``norm_bound`` needs that matrix before any
+    propagation, so every application multiplies by it too: one sparse pass
+    instead of 2K.
     """
-
-    kind = "sparse-general"
 
     def __init__(self, derivative_mats: list[sparse.csr_matrix]):
         if not derivative_mats:
@@ -181,45 +153,12 @@ class SecondOrderGenerator(LinearNodeOperator):
         for mat in derivative_mats:
             if mat.shape != (dim, dim):
                 raise ContractError("feature derivatives disagree on size")
-        self._grads = derivative_mats
-        self._dim = dim
-        self._sparse: sparse.csr_matrix | None = None
+        acc = None
+        for grad in derivative_mats:
+            term = (grad @ grad).tocsr()
+            acc = term if acc is None else acc + term
+        super().__init__((-acc).tocsr())
         self._norm_bound: float | None = None
-
-    @property
-    def dim(self) -> int:
-        return self._dim
-
-    @property
-    def n_features(self) -> int:
-        return len(self._grads)
-
-    def derivative_matrix(self, k: int) -> sparse.csr_matrix:
-        return self._grads[k]
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        arr = self._check_operand(values)
-        mat = self.tosparse()
-        if not np.iscomplexobj(arr):
-            return mat @ arr
-        # The matrix is real: multiply the (N, 2J) float64 view of a complex
-        # operand, so scipy does not upcast the matrix to complex.
-        arr = np.ascontiguousarray(arr, dtype=np.complex128)
-        out = mat @ arr.view(np.float64).reshape(arr.shape[0], -1)
-        return out.view(np.complex128).reshape(arr.shape)
-
-    def adjoint(self) -> "SecondOrderGenerator":
-        # Each factor is real skew-symmetric, so each square is symmetric.
-        return self
-
-    def tosparse(self) -> sparse.csr_matrix:
-        if self._sparse is None:
-            acc = None
-            for grad in self._grads:
-                term = (grad @ grad).tocsr()
-                acc = term if acc is None else acc + term
-            self._sparse = (-acc).tocsr()
-        return self._sparse
 
     def is_self_adjoint(self) -> bool:
         return True
@@ -237,22 +176,25 @@ class SecondOrderGenerator(LinearNodeOperator):
 # ---------------------------------------------------------------------------
 
 
-def _derivative_csr(graph: Graph, col: np.ndarray) -> sparse.csr_matrix:
-    u, v, w = graph.edge_u, graph.edge_v, graph.edge_w
-    duv = w * (col[u] - col[v])
+def _edge_csr(graph: Graph, forward, backward) -> sparse.csr_matrix:
+    """CSR matrix holding ``forward`` at each edge (u, v), ``backward`` at (v, u)."""
+    u, v = graph.edge_u, graph.edge_v
     rows = np.concatenate([u, v])
     cols = np.concatenate([v, u])
-    vals = np.concatenate([duv, -duv])
+    vals = np.concatenate([forward, backward])
     mat = sparse.csr_matrix((vals, (rows, cols)), shape=(graph.n_nodes,) * 2)
     mat.eliminate_zeros()
     return mat
 
 
+def _derivative_csr(graph: Graph, col: np.ndarray) -> sparse.csr_matrix:
+    duv = graph.edge_w * (col[graph.edge_u] - col[graph.edge_v])
+    return _edge_csr(graph, duv, -duv)
+
+
 def _check_feature_args(graph: Graph, f: FeatureLocations, k: int) -> np.ndarray:
     if f.n_nodes != graph.n_nodes:
         raise ContractError("feature locations do not match the graph size")
-    if not 0 <= k < f.n_features:
-        raise ContractError(f"feature index {k} out of range")
     return f.column(k)
 
 
@@ -282,8 +224,6 @@ def schrodinger_laplacian(graph: Graph, f: FeatureLocations) -> SecondOrderGener
 
 def location_observable(f: FeatureLocations, k: int) -> DiagonalOperator:
     """Diagonal observable holding feature column ``k``."""
-    if not 0 <= k < f.n_features:
-        raise ContractError(f"feature index {k} out of range")
     return DiagonalOperator(f.column(k))
 
 
@@ -294,14 +234,8 @@ def smoothing_operator(graph: Graph, f: FeatureLocations, k: int) -> SparseOpera
     the commutator of the location observable with the feature derivative.
     """
     col = _check_feature_args(graph, f, k)
-    u, v, w = graph.edge_u, graph.edge_v, graph.edge_w
-    s = w * (col[u] - col[v]) ** 2
-    rows = np.concatenate([u, v])
-    cols = np.concatenate([v, u])
-    vals = np.concatenate([s, s])
-    mat = sparse.csr_matrix((vals, (rows, cols)), shape=(graph.n_nodes,) * 2)
-    mat.eliminate_zeros()
-    return SparseOperator(mat)
+    s = graph.edge_w * (col[graph.edge_u] - col[graph.edge_v]) ** 2
+    return SparseOperator(_edge_csr(graph, s, s))
 
 
 def modulation(h: np.ndarray, theta: float) -> DiagonalOperator:
@@ -313,7 +247,7 @@ def modulation(h: np.ndarray, theta: float) -> DiagonalOperator:
 
 
 def commutator(a: LinearNodeOperator, b: LinearNodeOperator) -> SparseOperator:
-    """Materialized commutator a b - b a (sparse; pattern may be two-hop)."""
+    """Commutator a b - b a as one sparse matrix (pattern may be two-hop)."""
     if a.dim != b.dim:
         raise ContractError("commutator operands disagree on size")
     am, bm = a.tosparse(), b.tosparse()

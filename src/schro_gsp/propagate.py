@@ -11,7 +11,7 @@ with ``eps_0 = 1`` and ``eps_k = 2`` otherwise.  The Bessel coefficients
 decay super-exponentially once ``k > |t h|``, so the series is cut where
 their tail is below double precision, costing one generator application per
 term, about ``|t h| + O(|t h|^(1/3))`` in all.  The oracle path diagonalizes
-the materialized generator and applies exact eigenvalue phases; it is capped
+the generator's dense matrix and applies exact eigenvalue phases; it is capped
 at moderate sizes and exists so the series path has something independent
 to be checked against.
 """

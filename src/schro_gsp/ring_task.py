@@ -113,7 +113,7 @@ def _wrapped_bump(angles: np.ndarray, center: float, var: float) -> np.ndarray:
 def make_dataset(cfg: RingTaskConfig) -> RingDataset:
     rng = np.random.default_rng(cfg.seed)
     n = cfg.n_nodes
-    angles = -np.pi + 2.0 * np.pi * np.arange(n) / n
+    angles = ring_graph(n)[1].column(2)
     xs = np.empty((cfg.n_samples, n), dtype=np.float64)
     for s in range(cfg.n_samples):
         var = float(rng.uniform(cfg.width_lo, cfg.width_hi))
@@ -496,13 +496,12 @@ def _layer_fn(ws: _RingWorkspace, params: RingModelParams):
     return layer
 
 
-def _shift_probe(cfg: RingTaskConfig) -> Signal:
+def _shift_probe(angles: np.ndarray) -> Signal:
     """Compact bump at the angular origin, the seam's antipode.
 
     Centered there, symmetric smoothing wraps equally into both ends of
     the angle coordinate and cannot move the linear centroid, so only
     genuine directed transport registers as a shift."""
-    angles = -np.pi + 2.0 * np.pi * np.arange(cfg.n_nodes) / cfg.n_nodes
     bump = _wrapped_bump(angles, 0.0, 0.1)
     return Signal(bump / np.linalg.norm(bump))
 
@@ -522,7 +521,7 @@ def run_ring_task(cfg: RingTaskConfig = RingTaskConfig()) -> RingTaskResult:
         test_mse[kind] = _Pass(ws, params, dataset.test_x).loss(dataset.test_y)
         val_mse[kind] = min(trace, key=lambda row: row[1])[2]
     windows = build_windows(ws.features, 2, cfg.n_windows)
-    probe = _shift_probe(cfg)
+    probe = _shift_probe(ws.features.column(2))
     shift_reports = {
         kind: relative_shift(_layer_fn(ws, models[kind]), probe, ws.features, windows)
         for kind in ("modulated", "diffusion")

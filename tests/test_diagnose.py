@@ -3,16 +3,11 @@
 import numpy as np
 import pytest
 
-from schro_gsp.errors import (
-    ContractError,
-    DegenerateFeatureError,
-    DegenerateSignalError,
-)
+from schro_gsp.errors import ContractError, DegenerateFeatureError
 from schro_gsp.diagnose import (
     WindowSet,
     build_windows,
     relative_shift,
-    window_signal,
 )
 from schro_gsp.filters import FilterParams, FilterTerm, schrodinger_filter
 from schro_gsp.graph_core import (
@@ -93,6 +88,13 @@ class TestBuildWindows:
         with pytest.raises(ContractError):
             build_windows(f, 0, 1)
 
+    @pytest.mark.parametrize("k", [-1, 2])
+    def test_feature_index_out_of_range_rejected(self, rng, k):
+        # A negative index must not window the last column.
+        f = FeatureLocations(rng.normal(size=(6, 2)))
+        with pytest.raises(ContractError, match=f"feature index {k} out of range"):
+            build_windows(f, k, 4)
+
     def test_product_windows(self, rng):
         f = FeatureLocations(rng.normal(size=(20, 2)))
         a = build_windows(f, 0, 2)
@@ -109,38 +111,12 @@ class TestBuildWindows:
 
 
 class TestWindowSignal:
-    def test_unit_window_normalizes(self, rng):
-        g = rng.normal(size=8) + 1j * rng.normal(size=8)
-        out = window_signal(g, np.ones(8))
-        assert np.abs(out - g / np.linalg.norm(g)).max() <= 1e-12
-        assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
-
-    def test_zero_window_rejected(self, rng):
-        g = rng.normal(size=8) + 1j * rng.normal(size=8)
-        with pytest.raises(DegenerateSignalError):
-            window_signal(g, np.zeros(8))
-
     def test_energy_splits_across_partition(self, rng):
         f = FeatureLocations(rng.normal(size=(30, 1)))
         ws = build_windows(f, 0, 4)
         g = rng.normal(size=30) + 1j * rng.normal(size=30)
-        total = sum(
-            np.linalg.norm(np.sqrt(w) * g) ** 2 for _, w in ws.windows()
-        )
+        total = sum(np.linalg.norm(np.sqrt(w) * g) ** 2 for w in ws.weights)
         assert total == pytest.approx(np.linalg.norm(g) ** 2, rel=1e-10)
-
-    def test_negative_weights_rejected(self, rng):
-        g = rng.normal(size=4)
-        with pytest.raises(ContractError):
-            window_signal(g, np.array([1.0, -0.1, 1.0, 1.0]))
-
-    def test_length_mismatch_rejected(self, rng):
-        with pytest.raises(ContractError):
-            window_signal(rng.normal(size=4), np.ones(5))
-
-    def test_two_dimensional_input_rejected(self, rng):
-        with pytest.raises(ContractError):
-            window_signal(rng.normal(size=(4, 2)), np.ones(4))
 
 
 def _columnwise(fn):

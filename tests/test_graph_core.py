@@ -51,6 +51,19 @@ class TestGraph:
         with pytest.raises(ContractError):
             Graph.from_edges(2, [(0, 1, float("nan"))])
 
+    def test_node_count_beyond_the_edge_key_range_rejected(self, tmp_path):
+        # With n >= 2**31 the key u * n + v wraps int64, and these two
+        # distinct edges would share one key.
+        big, v = 2 ** 33, 2 ** 31 + 5
+        with pytest.raises(ContractError, match=r"2\*\*31"):
+            Graph(big, [0, 2 ** 31], [v, v], [1.0, 1.0])
+        p = tmp_path / "g.tsv"
+        p.write_text(f"#nodes={big}\n0\t{v}\t1.0\n{2 ** 31}\t{v}\t1.0\n")
+        with pytest.raises(ContractError, match=r"2\*\*31"):
+            load_graph(p)
+        edge = Graph(2 ** 31 - 1, [0], [2 ** 31 - 2], [1.0])
+        assert edge.n_edges == 1
+
     def test_connectivity(self):
         assert Graph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)]).is_connected()
         assert not Graph.from_edges(3, [(0, 1, 1.0)]).is_connected()

@@ -1,7 +1,5 @@
 """Observable statistics, routing measure, and closed-form dynamics."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -15,7 +13,6 @@ from schro_gsp.observe import (
     mean,
     mixed_derivative_rhs,
     momentum_mean_modulated_closed_form,
-    observable_stats,
     routing_measure,
     sensitivity_probe,
     variance,
@@ -68,12 +65,6 @@ class TestMeanVariance:
         vec = vec / np.linalg.norm(vec)
         assert abs(mean(mom, vec)) <= 1e-12
 
-    def test_stats_carry_identifier(self):
-        x = location_observable(F012, 0)
-        stats = observable_stats(x, np.array([0.0, 1.0, 0.0]), "loc-0")
-        assert stats.observable_id == "loc-0"
-        assert stats.variance >= 0.0
-
 
 class TestRoutingMeasure:
     def test_staying_put_scores_one(self):
@@ -94,14 +85,6 @@ class TestRoutingMeasure:
         x = location_observable(F012, 0)
         with pytest.raises(DegenerateSignalError):
             routing_measure(x, np.array([1.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0]), 2.0)
-
-    def test_report_serializes_all_fields(self):
-        x = location_observable(F012, 0)
-        g = np.array([1.0, 0.0, 1.0]) / np.sqrt(2)
-        data = json.loads(routing_measure(x, g, g, 0.3).to_json())
-        assert set(data) == {
-            "measure", "target", "initial_variance", "final_mean", "final_variance",
-        }
 
     def test_decomposition_identity_on_random_instances(self):
         for seed in range(5):
@@ -153,14 +136,6 @@ class TestModulatedMomentum:
         direct = mean(momentum_observable(graph, f, 0),
                       modulation(f.column(1), theta).apply(g))
         assert val == pytest.approx(direct, abs=1e-10)
-
-    def test_edge_signals_inner_product_reproduces_value(self, path3):
-        graph, f = path3
-        g = np.array([1.0, 1.0, 0.0]) / np.sqrt(2)
-        col = f.column(0)
-        val, e_gh, e_f = momentum_mean_modulated_closed_form(
-            graph, col, col, np.pi / 2, g, return_edge_signals=True)
-        assert float(np.dot(e_gh, e_f)) == pytest.approx(val, abs=1e-12)
 
 
 def _fd_mean(graph, f, k, vec, step=1e-5):

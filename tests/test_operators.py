@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from schro_gsp import operators
-from schro_gsp.errors import NumericalError
+from schro_gsp.errors import ContractError, NumericalError
 from schro_gsp.graph_core import FeatureLocations, Graph
 from schro_gsp.operators import (
     DENSE_MAX_NODES,
@@ -37,7 +37,7 @@ class TestFeatureDerivative:
             [1.0, 0.0, -1.0],
             [0.0, 1.0, 0.0],
         ])
-        assert np.allclose(feature_derivative(graph, f, 0).materialize(), expect)
+        assert np.allclose(feature_derivative(graph, f, 0).tosparse().toarray(), expect)
 
     def test_constant_feature_vanishes(self, path3):
         graph, _ = path3
@@ -48,9 +48,18 @@ class TestFeatureDerivative:
     @given(st.integers(0, 2 ** 31))
     def test_skew_symmetric(self, seed):
         graph, f, _ = make_instance(seed)
-        op = feature_derivative(graph, f, 0)
-        residue = op.materialize() + op.adjoint().materialize()
+        mat = feature_derivative(graph, f, 0).tosparse()
+        residue = (mat + mat.T).toarray()
         assert np.max(np.abs(residue)) == 0.0
+
+    @pytest.mark.parametrize("k", [-1, 2])
+    def test_feature_index_out_of_range_rejected(self, k):
+        graph, f, _ = make_instance(3, n_features=2)
+        for build in (feature_derivative, momentum_observable, smoothing_operator):
+            with pytest.raises(ContractError, match="out of range"):
+                build(graph, f, k)
+        with pytest.raises(ContractError, match="out of range"):
+            location_observable(f, k)
 
     def test_sparsity_within_adjacency(self, rng):
         graph, f, _ = make_instance(11)
@@ -69,7 +78,7 @@ class TestLaplacian:
             [-1.0, 0.0, 1.0],
         ])
         lap = schrodinger_laplacian(graph, f)
-        assert np.allclose(lap.materialize(), expect, atol=1e-12)
+        assert np.allclose(lap.tosparse().toarray(), expect, atol=1e-12)
 
     def test_self_adjoint_bilinear_form(self, rng):
         graph, f, _ = make_instance(23, n_features=2)
@@ -83,8 +92,10 @@ class TestLaplacian:
     @pytest.mark.parametrize("complex_operand", [False, True])
     @pytest.mark.parametrize("shape", ["vector", "block", "column-slice"])
     def test_apply_matches_factor_by_factor(self, rng, complex_operand, shape):
+        # The generator and a plain derivative: both real sparse operators,
+        # checked against products with the derivative matrices.
         graph, f, _ = make_instance(67, n_features=3)
-        lap = schrodinger_laplacian(graph, f)
+        grads = [feature_derivative(graph, f, k).tosparse() for k in range(3)]
         n = graph.n_nodes
         raw = rng.normal(size=(n, 5))
         if complex_operand:
@@ -92,20 +103,15 @@ class TestLaplacian:
         x = {"vector": raw[:, 0].copy(), "block": raw, "column-slice": raw[:, 1::2]}[shape]
         if shape == "column-slice":
             assert not x.flags.c_contiguous
-        expected = -sum(
-            lap.derivative_matrix(k) @ (lap.derivative_matrix(k) @ x)
-            for k in range(lap.n_features))
-        got = lap.apply(x)
-        assert got.shape == x.shape
-        assert np.iscomplexobj(got) == complex_operand
-        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
-
-    def test_adjoint_round_trip(self):
-        graph, f, _ = make_instance(5)
-        lap = schrodinger_laplacian(graph, f)
-        assert lap.is_self_adjoint()
-        twice = lap.adjoint().adjoint()
-        assert np.allclose(twice.materialize(), lap.materialize(), atol=0.0)
+        cases = [
+            (schrodinger_laplacian(graph, f), -sum(g @ (g @ x) for g in grads)),
+            (feature_derivative(graph, f, 1), grads[1] @ x),
+        ]
+        for op, expected in cases:
+            got = op.apply(x)
+            assert got.shape == x.shape
+            assert np.iscomplexobj(got) == complex_operand
+            assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 class TestDiagonals:
@@ -139,7 +145,7 @@ class TestSmoothingAndCommutators:
     def test_path_smoothing_equals_adjacency(self, path3):
         graph, f = path3
         # all squared location differences are 1 on this path
-        w = smoothing_operator(graph, f, 0).materialize()
+        w = smoothing_operator(graph, f, 0).tosparse().toarray()
         assert np.allclose(w, graph.adjacency.toarray())
 
     def test_commutator_with_itself_vanishes(self, path3):
@@ -151,10 +157,10 @@ class TestSmoothingAndCommutators:
     @given(st.integers(0, 2 ** 31))
     def test_smoothing_is_location_derivative_commutator(self, seed):
         graph, f, _ = make_instance(seed)
-        w = smoothing_operator(graph, f, 0).materialize()
+        w = smoothing_operator(graph, f, 0).tosparse().toarray()
         alt = commutator(
             location_observable(f, 0), feature_derivative(graph, f, 0)
-        ).materialize()
+        ).tosparse().toarray()
         assert np.max(np.abs(w - alt)) <= 1e-12
 
     @settings(max_examples=20, deadline=None)
@@ -165,7 +171,7 @@ class TestSmoothingAndCommutators:
         x = location_observable(f, 0)
         d = feature_derivative(graph, f, 0).tosparse()
         w = smoothing_operator(graph, f, 0).tosparse()
-        lhs = commutator(lap, x).materialize()
+        lhs = commutator(lap, x).tosparse().toarray()
         rhs = (d @ w + w @ d).toarray()
         assert np.max(np.abs(lhs - rhs)) <= 1e-10
 
@@ -189,8 +195,8 @@ class TestCrossCommutators:
         assert [(i, j) for i, j, _ in pairs] == [(0, 1), (1, 0)]
         for i, j, comm in pairs:
             square = SparseOperator(grads[j] @ grads[j])
-            ref = commutator(square, location_observable(f, i)).materialize()
-            got = comm.materialize()
+            ref = commutator(square, location_observable(f, i)).tosparse().toarray()
+            got = comm.tosparse().toarray()
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
             if constant:
                 assert comm.tosparse().nnz == 0
@@ -243,10 +249,10 @@ class TestNorms:
         graph, f, _ = make_instance(4, n_features=2)
         clustered = commutator(
             feature_derivative(graph, f, 0), location_observable(f, 1))
-        svals = np.linalg.svd(clustered.materialize(), compute_uv=False)
+        svals = np.linalg.svd(clustered.tosparse().toarray(), compute_uv=False)
         assert svals[1] > 0.9999 * svals[0]
         for op in (derivative, clustered):
-            oracle = np.linalg.norm(op.materialize(), 2)
+            oracle = np.linalg.norm(op.tosparse().toarray(), 2)
             assert float(operator_norm(op)) == pytest.approx(oracle, rel=1e-12)
 
     def test_returns_top_singular_pair(self):
@@ -254,7 +260,7 @@ class TestNorms:
         # is simple, so the right singular vector is unique up to sign
         graph, f, _ = make_instance(8, n_features=2)
         op = commutator(feature_derivative(graph, f, 0), location_observable(f, 1))
-        dense = op.materialize()
+        dense = op.tosparse().toarray()
         svals = np.linalg.svd(dense, compute_uv=False)
         assert svals[1] < 0.95 * svals[0]
         est = operator_norm(op)
@@ -324,7 +330,7 @@ class TestNorms:
         # Distinct top values packed within 1e-8, where ARPACK stalls.
         op = DiagonalOperator(1.0 - np.geomspace(1e-8, 1.0, n))
         est = operator_norm(op)
-        exact = np.linalg.svd(op.materialize(), compute_uv=False)[0]
+        exact = np.linalg.svd(op.tosparse().toarray(), compute_uv=False)[0]
         assert float(est) == pytest.approx(exact, rel=1e-12)
         assert np.linalg.norm(op.apply(est.vector)) == pytest.approx(exact, rel=1e-12)
 
@@ -333,7 +339,7 @@ class TestNorms:
     def test_norm_bracket(self, seed):
         graph, f, _ = make_instance(seed)
         op = feature_derivative(graph, f, 0)
-        dense = op.materialize()
+        dense = op.tosparse().toarray()
         spectral = float(operator_norm(op))
         upper = infinity_norm(op) * np.sqrt(graph.n_nodes)
         lower = np.linalg.norm(dense) / np.sqrt(graph.n_nodes)
