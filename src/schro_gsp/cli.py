@@ -51,10 +51,9 @@ from .graph_core import (
     load_features,
     load_graph,
     load_signal,
-    ring_graph,
 )
 from .operators import schrodinger_laplacian
-from .ring_task import RingTaskConfig, make_dataset, predict_model, run_ring_task
+from .ring_task import RingTaskConfig, run_ring_task
 from .verify import run_suite, select_suites
 
 __all__ = ["main"]
@@ -312,20 +311,15 @@ def cmd_ring(args) -> int:
         shift_rows,
     )
 
-    dataset = make_dataset(cfg)
-    predictions = {
-        kind: predict_model(cfg, result.models[kind], dataset.test_x[0])[0]
-        for kind in ("modulated", "plain", "diffusion")
-    }
-    angles = ring_graph(cfg.n_nodes)[1].column(2)
+    # Test row 0, with the outputs the fit already computed for it.
+    x, y = result.dataset.test_x[0], result.dataset.test_y[0]
+    preds = [result.test_pred[kind][0] for kind in ("modulated", "plain", "diffusion")]
     _write_csv(
         os.path.join(args.out, "predictions.csv"),
         ("node", "angle", "input", "target",
          "modulated", "plain", "diffusion"),
         [
-            (n, angles[n], dataset.test_x[0][n], dataset.test_y[0][n],
-             predictions["modulated"][n], predictions["plain"][n],
-             predictions["diffusion"][n])
+            (n, result.angles[n], x[n], y[n], *(p[n] for p in preds))
             for n in range(cfg.n_nodes)
         ],
     )

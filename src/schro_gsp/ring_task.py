@@ -32,7 +32,12 @@ from .diagnose import ShiftReport, WindowSet, build_windows, relative_shift
 from .errors import ContractError, DivergedError, check_config_fields
 from .filters import FilterParams, FilterTerm
 from .graph_core import FeatureLocations, Signal, ring_graph
-from .operators import feature_derivative, infinity_norm, schrodinger_laplacian
+from .operators import (
+    _real_matmul,
+    feature_derivative,
+    infinity_norm,
+    schrodinger_laplacian,
+)
 from .optim import Adam
 from .propagate import DensePropagator
 
@@ -273,39 +278,64 @@ class _RingWorkspace:
 class _Pass:
     """One evaluation of a model on a batch of rows, kept for its gradient.
 
-    Every channel is propagated in the eigenbasis of its generator, where
-    the time derivative of propagation is diagonal: ``-i*lam*exp(-i*t*lam)``
-    for the unitary kinds and ``-sign(t)*mu*exp(-|t|*mu)`` for the heat
-    kernel.  The direction derivative of the lifted input is
-    ``i * F[:, k] * lifted``, paired with the residual propagated back."""
+    Blocks keep the node axis first.  The lifted input is ``(N, C, B)``, or
+    ``(N, B)`` while every channel shares it, and ``coeff`` holds its
+    eigenbasis coefficients in the same layout.  The basis ``V`` is real
+    (the generator and the heat Laplacian are real symmetric), so every
+    product with ``V`` or ``V.T`` runs on the float64 view of a complex
+    block.  Channels are mixed in the eigenbasis,
+    ``combined = V @ sum_c mix_c (factor_c * coeff_c)``, so only the ``B``
+    mixed columns go back to the nodes; ``channel_outputs`` forms the
+    per-channel node outputs for callers that score channels one by one.
+    ``pred`` is ``(B, N)``, like the rows.
+
+    Propagation is diagonal in the eigenbasis, and so is its time
+    derivative: ``-i*lam*exp(-i*t*lam)`` for the unitary kinds and
+    ``-sign(t)*mu*exp(-|t|*mu)`` for the heat kernel.  The direction
+    derivative of the lifted input is ``i * F[:, k] * lifted``, paired with
+    the residual propagated back.  The diffusion baseline reads the real
+    part of its rows and mixes with the real part of ``mix``."""
 
     def __init__(self, ws: _RingWorkspace, params: RingModelParams, x: np.ndarray):
         x = np.atleast_2d(np.asarray(x))
         times = params.times[:, None]
         self.params = params
+        self.rows = x
         self.features = ws.features.values
         if params.kind == "diffusion":
             vals, self.vecs = ws.heat_vals, ws.heat_vecs
-            self.lifted = x.real[None]
+            lifted = x.real.T
             self.factor = np.exp(-np.abs(times) * vals)
             self.dfactor = -np.sign(times) * vals * self.factor
+            weights = params.mix.real
         else:
             vals, self.vecs = ws.propagator.eigenvalues, ws.propagator.eigenvectors
-            self.lifted = x.astype(np.complex128)[None]
+            lifted = x.T
             if params.kind == "modulated":
-                profile = self.features @ params.directions.T
-                self.lifted = self.lifted * np.exp(1j * profile.T)[:, None, :]
+                self.phase = np.exp(1j * (self.features @ params.directions.T))
+                lifted = self.phase[:, :, None] * lifted[:, None, :]
             self.factor = np.exp(-1j * times * vals)
             self.dfactor = -1j * vals * self.factor
-        # Shapes (C, B, N), or (1, B, N) while every channel shares its input.
-        self.coeff = self.lifted @ self.vecs.conj()
-        self.chans = (self.coeff * self.factor[:, None, :]) @ self.vecs.T
-        self.combined = np.tensordot(params.mix, self.chans, axes=1)
+            weights = params.mix
+        self.coeff = _real_matmul(self.vecs.T, lifted)
+        # gains[k, c]: the weight of channel c's coefficient k in the mix.
+        gains = self.factor.T * weights
+        if self.coeff.ndim == 2:
+            mixed = gains.sum(axis=1)[:, None] * self.coeff
+        else:
+            mixed = (gains[:, None, :] @ self.coeff)[:, 0, :]
+        self.combined = _real_matmul(self.vecs, mixed)
         if params.kind == "diffusion":
-            self.mag = self.combined.real
+            self.mag = self.combined
         else:
             self.mag = np.abs(self.combined)
-        self.pred = params.scale * self.mag
+        self.pred = (params.scale * self.mag).T
+
+    def channel_outputs(self) -> np.ndarray:
+        """Each channel's propagated rows before the mix, ``(C, B, N)``."""
+        coeff = self.coeff if self.coeff.ndim == 3 else self.coeff[:, None, :]
+        chans = _real_matmul(self.vecs, self.factor.T[:, :, None] * coeff)
+        return chans.transpose(1, 2, 0)
 
     def loss(self, y: np.ndarray) -> float:
         return float(np.mean((self.pred - y) ** 2))
@@ -313,20 +343,29 @@ class _Pass:
     def gradient(self, y: np.ndarray) -> np.ndarray:
         """Exact gradient of ``loss(y)``, laid out like ``params.pack()``."""
         p = self.params
-        dpred = (2.0 / self.pred.size) * (self.pred - y)
+        dpred = (2.0 / self.pred.size) * (self.pred - y).T
         # d(loss) = Re sum(conj(w) * d(combined)); the modulus contributes
         # the output phase, and nothing where the output vanishes.
         w = p.scale * dpred
         if p.kind != "diffusion":
             w = w * self.combined / np.where(self.mag > 0.0, self.mag, 1.0)
-        w_coeff = w @ self.vecs.conj()
-        paired = np.sum(w_coeff.conj() * self.coeff, axis=1)
-        blocks = [np.real(p.mix * np.sum(self.dfactor * paired, axis=1))]
+        w_coeff = _real_matmul(self.vecs.T, w)
+        # paired[k, c] = sum_b conj(w_coeff[k, b]) coeff[k, c, b]
+        if self.coeff.ndim == 2:
+            paired = np.sum(w_coeff.conj() * self.coeff, axis=1)[:, None]
+        else:
+            paired = (self.coeff @ w_coeff.conj()[:, :, None])[:, :, 0]
+        blocks = [np.real(p.mix * np.sum(self.dfactor.T * paired, axis=0))]
         if p.kind == "modulated":
-            back = (w_coeff * self.factor.conj()[:, None, :]) @ self.vecs.T
-            moved = np.sum(back.conj() * self.lifted, axis=1) @ self.features
+            # The residual propagated back through channel c is
+            # V conj(factor_c) w_coeff, and its pairing with the lifted
+            # rows at node n factors as phase[n, c] sum_k V[n, k]
+            # factor[c, k] rows_w[n, k]: one product with the rows.
+            rows_w = _real_matmul(self.rows.T, w_coeff.conj().T)
+            moved = self.phase * ((self.vecs * rows_w) @ self.factor.T)
+            moved = moved.T @ self.features
             blocks.append(np.real(1j * p.mix[:, None] * moved).ravel())
-        inner = np.einsum("bn,cbn->c", w.conj(), self.chans)
+        inner = np.sum(self.factor.T * paired, axis=0)
         blocks.append(inner.real)
         if p.kind != "diffusion":
             blocks.append(-inner.imag)
@@ -382,7 +421,7 @@ def _grid_init(
             mix=np.ones(times.size, dtype=np.complex128),
             scale=1.0,
         ), x)
-        for t, z in zip(times, sweep.chans):
+        for t, z in zip(times, sweep.channel_outputs()):
             mag = z.real.ravel() if kind == "diffusion" else np.abs(z).ravel()
             denom = float(mag @ mag)
             if denom <= 0.0:
@@ -401,7 +440,7 @@ def _grid_init(
     )
     # Propagated again rather than kept from the sweep, which would hold
     # every candidate's output in memory at once.
-    atoms = _Pass(ws, params, x).chans.reshape(c, -1).T
+    atoms = _Pass(ws, params, x).channel_outputs().reshape(c, -1).T
     if kind == "diffusion":
         w, *_ = np.linalg.lstsq(atoms.real, target, rcond=None)
         mix = w.astype(np.complex128)
@@ -460,6 +499,9 @@ class RingTaskResult:
     val_mse: dict           # kind -> val mse at the best train iterate
     shift_reports: dict     # kind -> ShiftReport, for modulated and diffusion
     windows: WindowSet
+    dataset: RingDataset
+    test_pred: dict         # kind -> model outputs on dataset.test_x
+    angles: np.ndarray      # (N,) node angles around the ring
 
     @property
     def mse_ratio_plain(self) -> float:
@@ -513,12 +555,15 @@ def run_ring_task(cfg: RingTaskConfig = RingTaskConfig()) -> RingTaskResult:
     models = {}
     traces = {}
     test_mse = {}
+    test_pred = {}
     val_mse = {}
     for kind in _KINDS:
         params, trace = fit_ring_model(ws, kind, dataset)
         models[kind] = params
         traces[kind] = trace
-        test_mse[kind] = _Pass(ws, params, dataset.test_x).loss(dataset.test_y)
+        test = _Pass(ws, params, dataset.test_x)
+        test_mse[kind] = test.loss(dataset.test_y)
+        test_pred[kind] = test.pred
         val_mse[kind] = min(trace, key=lambda row: row[1])[2]
     windows = build_windows(ws.features, 2, cfg.n_windows)
     probe = _shift_probe(ws.features.column(2))
@@ -534,4 +579,7 @@ def run_ring_task(cfg: RingTaskConfig = RingTaskConfig()) -> RingTaskResult:
         val_mse=val_mse,
         shift_reports=shift_reports,
         windows=windows,
+        dataset=dataset,
+        test_pred=test_pred,
+        angles=ws.features.column(2),
     )

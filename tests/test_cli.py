@@ -16,8 +16,15 @@ from schro_gsp.filters import FilterParams, FilterTerm, save_filter_params
 from schro_gsp.graph_core import (
     cluster_graph,
     save_features,
+    ring_graph,
     save_graph,
     save_signal,
+)
+from schro_gsp.ring_task import (
+    RingModelParams,
+    RingTaskConfig,
+    make_dataset,
+    predict_model,
 )
 
 CLUSTER_CFG = {"theta_min": -2.0, "theta_max": 2.0, "n_theta": 5, "repeats": 2}
@@ -256,6 +263,32 @@ class TestRingCommand:
             "trained_model_shifts_windows",
             "diffusion_does_not_shift_windows",
         }
+
+    def test_predictions_match_predict_model_on_test_row_zero(self, tmp_path):
+        data = {"n_nodes": 30, "shift": 10, "n_samples": 20, "channels": 1,
+                "max_iters": 5, "n_windows": 2}
+        out = tmp_path / "out"
+        rc = main(["ring", "--config", _write_cfg(tmp_path, data), "--out", str(out)])
+        assert rc in (0, 1)
+        cfg = RingTaskConfig(**data)
+        ds = make_dataset(cfg)
+        models = _read_summary(out)["metrics"]["models"]
+        rows = _read_csv(out / "predictions.csv")
+        table = np.array([[float(v) for v in row] for row in rows[1:]])
+        np.testing.assert_array_equal(table[:, 0], np.arange(30))
+        np.testing.assert_array_equal(table[:, 1], ring_graph(30)[1].column(2))
+        np.testing.assert_array_equal(table[:, 2], ds.test_x[0])
+        np.testing.assert_array_equal(table[:, 3], ds.test_y[0])
+        for col, kind in enumerate(("modulated", "plain", "diffusion"), start=4):
+            m = models[kind]
+            params = RingModelParams(
+                kind=kind, times=m["times"], directions=m["directions"],
+                mix=np.array(m["mix_re"]) + 1j * np.array(m["mix_im"]),
+                scale=m["scale"],
+            )
+            expected = predict_model(cfg, params, ds.test_x[0])[0]
+            gap = np.linalg.norm(table[:, col] - expected)
+            assert gap <= 1e-12 * np.linalg.norm(expected), kind
 
 
 class TestPmoGridCommand:

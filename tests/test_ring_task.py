@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from schro_gsp.errors import ContractError, DivergedError
 from schro_gsp.filters import FilterParams
+from schro_gsp.graph_core import FeatureLocations
+from schro_gsp.operators import schrodinger_laplacian
+from schro_gsp.propagate import evolve_array
 from schro_gsp.ring_task import (
     RingModelParams,
     RingTaskConfig,
@@ -203,6 +207,72 @@ class TestEvaluatePredict:
         direct = float(np.mean((pred - ds.test_y) ** 2))
         mse = evaluate_model(cfg, params, ds.test_x, ds.test_y)
         assert mse == pytest.approx(direct, rel=1e-12)
+
+
+class TestForwardPath:
+    """``_Pass.pred`` against propagation that never touches the eigenbasis:
+    the Chebyshev series for the unitary kinds, ``expm`` for diffusion.  The
+    batch has fewer rows than nodes, so a transposed layout cannot pass."""
+
+    CFG = RingTaskConfig(n_nodes=24, shift=5, n_samples=20, seed=6, channels=3)
+    TOL = 1e-10
+
+    def _rows(self, complex_rows):
+        rows = make_dataset(self.CFG).train_x[:5]
+        if not complex_rows:
+            return rows
+        rng = np.random.default_rng(11)
+        phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=rows.shape))
+        return rows * phases + 0.1j * rng.normal(size=rows.shape)
+
+    def _params(self, kind):
+        rng = np.random.default_rng(12)
+        c = self.CFG.channels
+        directions = rng.normal(size=(c, 3)) if kind == "modulated" else np.zeros((c, 3))
+        mix = rng.normal(size=c)
+        if kind != "diffusion":
+            mix = mix + 1j * rng.normal(size=c)
+        return RingModelParams(
+            kind=kind,
+            times=np.array([3.0, -1.5, 11.0]),
+            directions=directions,
+            mix=mix,
+            scale=0.7,
+        )
+
+    def _assert_close(self, pred, expected):
+        assert pred.shape == expected.shape
+        assert np.linalg.norm(pred - expected) <= self.TOL * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("complex_rows", [False, True])
+    @pytest.mark.parametrize("kind", ["modulated", "plain"])
+    def test_unitary_kinds_match_chebyshev_propagation(self, kind, complex_rows):
+        ws = _RingWorkspace(self.CFG)
+        params = self._params(kind)
+        x = self._rows(complex_rows)
+        pair = ws.features.values[:, :2] * ws.feature_scale
+        gen = schrodinger_laplacian(ws.graph, FeatureLocations(pair))
+        total = np.zeros(x.T.shape, dtype=np.complex128)
+        for t, h, m in zip(params.times, params.directions, params.mix):
+            lifted = np.exp(1j * ws.features.values @ h)[:, None] * x.T
+            total += m * evolve_array(gen, float(t), lifted)
+        expected = params.scale * np.abs(total).T
+        self._assert_close(_Pass(ws, params, x).pred, expected)
+
+    @pytest.mark.parametrize("complex_rows", [False, True])
+    def test_diffusion_matches_heat_kernel(self, complex_rows):
+        ws = _RingWorkspace(self.CFG)
+        params = self._params("diffusion")
+        x = self._rows(complex_rows)
+        adj = ws.graph.adjacency.toarray()
+        heat = np.diag(adj.sum(axis=1)) - adj
+        # The baseline reads the real part of its rows.
+        total = sum(
+            m.real * expm(-abs(t) * heat) @ x.real.T
+            for t, m in zip(params.times, params.mix)
+        )
+        expected = params.scale * total.T
+        self._assert_close(_Pass(ws, params, x).pred, expected)
 
 
 class TestFit:
