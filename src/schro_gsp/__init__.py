@@ -71,10 +71,7 @@ from .observe import (
 from .filters import (
     FilterParams,
     FilterTerm,
-    InputModulationParams,
     activation,
-    init_times,
-    input_modulation,
     load_filter_params,
     save_filter_params,
     schrodinger_filter,

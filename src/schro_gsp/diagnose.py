@@ -4,8 +4,7 @@ Windows along one feature coordinate are triangular hats centered at
 quantile points of the coordinate's values, clamped flat beyond the first
 and last centers.  Evaluating a value between two adjacent centers gives the
 two linear interpolation weights onto those centers, so the windows form a
-partition of unity by construction.  Two window sets can be multiplied into
-product windows over coordinate pairs.
+partition of unity by construction.
 
 The relative-shift diagnostic windows a signal, pushes the windowed pieces
 through a signal map, and compares per-node energy centroids of input and
@@ -28,10 +27,10 @@ from .graph_core import NORM_FLOOR, FeatureLocations, Signal
 
 @dataclass(frozen=True)
 class WindowSet:
-    """Nonnegative node weights per window, for one or two coordinates."""
+    """Nonnegative node weights per window over the windowed coordinates."""
 
     coordinates: tuple[int, ...]
-    weights: np.ndarray        # (B, N) for one coordinate, (B1*B2, N) for two
+    weights: np.ndarray        # (B, N)
     window_ids: tuple[tuple[int, ...], ...]
     centers: tuple[np.ndarray, ...]
 
@@ -54,25 +53,6 @@ class WindowSet:
     @property
     def n_nodes(self) -> int:
         return self.weights.shape[1]
-
-    def product(self, other: "WindowSet") -> "WindowSet":
-        """Product windows over the coordinate pair (self, other)."""
-        if self.n_nodes != other.n_nodes:
-            raise ContractError("window sets disagree on node count")
-        if len(self.coordinates) != 1 or len(other.coordinates) != 1:
-            raise ContractError("product windows combine single-coordinate sets")
-        weights = []
-        ids = []
-        for (b1,), w1 in zip(self.window_ids, self.weights):
-            for (b2,), w2 in zip(other.window_ids, other.weights):
-                weights.append(w1 * w2)
-                ids.append((b1, b2))
-        return WindowSet(
-            coordinates=self.coordinates + other.coordinates,
-            weights=np.array(weights),
-            window_ids=tuple(ids),
-            centers=self.centers + other.centers,
-        )
 
 
 def build_windows(f: FeatureLocations, k: int, n_bins: int) -> WindowSet:

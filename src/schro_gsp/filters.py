@@ -35,10 +35,6 @@ from .propagate import evolve_array
 
 _ACTIVATIONS = ("split-relu", "modulus", "none")
 
-# Per-term propagation times are drawn uniformly from this range at init.
-TIME_INIT_LOW = 0.0
-TIME_INIT_HIGH = 1.5
-
 
 @dataclass(frozen=True)
 class FilterTerm:
@@ -158,26 +154,6 @@ def load_filter_params(path) -> FilterParams:
         return FilterParams.from_json(fh.read())
 
 
-@dataclass(frozen=True)
-class InputModulationParams:
-    """Maps raw feature columns to a complex input signal."""
-
-    amplitude_map: np.ndarray  # (K, J) real
-    phase_map: np.ndarray      # (K, J) real
-
-    def __post_init__(self):
-        amp = np.asarray(self.amplitude_map, dtype=np.float64)
-        ph = np.asarray(self.phase_map, dtype=np.float64)
-        if amp.ndim != 2 or ph.shape != amp.shape:
-            raise ContractError("amplitude and phase maps must share a 2-D shape")
-        if not (np.all(np.isfinite(amp)) and np.all(np.isfinite(ph))):
-            raise ContractError("input modulation parameters must be finite")
-        amp.setflags(write=False)
-        ph.setflags(write=False)
-        object.__setattr__(self, "amplitude_map", amp)
-        object.__setattr__(self, "phase_map", ph)
-
-
 def schrodinger_filter(
     lap: SecondOrderGenerator,
     f: FeatureLocations,
@@ -217,17 +193,6 @@ def schrodinger_filter(
     return Signal(out[:, :, 0]) if isinstance(g, Signal) else out
 
 
-def input_modulation(q: FeatureLocations, params: InputModulationParams) -> Signal:
-    """Complex lift of raw features: (q B) * exp(i q P) elementwise."""
-    if params.amplitude_map.shape[0] != q.n_features:
-        raise ContractError(
-            f"modulation maps expect {params.amplitude_map.shape[0]} features, "
-            f"got {q.n_features}")
-    amp = q.values @ params.amplitude_map
-    phase = q.values @ params.phase_map
-    return Signal(amp * np.exp(1j * phase))
-
-
 def activation(g: Signal, kind: str) -> Signal:
     """Pointwise nonlinearity; idempotent for every supported kind."""
     if kind == "none":
@@ -239,10 +204,3 @@ def activation(g: Signal, kind: str) -> Signal:
         return Signal(np.abs(g.values).astype(np.complex128))
     raise ContractError(f"activation must be one of {_ACTIVATIONS}")
 
-
-def init_times(n_channels: int, seed: int) -> list[float]:
-    """Per-term propagation times drawn uniformly from [0, 1.5)."""
-    if n_channels < 0:
-        raise ContractError("channel count must be nonnegative")
-    rng = np.random.default_rng(seed)
-    return rng.uniform(TIME_INIT_LOW, TIME_INIT_HIGH, size=n_channels).tolist()

@@ -25,13 +25,13 @@ from .errors import (
 )
 from .graph_core import FeatureLocations, Graph, Signal
 from .operators import (
-    DiagonalOperator,
     LinearNodeOperator,
-    SparseOperator,
+    SecondOrderGenerator,
     cross_commutators,
     feature_derivative,
     location_observable,
     operator_norm,
+    schrodinger_laplacian,
     smoothing_operator,
 )
 
@@ -192,13 +192,9 @@ def dynamics_rhs_single(graph: Graph, f: np.ndarray, g) -> float:
     return 2.0 * float(np.real(np.vdot(smooth.apply(vec), mom)))
 
 
-def _cross_term(grad_j: SparseOperator, loc_k: DiagonalOperator, vec: np.ndarray) -> float:
-    # <[i grad_j^2, X_k] g, g>; self-adjoint, so the residue check applies.
-    def gsq(x):
-        return grad_j.apply(grad_j.apply(x))
-
-    applied = 1j * (gsq(loc_k.apply(vec)) - loc_k.apply(gsq(vec)))
-    return _real_expectation(applied, vec, "cross-feature term")
+def _generator_commutator(lap: SecondOrderGenerator, d: np.ndarray, x: np.ndarray):
+    """``[L, diag(d)] x`` for a generator ``L`` and a real node column ``d``."""
+    return lap.apply(d * x) - d * lap.apply(x)
 
 
 def dynamics_rhs_multi(graph: Graph, f: FeatureLocations, k: int, g) -> float:
@@ -211,13 +207,16 @@ def dynamics_rhs_multi(graph: Graph, f: FeatureLocations, k: int, g) -> float:
     vec = _as_channel(g)
     _require_normalized(vec)
     own = dynamics_rhs_single(graph, f.column(k), vec)
-    loc_k = location_observable(f, k)
+    col_k = f.column(k)
     correction = 0.0
     for j in range(f.n_features):
         if j == k:
             continue
-        grad_j = feature_derivative(graph, f, j)
-        correction += _cross_term(grad_j, loc_k, vec)
+        # <[i grad_j^2, X_k] g, g> = -<i [L_j, X_k] g, g> with L_j = -grad_j^2;
+        # self-adjoint, so the residue check applies.
+        lap_j = schrodinger_laplacian(graph, FeatureLocations.single(f.column(j)))
+        correction -= _real_expectation(
+            1j * _generator_commutator(lap_j, col_k, vec), vec, "cross-feature term")
     return own - correction
 
 
@@ -229,12 +228,8 @@ def variance_rhs(graph: Graph, f: np.ndarray, g) -> float:
     floc = FeatureLocations.single(fcol)
     grad = feature_derivative(graph, floc, 0)
     smooth = smoothing_operator(graph, floc, 0)
-    fsq = fcol * fcol
-
-    def lap(x):
-        return -grad.apply(grad.apply(x))
-
-    applied = 1j * (lap(fsq * vec) - fsq * lap(vec))
+    lap = schrodinger_laplacian(graph, floc)
+    applied = 1j * _generator_commutator(lap, fcol * fcol, vec)
     growth = _real_expectation(applied, vec, "squared-location term")
     e_loc = _real_expectation(fcol * vec, vec, "location mean")
     transport = float(np.real(np.vdot(smooth.apply(vec), 1j * grad.apply(vec))))
@@ -286,17 +281,13 @@ def mixed_derivative_rhs(
         return 0.0
     grad = feature_derivative(graph, floc, 0)
     smooth = smoothing_operator(graph, floc, 0)
+    lap = schrodinger_laplacian(graph, floc)
     fsq = fcol * fcol
-
-    def lap(x):
-        return -grad.apply(grad.apply(x))
-
-    def growth_gen(x):  # [Lap, X_f^2] x
-        return lap(fsq * x) - fsq * lap(x)
 
     # <[X_h, [Lap, X_f^2]] g, g>
     first = _real_expectation(
-        hcol * growth_gen(vec) - growth_gen(hcol * vec), vec, "mixed growth term"
+        hcol * _generator_commutator(lap, fsq, vec)
+        - _generator_commutator(lap, fsq, hcol * vec), vec, "mixed growth term"
     )
 
     def transport_gen(x):  # W grad x

@@ -10,14 +10,14 @@ minimizer).
 
 The optimizer is Adam on the entries of T.  Each iterate is evaluated in
 one pass that builds every cross commutator once and takes its spectral
-norm once, from one Lanczos solve; the gradient uses the top singular pair
-(u, v) of that solve, with d(sigma) = Re(u^H dM v), so it is exact and
+norm once, from one exact solve (``operator_norm``: a dense eigensolve at
+grid sizes, Lanczos on larger graphs); the gradient uses the top singular
+pair (u, v) of that solve, with d(sigma) = Re(u^H dM v), so it is exact and
 differentiates the same value the objective sums.
 """
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -85,9 +85,6 @@ class PMOResult:
             "objective_trace": [[i, v] for i, v in self.objective_trace],
             "final_deficiency": self.final_deficiency,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True)
 
 
 class _Workspace:

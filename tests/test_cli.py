@@ -319,7 +319,9 @@ class TestPmoGridCommand:
             raise linalg.ArpackNoConvergence("no convergence", [], [])
 
         monkeypatch.setattr(linalg, "svds", stalled)
-        # The 9-node commutators sit above this cap, so no dense fallback.
+        # The 9-node commutators sit above both dense caps: Lanczos runs and
+        # has no fallback.
+        monkeypatch.setattr(operators, "DENSE_NORM_MAX_NODES", 4)
         monkeypatch.setattr(operators, "DENSE_MAX_NODES", 4)
         cfg = _write_cfg(tmp_path, {"side": 3, "max_iters": 3})
         out = tmp_path / "out"

@@ -95,20 +95,6 @@ class TestBuildWindows:
         with pytest.raises(ContractError, match=f"feature index {k} out of range"):
             build_windows(f, k, 4)
 
-    def test_product_windows(self, rng):
-        f = FeatureLocations(rng.normal(size=(20, 2)))
-        a = build_windows(f, 0, 2)
-        b = build_windows(f, 1, 3)
-        prod = a.product(b)
-        assert prod.n_windows == 6
-        assert prod.coordinates == (0, 1)
-        assert prod.window_ids[0] == (0, 0)
-        assert prod.window_ids[-1] == (1, 2)
-        # still a partition of unity: sum over pairs factorizes
-        assert np.abs(prod.weights.sum(axis=0) - 1.0).max() <= 1e-10
-        with pytest.raises(ContractError):
-            prod.product(a)
-
 
 class TestWindowSignal:
     def test_energy_splits_across_partition(self, rng):

@@ -7,12 +7,7 @@ from schro_gsp.errors import ContractError, FormatError
 from schro_gsp.filters import (
     FilterParams,
     FilterTerm,
-    InputModulationParams,
-    TIME_INIT_HIGH,
-    TIME_INIT_LOW,
     activation,
-    init_times,
-    input_modulation,
     load_filter_params,
     save_filter_params,
     schrodinger_filter,
@@ -218,42 +213,6 @@ class TestFilterAction:
             schrodinger_filter(lap, f, params, g)
 
 
-class TestInputModulation:
-    def test_zero_phase_gives_real_output(self, rng):
-        q = FeatureLocations(rng.normal(size=(5, 2)))
-        amp = rng.normal(size=(2, 3))
-        params = InputModulationParams(amp, np.zeros((2, 3)))
-        out = input_modulation(q, params)
-        assert np.array_equal(out.values, (q.values @ amp).astype(complex))
-
-    def test_zero_amplitude_gives_zero(self, rng):
-        q = FeatureLocations(rng.normal(size=(5, 2)))
-        params = InputModulationParams(np.zeros((2, 3)), rng.normal(size=(2, 3)))
-        assert np.abs(input_modulation(q, params).values).max() == 0.0
-
-    def test_modulus_ignores_the_phase_map(self, rng):
-        q = FeatureLocations(rng.normal(size=(6, 2)))
-        amp = rng.normal(size=(2, 2))
-        with_phase = input_modulation(
-            q, InputModulationParams(amp, rng.normal(size=(2, 2))))
-        assert np.abs(
-            np.abs(with_phase.values) - np.abs(q.values @ amp)).max() <= 1e-12
-
-    def test_feature_count_mismatch_rejected(self, rng):
-        q = FeatureLocations(rng.normal(size=(5, 2)))
-        params = InputModulationParams(np.ones((3, 1)), np.zeros((3, 1)))
-        with pytest.raises(ContractError):
-            input_modulation(q, params)
-
-    def test_map_shape_disagreement_rejected(self):
-        with pytest.raises(ContractError):
-            InputModulationParams(np.ones((2, 2)), np.zeros((2, 3)))
-
-    def test_nonfinite_maps_rejected(self):
-        with pytest.raises(ContractError):
-            InputModulationParams(np.full((1, 1), np.inf), np.zeros((1, 1)))
-
-
 class TestActivation:
     def test_split_relu_clips_by_quadrant(self):
         g = Signal(np.array([-1.0 - 2.0j, 3.0 + 4.0j, -1.0 + 2.0j]))
@@ -279,22 +238,3 @@ class TestActivation:
         with pytest.raises(ContractError):
             activation(Signal(np.ones(2, dtype=complex)), "tanh")
 
-
-class TestInitTimes:
-    def test_zero_channels_gives_empty_list(self):
-        assert init_times(0, seed=3) == []
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ContractError):
-            init_times(-1, seed=3)
-
-    def test_deterministic_in_the_seed(self):
-        assert init_times(6, seed=11) == init_times(6, seed=11)
-        assert init_times(6, seed=11) != init_times(6, seed=12)
-
-    def test_range_and_mean(self):
-        times = init_times(1000, seed=5)
-        arr = np.array(times)
-        assert arr.min() >= TIME_INIT_LOW
-        assert arr.max() < TIME_INIT_HIGH
-        assert 0.70 <= arr.mean() <= 0.80

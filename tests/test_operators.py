@@ -8,6 +8,7 @@ from scipy import sparse
 
 from schro_gsp import operators
 from schro_gsp.errors import ContractError, NumericalError
+from schro_gsp.experiments import grid_graph
 from schro_gsp.graph_core import FeatureLocations, Graph
 from schro_gsp.operators import (
     DENSE_MAX_NODES,
@@ -298,7 +299,8 @@ class TestNorms:
             raise linalg.ArpackNoConvergence("no convergence", [], [])
 
         monkeypatch.setattr(linalg, "svds", stalled)
-        # Above the dense cap there is no fallback.
+        # Above both dense caps: Lanczos runs and has no fallback.
+        monkeypatch.setattr(operators, "DENSE_NORM_MAX_NODES", 2)
         monkeypatch.setattr(operators, "DENSE_MAX_NODES", 2)
         with pytest.raises(NumericalError, match="3-node"):
             operator_norm(DiagonalOperator(np.array([2.0, 1.0, 0.5])))
@@ -321,6 +323,8 @@ class TestNorms:
             raise linalg.ArpackNoConvergence("no convergence", [], [])
 
         monkeypatch.setattr(linalg, "svds", stalled)
+        # Lanczos runs first, then stalls into the dense fallback.
+        monkeypatch.setattr(operators, "DENSE_NORM_MAX_NODES", 2)
         est = operator_norm(DiagonalOperator(np.array([2.0, -3.0, 0.5])))
         assert float(est) == 3.0
         assert np.abs(est.vector).tolist() == [0.0, 1.0, 0.0]
@@ -344,3 +348,44 @@ class TestNorms:
         upper = infinity_norm(op) * np.sqrt(graph.n_nodes)
         lower = np.linalg.norm(dense) / np.sqrt(graph.n_nodes)
         assert lower - 1e-9 <= spectral <= upper + 1e-9
+
+
+def _solver_cases():
+    """Operators for both norm solvers, with whether their top value is a pair."""
+    graph, q = grid_graph(12)
+    cols = [q.values @ t for t in ([0.9, 0.2], [-0.3, 0.7])]
+    grads = [feature_derivative(graph, FeatureLocations.single(c), 0).tosparse()
+             for c in cols]
+    _, _, grid = next(cross_commutators(grads, cols))
+    graph, f, _ = make_instance(6, n_features=2)
+    momentum = commutator(momentum_observable(graph, f, 0), location_observable(f, 1))
+    grads = [feature_derivative(graph, f, k).tosparse() for k in range(2)]
+    _, _, skew = next(cross_commutators(grads, [f.column(0), f.column(1)]))
+    ring = Graph.from_edges(8, [(k, (k + 1) % 8, 1.0) for k in range(8)])
+    lap = SparseOperator(2.0 * sparse.eye(8) - ring.adjacency)
+    return {"grid-144": (grid, True), "momentum": (momentum, False),
+            "skew": (skew, True), "ring-8": (lap, False)}
+
+
+class TestNormSolversAgree:
+    """The dense Gram eigensolve and Lanczos, each forced by the size cap."""
+
+    def test_dense_cap_within_the_dense_limit(self):
+        assert operators.DENSE_NORM_MAX_NODES <= DENSE_MAX_NODES
+
+    @pytest.mark.parametrize("name", ["grid-144", "momentum", "skew", "ring-8"])
+    def test_values_and_vectors(self, name, monkeypatch):
+        op, paired = _solver_cases()[name]
+        svals = np.linalg.svd(op.tosparse().toarray(), compute_uv=False)
+        assert np.iscomplexobj(op.tosparse().data) == (name == "momentum")
+        assert (svals[1] > (1 - 1e-12) * svals[0]) == paired
+        estimates = []
+        for cap in (op.dim, 0):  # dense, then Lanczos
+            monkeypatch.setattr(operators, "DENSE_NORM_MAX_NODES", cap)
+            est = operator_norm(op)
+            sigma, v = float(est), est.vector
+            assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-13)
+            assert np.linalg.norm(op.apply(v)) == pytest.approx(sigma, rel=1e-13)
+            estimates.append(sigma)
+        assert estimates[0] == pytest.approx(estimates[1], rel=1e-13)
+        assert estimates[0] == pytest.approx(svals[0], rel=1e-13)

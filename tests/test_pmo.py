@@ -183,16 +183,23 @@ class TestFit:
 
 class TestWorkBudget:
     def test_one_norm_estimate_per_commutator_and_iterate(self, monkeypatch):
+        # Counts the solves of both norm solvers: Lanczos (``svds``) and the
+        # dense Gram eigensolve (``eigh``), which these small graphs take.
+        import scipy.linalg
         from scipy.sparse import linalg
 
-        original = linalg.svds
         callers = []
 
-        def counted(*args, **kwargs):
-            callers.append(sys._getframe(1).f_code.co_name)
-            return original(*args, **kwargs)
+        def counting(original):
+            def counted(*args, **kwargs):
+                # the solver's caller, and its caller for the dense helper
+                callers.append((sys._getframe(1).f_code.co_name,
+                                sys._getframe(2).f_code.co_name))
+                return original(*args, **kwargs)
+            return counted
 
-        monkeypatch.setattr(linalg, "svds", counted)
+        monkeypatch.setattr(linalg, "svds", counting(linalg.svds))
+        monkeypatch.setattr(scipy.linalg, "eigh", counting(scipy.linalg.eigh))
 
         rng = np.random.default_rng(21)
         graph = random_connected_graph(rng, n_min=8, n_max=12)
@@ -202,7 +209,7 @@ class TestWorkBudget:
             callers.clear()
             result = pmo_fit(
                 graph, q, PMOConfig(out_features=2, max_iters=iters, seed=1))
-            assert set(callers) == {"operator_norm"}
+            assert all("operator_norm" in names for names in callers)
             calls[iters] = len(callers)
         monkeypatch.undo()
         # the identity-start run improved by more than 1%: no restart
@@ -266,3 +273,32 @@ class TestNormsAlongAFit:
         # the instance still crosses after the start
         assert min(gaps[2:]) < 1e-7
         assert max(errors) <= 1e-12
+
+
+class TestGradientAcrossNormSolvers:
+    def test_gradient_agrees_between_solvers_and_pair_vectors(self, monkeypatch):
+        # Every grid commutator is real skew-symmetric, so its top singular
+        # value is a pair: the dense solve and Lanczos may return different
+        # vectors of its span, and so may a rotation within it.
+        from schro_gsp import operators, pmo
+
+        graph, q = grid_graph(12)
+        ws = pmo._Workspace(graph, q)
+        transform = np.array([[0.9, -0.3], [0.2, 0.7]])
+        results = []
+        for cap in (graph.n_nodes, 0):  # dense, then Lanczos
+            monkeypatch.setattr(operators, "DENSE_NORM_MAX_NODES", cap)
+            results.append(pmo._evaluate(ws, transform, 1.0))
+
+        def rotated(op):
+            est = operators.operator_norm(op)
+            partner = op.apply(est.vector) / float(est)
+            return operators.NormEstimate(
+                float(est), 0.6 * est.vector + 0.8 * partner)
+
+        monkeypatch.setattr(pmo, "operator_norm", rotated)
+        results.append(pmo._evaluate(ws, transform, 1.0))
+        (obj, grad), *others = results
+        for other_obj, other_grad in others:
+            assert other_obj == pytest.approx(obj, rel=1e-13)
+            assert np.linalg.norm(other_grad - grad) <= 1e-10 * np.linalg.norm(grad)
