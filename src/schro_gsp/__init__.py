@@ -25,6 +25,7 @@ from .graph_core import (
     FeatureLocations,
     Graph,
     Signal,
+    bandwidth_order,
     cluster_graph,
     load_features,
     load_graph,

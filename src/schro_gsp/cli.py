@@ -48,6 +48,7 @@ from .experiments import (
 from .filters import load_filter_params, schrodinger_filter
 from .graph_core import (
     PINNED_CLUSTER_SEED,
+    bandwidth_order,
     load_features,
     load_graph,
     load_signal,
@@ -399,9 +400,14 @@ def cmd_diagnose(args) -> int:
         raise ContractError("diagnose requires --config with the input paths")
     cfg = _load_config(args.config, DiagnoseConfig, {})
     params = load_filter_params(cfg.filter_params)
-    graph = load_graph(cfg.graph)
-    feats = load_features(cfg.features)
-    signal = load_signal(cfg.signal)
+    # A file lists its nodes in any order, so a row of the generator can
+    # read operand rows from anywhere in the block.  Relabeled by bandwidth,
+    # neighbours sit at nearby rows and each sparse product stays in cache.
+    # The file-order objects are not kept: they would be alive at the
+    # generator's build peak.  Window statistics do not depend on the node
+    # order, so nothing is mapped back.
+    graph, feats, signal = bandwidth_order(
+        load_graph(cfg.graph), load_features(cfg.features), load_signal(cfg.signal))
     if cfg.coordinate >= feats.n_features:
         raise ContractError(
             f"window coordinate {cfg.coordinate} out of range for "

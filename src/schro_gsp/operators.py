@@ -8,8 +8,10 @@ second-order generator that drives unitary propagation.
 
 ``SparseOperator`` holds a square CSR matrix: derivatives, momenta,
 smoothing operators, commutators, and the second-order generator, which
-composes its matrix once when it is built.  ``DiagonalOperator`` holds a
-real diagonal (location observables) or a unit-modulus one (modulations).
+composes its matrix once when it is built, as ``D D^T`` with the
+derivatives side by side in ``D = [G_0 ... G_{K-1}]``: one sparse product
+whose result is exactly symmetric.  ``DiagonalOperator`` holds a real
+diagonal (location observables) or a unit-modulus one (modulations).
 
 There is one spectral norm, ``operator_norm``, exact to machine precision.
 It picks its solver by size: up to ``DENSE_NORM_MAX_NODES`` nodes, one
@@ -18,7 +20,7 @@ that, a single Lanczos solve on an operand whose forward and adjoint
 products are plain CSR products.  When Lanczos does not converge, an
 operator of at most ``DENSE_MAX_NODES`` nodes takes the dense solve instead,
 and a larger one raises.  ``infinity_norm`` is the cheap row-sum upper
-bound.
+bound; it sums ``|entries|`` per row without an absolute-valued copy.
 """
 
 from __future__ import annotations
@@ -143,24 +145,38 @@ class DiagonalOperator(LinearNodeOperator):
 class SecondOrderGenerator(SparseOperator):
     """Negated sum of squared feature derivatives, ``-sum_k G_k G_k``.
 
-    Composed once from the derivative matrices into one sparse matrix (the
-    pattern is two-hop).  ``norm_bound`` needs that matrix before any
-    propagation, so every application multiplies by it too: one sparse pass
-    instead of 2K.
+    Every ``G_k`` is skew-symmetric, so the sum equals ``D D^T`` with the
+    derivatives side by side, ``D = [G_0 ... G_{K-1}]`` (``N x KN``).  That
+    is one sparse product, with no per-feature squares, sum or negated copy
+    alive beside it, and its result is exactly symmetric: entries ``(n, m)``
+    and ``(m, n)`` add the same products in the same order, because the
+    rows of the left factor have sorted indices.  The derivatives must be
+    exactly skew-symmetric, as ``feature_derivative`` makes them.
+    ``norm_bound`` needs the composed matrix before any propagation, so
+    every application multiplies by it too: one sparse pass instead of 2K.
     """
 
-    def __init__(self, derivative_mats: list[sparse.csr_matrix]):
-        if not derivative_mats:
+    def __init__(self, derivative_mats):
+        # An iterable, so a caller can hand over the only references: the
+        # derivatives are then freed once stacked, before the product's peak.
+        mats = list(derivative_mats)
+        if not mats:
             raise ContractError("at least one feature derivative required")
-        dim = derivative_mats[0].shape[0]
-        for mat in derivative_mats:
-            if mat.shape != (dim, dim):
-                raise ContractError("feature derivatives disagree on size")
-        acc = None
-        for grad in derivative_mats:
-            term = (grad @ grad).tocsr()
-            acc = term if acc is None else acc + term
-        super().__init__((-acc).tocsr())
+        dim = mats[0].shape[0]
+        if any(mat.shape != (dim, dim) for mat in mats):
+            raise ContractError("feature derivatives disagree on size")
+        # E = [G_0; ...; G_{K-1}] is -D^T, so D D^T = E^T E.  The transpose
+        # of one derivative is its negation: scipy's fixed cost per call is
+        # most of a small generator's build, and ``verify`` builds hundreds
+        # of 32-node ones.
+        if len(mats) == 1:
+            stack = mats[0]
+            stack_t = -stack
+        else:
+            stack = sparse.vstack(mats, format="csr")
+            stack_t = stack.T.tocsr()
+        del mats
+        super().__init__(stack_t @ stack)
         self._norm_bound: float | None = None
 
     def is_self_adjoint(self) -> bool:
@@ -236,8 +252,8 @@ def schrodinger_laplacian(graph: Graph, f: FeatureLocations) -> SecondOrderGener
     """Self-adjoint generator: minus the sum of squared feature derivatives."""
     if f.n_nodes != graph.n_nodes:
         raise ContractError("feature locations do not match the graph size")
-    grads = [_derivative_csr(graph, f.column(k)) for k in range(f.n_features)]
-    return SecondOrderGenerator(grads)
+    return SecondOrderGenerator(
+        _derivative_csr(graph, f.column(k)) for k in range(f.n_features))
 
 
 def location_observable(f: FeatureLocations, k: int) -> DiagonalOperator:
@@ -327,9 +343,13 @@ def operator_norm(op: LinearNodeOperator) -> NormEstimate:
     zero or 1x1 operator gets the answer directly.  A Lanczos solve that
     does not converge, as on top singular values packed within about 1e-8,
     falls back to the dense solve for at most ``DENSE_MAX_NODES`` nodes and
-    raises :class:`NumericalError` above that.
+    raises :class:`NumericalError` above that.  An operator with a
+    non-finite entry, or whose Gram matrix overflows in the dense solve,
+    raises :class:`NumericalError` too.
     """
     mat = op.tosparse()
+    if not np.all(np.isfinite(mat.data)):
+        raise NumericalError("operator has non-finite entries; its norm is undefined")
     n = mat.shape[0]
     if n == 1 or mat.count_nonzero() == 0:
         vector = np.zeros(n)
@@ -367,8 +387,10 @@ def _dense_norm(mat: sparse.csr_matrix) -> NormEstimate:
     from scipy.linalg import eigh
 
     n = mat.shape[0]
-    w, v = eigh(mat.conj().T @ mat.toarray(), subset_by_index=[n - 1, n - 1],
-                driver="evr")
+    gram = mat.conj().T @ mat.toarray()
+    if not np.all(np.isfinite(gram)):
+        raise NumericalError(f"squared norm of a {n}-node operator overflows")
+    w, v = eigh(gram, subset_by_index=[n - 1, n - 1], driver="evr")
     return NormEstimate(float(np.sqrt(max(w[0], 0.0))), v[:, 0])
 
 
@@ -377,5 +399,19 @@ def infinity_norm(op: LinearNodeOperator) -> float:
     mat = op.tosparse()
     if mat.nnz == 0:
         return 0.0
-    row_sums = np.abs(mat).sum(axis=1)
-    return float(np.max(row_sums))
+    return float(np.max(_abs_row_sums(mat)))
+
+
+def _abs_row_sums(mat: sparse.csr_matrix) -> np.ndarray:
+    """Row sums of ``|mat|`` without an absolute-valued copy of the matrix.
+
+    Sums ``|data|`` over each non-empty row's ``indptr`` segment in stored
+    order; an empty row sums to 0.  scipy's ``np.abs(mat).sum(axis=1)`` does
+    the same after sorting the indices in place, so on a matrix with sorted
+    indices the two are bit-identical.  Unsorted rows (a sparse product's)
+    are summed as stored instead of being sorted first.
+    """
+    sums = np.zeros(mat.shape[0])
+    rows = np.flatnonzero(np.diff(mat.indptr))
+    sums[rows] = np.add.reduceat(np.abs(mat.data), mat.indptr[rows])
+    return sums

@@ -26,7 +26,12 @@ import numpy as np
 from .errors import ContractError, DivergedError, check_config_fields
 from .graph_core import FeatureLocations, Graph
 from .observe import commuting_deficiency
-from .operators import _derivative_csr, cross_commutators, operator_norm
+from .operators import (
+    _abs_row_sums,
+    _derivative_csr,
+    cross_commutators,
+    operator_norm,
+)
 from .optim import Adam
 
 # Stop when the best objective improves by less than this relative amount
@@ -148,7 +153,7 @@ def _evaluate(
 
     penalty = 0.0
     for k, gk in enumerate(grads):
-        sums = np.asarray(np.abs(gk).sum(axis=1)).ravel()
+        sums = _abs_row_sums(gk)
         row = int(np.argmax(sums))
         inf = float(sums[row])
         penalty += (inf - 1.0) ** 2
@@ -180,22 +185,44 @@ def pmo_objective(
     return _evaluate(_Workspace(graph, q), transform, lam)[0]
 
 
+def _guarded(step, where: str, last_good):
+    """``step()``, with any overflow reported as :class:`DivergedError`.
+
+    A runaway step overflows first in the Adam moments or in the sparse
+    squares of the derivatives, whose entries would then reach the norm
+    solver infinite or NaN.  Every floating-point overflow or invalid
+    operation raises instead, so the fit stops at the first one, before any
+    norm of a non-finite operator is taken.  (A finite commutator whose
+    squared norm overflows makes ``operator_norm`` raise
+    :class:`NumericalError` itself.)
+    """
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return step()
+    except (FloatingPointError, OverflowError) as exc:
+        raise DivergedError(f"overflow {where}: {exc}", last_good=last_good) from exc
+
+
 def _adam_run(evaluate, t0: np.ndarray, cfg: PMOConfig):
+    adam = Adam(cfg.learning_rate)
+
+    def advance(t, g):
+        t = adam.step(t, g)
+        return (t, *evaluate(t))
+
     t = t0.copy()
-    obj, g = evaluate(t)
+    obj, g = _guarded(lambda: evaluate(t), "at the starting transform", None)
     if not np.isfinite(obj):
         raise DivergedError("objective not finite at the starting transform",
                             last_good=None)
     best_t, best_obj = t.copy(), obj
     trace = [(0, obj)]
     best_history = [obj]
-    adam = Adam(cfg.learning_rate)
     for it in range(1, cfg.max_iters + 1):
         if not np.all(np.isfinite(g)):
             raise DivergedError(
                 f"gradient not finite at iteration {it}", last_good=best_t)
-        t = adam.step(t, g)
-        obj, g = evaluate(t)
+        t, obj, g = _guarded(lambda: advance(t, g), f"at iteration {it}", best_t)
         if not np.isfinite(obj):
             raise DivergedError(
                 f"objective not finite at iteration {it}", last_good=best_t)

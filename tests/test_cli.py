@@ -14,6 +14,9 @@ from schro_gsp import operators
 from schro_gsp.cli import main
 from schro_gsp.filters import FilterParams, FilterTerm, save_filter_params
 from schro_gsp.graph_core import (
+    FeatureLocations,
+    Graph,
+    Signal,
     cluster_graph,
     save_features,
     ring_graph,
@@ -139,8 +142,8 @@ class TestConfigErrors:
         src = os.path.dirname(os.path.dirname(schro_gsp.__file__))
         code = (f"import sys; sys.path.insert(0, {src!r}); "
                 "import schro_gsp.cli; "
-                "print(sorted(m for m in ('scipy.sparse.linalg', "
-                "'scipy.special') if m in sys.modules))")
+                "print(sorted(m for m in ('scipy.sparse.csgraph', "
+                "'scipy.sparse.linalg', 'scipy.special') if m in sys.modules))")
         done = subprocess.run([sys.executable, "-I", "-c", code],
                               capture_output=True, text=True, check=True)
         assert done.stdout.strip() == "[]"
@@ -355,7 +358,54 @@ def diagnose_inputs(tmp_path):
     return paths
 
 
+def _geometric_inputs(tmp_path, name, labels):
+    """A seeded random geometric graph written with node ``i`` as ``labels[i]``.
+
+    Coordinates are the features, in units of the connection radius; the
+    filter has two short terms, like the benchmark's."""
+    rng = np.random.default_rng(8)
+    n = labels.size
+    pts = rng.random((n, 2))
+    radius = np.sqrt(8.0 / (np.pi * n))
+    iu, iv = np.triu_indices(n, k=1)
+    near = np.linalg.norm(pts[iu] - pts[iv], axis=1) < radius
+    signal = rng.normal(size=n) + 1j * rng.normal(size=n)
+    place = np.argsort(labels)  # file row r holds node place[r]
+    graph = Graph.from_edges(n, zip(labels[iu[near]].tolist(), labels[iv[near]].tolist(),
+                                    rng.uniform(0.5, 2.0, size=int(near.sum())).tolist()))
+    paths = {key: str(tmp_path / f"{name}-{key}.txt")
+             for key in ("graph", "features", "signal", "filter_params")}
+    save_graph(graph, paths["graph"])
+    save_features(FeatureLocations(pts[place] / radius), paths["features"])
+    save_signal(Signal(signal[place]), paths["signal"])
+    terms = tuple(FilterTerm(time=t, phase=p, direction=np.array(d), mix=np.array([[m]]))
+                  for t, p, d, m in [(0.015, 0.8, [1.0, 0.0], 1.0),
+                                     (0.025, -0.5, [0.6, 0.8], 0.5 + 0.5j)])
+    save_filter_params(FilterParams(terms=terms), paths["filter_params"])
+    return _write_cfg(tmp_path, dict(paths, n_windows=5), f"{name}.json")
+
+
 class TestDiagnoseCommand:
+    def test_shifts_do_not_depend_on_the_node_order_in_the_files(self, tmp_path):
+        n = 400
+        shuffled = np.random.default_rng(3).permutation(n)
+        tables = {}
+        for name, labels in [("sorted", np.arange(n)), ("shuffled", shuffled)]:
+            cfg = _geometric_inputs(tmp_path, name, labels)
+            outs = [tmp_path / f"{name}-out{i}" for i in range(2)]
+            for out in outs:
+                assert main(["diagnose", "--config", cfg, "--out", str(out)]) == 0
+            texts = [(out / "shifts.csv").read_bytes() for out in outs]
+            assert texts[0] == texts[1]
+            tables[name] = _read_csv(outs[0] / "shifts.csv")
+        a, b = tables["sorted"], tables["shuffled"]
+        assert len(a) == len(b) == 6
+        assert a[0] == b[0] and [r[:2] for r in a] == [r[:2] for r in b]
+        got = np.array([r[2:] for r in a[1:]], dtype=float)
+        ref = np.array([r[2:] for r in b[1:]], dtype=float)
+        assert np.all(np.abs(got[:, 0]) > 1e-6)  # the filter moves every window
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
+
     def test_requires_config(self, tmp_path):
         assert main(["diagnose", "--out", str(tmp_path / "o")]) == 2
 

@@ -11,6 +11,7 @@ from schro_gsp.graph_core import (
     FeatureLocations,
     Graph,
     Signal,
+    bandwidth_order,
     cluster_graph,
     load_features,
     load_graph,
@@ -379,3 +380,63 @@ class TestRingGraph:
         assert g.n_edges == 3
         with pytest.raises(ContractError):
             ring_graph(2)
+
+
+def _edge_set(graph, label=None):
+    """Edges as ``{(min, max): weight}``, optionally renamed by ``label``."""
+    u, v = graph.edge_u, graph.edge_v
+    if label is not None:
+        u, v = label[u], label[v]
+    return {(min(a, b), max(a, b)): w
+            for a, b, w in zip(u.tolist(), v.tolist(), graph.edge_w.tolist())}
+
+
+def _shuffled_path(n, seed):
+    """A path whose node labels are a random permutation."""
+    perm = np.random.default_rng(seed).permutation(n)
+    return Graph.from_edges(n, [(int(perm[i]), int(perm[i + 1]), 1.0 + i)
+                                for i in range(n - 1)])
+
+
+class TestBandwidthOrder:
+    # The relabeled feature column 0 holds each new node's old label, so it
+    # reads back the order the helper applied.
+    @pytest.mark.parametrize("graph", [
+        Graph(1, [], [], []),
+        Graph(5, [], [], []),
+        Graph.from_edges(7, [(0, 5, 2.0), (5, 3, 1e-8), (1, 6, 1e8), (2, 4, 3.0)]),
+        _shuffled_path(40, 3),
+    ], ids=["single-node", "edge-free", "disconnected", "shuffled-path"])
+    def test_relabels_by_a_permutation_that_keeps_the_edges(self, graph):
+        n = graph.n_nodes
+        ids = FeatureLocations(np.column_stack([np.arange(n), -np.arange(n)]))
+        sig = Signal(np.arange(n) * (1 + 2j))
+        new_graph, new_f, new_sig = bandwidth_order(graph, ids, sig)
+        order = new_f.column(0).astype(np.int64)
+        assert np.array_equal(np.sort(order), np.arange(n))
+        assert np.array_equal(new_f.column(1), -order)
+        assert np.array_equal(new_sig.channel(0), order * (1 + 2j))
+        # new node i is old node order[i]: mapping back gives the old edges
+        assert _edge_set(new_graph, order) == _edge_set(graph)
+        assert new_graph.n_nodes == n
+
+    def test_shuffled_path_gets_unit_bandwidth(self):
+        graph = _shuffled_path(200, 11)
+        assert np.max(graph.edge_v - graph.edge_u) > 100
+        f = FeatureLocations.single(np.zeros(200))
+        new_graph, _, _ = bandwidth_order(graph, f, Signal(np.ones(200)))
+        assert np.all(new_graph.edge_v - new_graph.edge_u == 1)
+
+    def test_is_deterministic(self):
+        graph, f, sig = cluster_graph(PINNED_CLUSTER_SEED)
+        (g1, f1, s1), (g2, f2, s2) = (bandwidth_order(graph, f, sig) for _ in range(2))
+        for a, b in [(g1.edge_u, g2.edge_u), (g1.edge_v, g2.edge_v),
+                     (g1.edge_w, g2.edge_w), (f1.values, f2.values),
+                     (s1.values, s2.values)]:
+            assert np.array_equal(a, b)
+
+    def test_sizes_must_agree(self):
+        graph = Graph.from_edges(3, [(0, 1, 1.0)])
+        with pytest.raises(ContractError, match="disagree on size"):
+            bandwidth_order(graph, FeatureLocations.single(np.zeros(4)),
+                            Signal(np.ones(3)))

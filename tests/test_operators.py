@@ -114,6 +114,27 @@ class TestLaplacian:
             assert np.iscomplexobj(got) == complex_operand
             assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 31), st.integers(1, 3), st.integers(1, 3))
+    def test_composition_is_exactly_symmetric_and_matches_the_k_term_sum(
+            self, seed, n_parts, k):
+        # Weights in [1e-8, 1e8]; more than one part is a disconnected graph.
+        # Coordinates on a coarse grid tie across some edges, and the first
+        # edge is tied outright, so some derivative entries are zero.
+        graph, _, _ = log_weight_instance(seed, n_parts)
+        cols = np.round(np.random.default_rng(seed).normal(size=(graph.n_nodes, k)))
+        cols[graph.edge_v[0]] = cols[graph.edge_u[0]]
+        f = FeatureLocations(cols)
+        grads = [feature_derivative(graph, f, j).tosparse() for j in range(k)]
+        assert all(g.nnz < 2 * graph.n_edges for g in grads)
+        lap = schrodinger_laplacian(graph, f).tosparse()
+        assert (lap - lap.T).nnz == 0
+        # Entrywise against the K separate squares, relative to the sum of
+        # the absolute products each entry adds up.
+        ref = -sum(g @ g for g in grads)
+        scale = sum(abs(g) @ abs(g) for g in grads).toarray()
+        assert np.all(np.abs((lap - ref).toarray()) <= 1e-14 * scale)
+
 
 class TestDiagonals:
     def test_location_picks_coordinates(self):
@@ -348,6 +369,51 @@ class TestNorms:
         upper = infinity_norm(op) * np.sqrt(graph.n_nodes)
         lower = np.linalg.norm(dense) / np.sqrt(graph.n_nodes)
         assert lower - 1e-9 <= spectral <= upper + 1e-9
+
+    @pytest.mark.parametrize("n", [3, 300])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_entry_raises(self, n, bad):
+        diag = np.ones(n)
+        diag[1] = bad
+        with pytest.raises(NumericalError, match="non-finite"):
+            operator_norm(SparseOperator(sparse.diags(diag, format="csr")))
+
+    def test_overflowing_gram_matrix_raises(self):
+        op = SparseOperator(sparse.csr_matrix(np.array([[0.0, 1e200], [1.0, 0.0]])))
+        with pytest.raises(NumericalError, match="overflows"):
+            operator_norm(op)
+
+
+def _row_sum_cases():
+    rng = np.random.default_rng(5)
+    mat = sparse.random(40, 30, density=0.15, format="csr", random_state=rng)
+    mat = sparse.diags((rng.random(40) < 0.7).astype(float)) @ mat  # empty rows
+    mat.data -= 0.5
+    stored_zeros = mat.copy()
+    stored_zeros.data[::3] = 0.0
+    cases = {
+        "real": mat,
+        "complex": mat + 1j * (mat @ sparse.random(30, 30, density=0.3,
+                                                   random_state=rng)),
+        "stored-zeros": stored_zeros,
+        "all-zero": sparse.csr_matrix((6, 6)),
+    }
+    # scipy's abs sorts a matrix's indices before it sums; these are sorted.
+    for case in cases.values():
+        case.sort_indices()
+    return cases
+
+
+class TestAbsRowSums:
+    @pytest.mark.parametrize("name", sorted(_row_sum_cases()))
+    def test_bit_identical_to_scipy(self, name):
+        mat = _row_sum_cases()[name]
+        assert mat.format == "csr" and mat.has_sorted_indices
+        assert np.diff(mat.indptr).min() == 0
+        got = operators._abs_row_sums(mat)
+        ref = np.asarray(np.abs(mat).sum(axis=1)).ravel()
+        assert got.dtype == ref.dtype == np.float64
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
 
 def _solver_cases():

@@ -5,7 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from schro_gsp.errors import ContractError, DivergedError
+from schro_gsp import pmo as pmo_module
+from schro_gsp.errors import ContractError, DivergedError, NumericalError
 from schro_gsp.experiments import grid_graph
 from schro_gsp.graph_core import FeatureLocations, Graph
 from schro_gsp.observe import commuting_deficiency
@@ -158,11 +159,9 @@ class TestFit:
         with pytest.raises(ContractError):
             pmo_fit(graph, q, PMOConfig(out_features=2, max_iters=5))
 
-    # the runaway step overflows on purpose before the guard trips
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.filterwarnings("error")
     def test_runaway_step_raises_with_last_good(self, path3):
-        # first step lands at |T| ~ 1e308, where the norm overflows to inf
+        # first step lands at |T| ~ 1e308, where the derivatives overflow
         graph, f = path3
         q = FeatureLocations.single(f.column(0))
         cfg = PMOConfig(out_features=1, learning_rate=1e308, max_iters=5)
@@ -170,6 +169,40 @@ class TestFit:
             pmo_fit(graph, q, cfg)
         assert exc.value.last_good is not None
         assert np.allclose(exc.value.last_good, [[1.0]])
+
+    # Each rate overflows at a different stage: the Adam moments, the sparse
+    # squares (inf times a zero coordinate difference is NaN), a squared
+    # norm, or, at 1e100, the Gram matrix of a finite commutator, which the
+    # norm solver rejects itself.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("out_features,rate,error", [
+        (2, 1e50, DivergedError), (2, 1e100, NumericalError),
+        (2, 1e155, DivergedError), (2, 1e200, DivergedError),
+        (2, 1e308, DivergedError), (1, 1e200, DivergedError)])
+    def test_runaway_step_with_cross_commutators_raises(
+            self, monkeypatch, out_features, rate, error):
+        # The two-output case crashed inside the norm solver with a bare
+        # ValueError before the fit could see a non-finite objective.
+        norms = []
+        real_norm = pmo_module.operator_norm
+
+        def finite_only(op):
+            assert np.all(np.isfinite(op.tosparse().data))
+            norms.append(op)
+            return real_norm(op)
+
+        monkeypatch.setattr(pmo_module, "operator_norm", finite_only)
+        graph, q = grid_graph(3)
+        cfg = PMOConfig(out_features=out_features, learning_rate=rate, max_iters=5)
+        with pytest.raises(error) as exc:
+            pmo_fit(graph, q, cfg)
+        if error is DivergedError:
+            assert exc.value.last_good is not None
+            assert np.all(np.isfinite(exc.value.last_good))
+        else:
+            assert "overflows" in str(exc.value)
+        if out_features == 2:
+            assert norms  # the starting transform took its norms
 
     def test_result_serializes(self):
         rng = np.random.default_rng(24)
