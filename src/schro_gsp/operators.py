@@ -14,10 +14,11 @@ whose result is exactly symmetric.  ``DiagonalOperator`` holds a real
 diagonal (location observables) or a unit-modulus one (modulations).
 
 There is one spectral norm, ``operator_norm``, exact to machine precision.
-It picks its solver by size: up to ``DENSE_NORM_MAX_NODES`` nodes, one
-dense eigensolve for the top eigenpair of the Gram matrix ``A* A``; above
-that, a single Lanczos solve on an operand whose forward and adjoint
-products are plain CSR products.  When Lanczos does not converge, an
+It picks its solver by size: up to ``DENSE_NORM_MAX_NODES`` nodes, the top
+eigenpair of the Gram matrix ``A* A``, formed once and solved densely one
+diagonal block at a time when the operand is block diagonal in its given
+order; above that, a single Lanczos solve on an operand whose forward and
+adjoint products are plain CSR products.  When Lanczos does not converge, an
 operator of at most ``DENSE_MAX_NODES`` nodes takes the dense solve instead,
 and a larger one raises.  ``infinity_norm`` is the cheap row-sum upper
 bound; it sums ``|entries|`` per row without an absolute-valued copy.
@@ -336,10 +337,11 @@ def operator_norm(op: LinearNodeOperator) -> NormEstimate:
 
     Exact to machine precision and deterministic, so repeated calls agree
     bit for bit.  An operator of at most ``DENSE_NORM_MAX_NODES`` nodes gets
-    one dense solve (see ``_dense_norm``).  A larger one gets one Lanczos
-    solve (ARPACK through ``scipy.sparse.linalg.svds``) from a fixed seeded
-    start; its operand multiplies by the CSR matrix and a CSR copy of its
-    adjoint, which skips the wrapping ``svds`` puts around a bare matrix.  A
+    one dense solve, split by diagonal block (see ``_dense_norm``).  A larger
+    one gets one Lanczos solve (ARPACK through ``scipy.sparse.linalg.svds``)
+    from a fixed seeded start; its operand multiplies by the CSR matrix and
+    a CSR copy of its adjoint, which skips the wrapping ``svds`` puts around
+    a bare matrix.  A
     zero or 1x1 operator gets the answer directly.  A Lanczos solve that
     does not converge, as on top singular values packed within about 1e-8,
     falls back to the dense solve for at most ``DENSE_MAX_NODES`` nodes and
@@ -383,15 +385,60 @@ def _dense_norm(mat: sparse.csr_matrix) -> NormEstimate:
     where the top singular values cluster.  The Gram matrix is a sparse
     times dense product: a dense one would run on numpy's BLAS, whose
     threads then compete with those of the eigensolver's BLAS in scipy.
+
+    An operand that is block diagonal in its given order (see
+    ``_block_bounds``) has a block-diagonal Gram matrix, formed once and
+    solved one diagonal block at a time; a 1x1 block is read directly.  The
+    largest block value wins, the first block on ties, and its vector is
+    padded with zeros to the full size.
     """
     from scipy.linalg import eigh
 
     n = mat.shape[0]
-    gram = mat.conj().T @ mat.toarray()
+    # A real operand's adjoint is its transpose, a view: conj() would copy.
+    adjoint = mat.conj().T if np.iscomplexobj(mat.data) else mat.T
+    gram = adjoint @ mat.toarray()
     if not np.all(np.isfinite(gram)):
         raise NumericalError(f"squared norm of a {n}-node operator overflows")
-    w, v = eigh(gram, subset_by_index=[n - 1, n - 1], driver="evr")
-    return NormEstimate(float(np.sqrt(max(w[0], 0.0))), v[:, 0])
+    best = -1.0
+    bounds = _block_bounds(mat)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        if hi - lo == 1:
+            w, v = gram[lo, lo].real, np.ones(1)
+        else:
+            top = hi - lo - 1
+            w, v = eigh(gram[lo:hi, lo:hi], subset_by_index=[top, top],
+                        driver="evr", check_finite=False)
+            w, v = w[0], v[:, 0]
+        if w > best:
+            best, start, top_vector = w, lo, v
+    vector = np.zeros(n, dtype=gram.dtype)
+    vector[start:start + top_vector.size] = top_vector
+    return NormEstimate(float(np.sqrt(max(best, 0.0))), vector)
+
+
+def _block_bounds(mat: sparse.csr_matrix) -> np.ndarray:
+    """Bounds ``[0, ..., n]`` of the diagonal blocks of ``mat`` in its order.
+
+    A block ends after row ``k`` where no stored entry in rows ``0..k`` has
+    a column after ``k`` and none in the rows after ``k`` has a column at
+    or before it: a prefix maximum and a suffix minimum of each row's
+    column range, O(nnz) from ``indptr`` and ``indices``.  Stored zeros
+    count as entries.
+    """
+    n = mat.shape[0]
+    rows = np.flatnonzero(np.diff(mat.indptr))
+    # Each row's column range, widened to include the row itself, so an
+    # empty row reaches only itself.
+    reach_hi = np.arange(n)
+    reach_lo = np.arange(n)
+    starts = mat.indptr[rows]
+    reach_hi[rows] = np.maximum(rows, np.maximum.reduceat(mat.indices, starts))
+    reach_lo[rows] = np.minimum(rows, np.minimum.reduceat(mat.indices, starts))
+    ends = np.arange(1, n)
+    cut = ((np.maximum.accumulate(reach_hi)[:-1] < ends)
+           & (np.minimum.accumulate(reach_lo[::-1])[::-1][1:] >= ends))
+    return np.concatenate([[0], ends[cut], [n]])
 
 
 def infinity_norm(op: LinearNodeOperator) -> float:

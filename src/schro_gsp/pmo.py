@@ -8,30 +8,31 @@ norm of those cross commutators over ordered pairs, plus a penalty keeping
 each derivative's infinity norm near one (otherwise T = 0 is a trivial
 minimizer).
 
-The optimizer is Adam on the entries of T.  Each iterate is evaluated in
-one pass that builds every cross commutator once and takes its spectral
+The optimizer is Adam on the entries of T.  Every derivative is linear in
+T, so the objective is a polynomial in T on sparsity patterns fixed by the
+graph and q; ``_Workspace`` builds them once per fit as index arrays, and
+an iterate is plain array arithmetic on them, with no sparse product.
+Each iterate builds every cross commutator once and takes its spectral
 norm once, from one exact solve (``operator_norm``: a dense eigensolve at
-grid sizes, Lanczos on larger graphs); the gradient uses the top singular
-pair (u, v) of that solve, with d(sigma) = Re(u^H dM v), so it is exact and
-differentiates the same value the objective sums.
+grid sizes, one per diagonal block, Lanczos on larger graphs); the
+gradient uses the top singular pair (u, v) of that solve, with
+d(sigma) = Re(u^H dM v), so it is exact and differentiates the same value
+the objective sums.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import permutations
 
 import numpy as np
+from scipy import sparse
 
 from .errors import ContractError, DivergedError, check_config_fields
 from .graph_core import FeatureLocations, Graph
 from .observe import commuting_deficiency
-from .operators import (
-    _abs_row_sums,
-    _derivative_csr,
-    cross_commutators,
-    operator_norm,
-)
+from .operators import SparseOperator, operator_norm
 from .optim import Adam
 
 # Stop when the best objective improves by less than this relative amount
@@ -93,15 +94,69 @@ class PMOResult:
 
 
 class _Workspace:
-    """Precomputed raw-column derivatives; everything else depends on T."""
+    """Index arrays that fix an iterate's sparsity; only values depend on T.
+
+    Every output derivative is linear in T, ``G_k = sum_a T[a, k] R_a``,
+    so the fit's objective is a polynomial in T on patterns fixed by the
+    graph and the raw columns.  Built once per fit, in a node order where
+    each connected component of the two-hop pattern is contiguous (on a
+    bipartite graph, one colour class after the other), so each cross
+    commutator is block diagonal and its norm solve splits by block:
+
+    - ``raw`` ``(m, slots)``: ``R_a`` on the directed edge slots, in the
+      CSR order of the adjacency (``slot_ptr``);
+    - ``entry_ptr``, ``entry_col``, ``entry_row``: the off-diagonal two-hop
+      pattern ``P``, as CSR with the row of each entry (a commutator with a
+      location observable is zero on the diagonal);
+    - ``e1``, ``e2``, ``path_entry``: every two-step path ``r -> l -> c``
+      with ``r != c`` as its two edge slots and its entry in ``P``;
+    - ``delta`` ``(m, |P|)``: ``q_a(c) - q_a(r)`` on ``P``.
+
+    The products ``G_a G_b`` are not stored: their memory grows as m^2.
+    """
 
     def __init__(self, graph: Graph, q: FeatureLocations):
-        self.graph = graph
+        # Imported here: loading scipy.sparse.csgraph slows every CLI start.
+        from scipy.sparse.csgraph import connected_components
+
         self.q = q
-        self.raw_grads = [
-            _derivative_csr(graph, q.column(a)) for a in range(q.n_features)
-        ]
-        self.n = graph.n_nodes
+        n = self.n = graph.n_nodes
+        u = np.concatenate([graph.edge_u, graph.edge_v])
+        v = np.concatenate([graph.edge_v, graph.edge_u])
+        pattern = sparse.csr_matrix((np.ones(u.size), (u, v)), shape=(n, n))
+        _, labels = connected_components(pattern @ pattern, directed=False)
+        order = np.argsort(labels, kind="stable")
+        # ``position`` maps a node of the caller's order to its place here.
+        position = np.empty(n, dtype=np.int64)
+        position[order] = np.arange(n)
+
+        rows, cols = position[u], position[v]
+        slots = np.lexsort((cols, rows))
+        rows, cols = rows[slots], cols[slots]
+        weights = np.concatenate([graph.edge_w, graph.edge_w])[slots]
+        values = q.values[order]
+        self.raw = np.ascontiguousarray((values[rows] - values[cols]).T * weights)
+        degree = np.bincount(rows, minlength=n)
+        self.slot_ptr = np.concatenate([[0], np.cumsum(degree)])
+
+        # Path r -> l -> c: slot e1 = (r, l), then each slot e2 leaving l.
+        fan = degree[cols]
+        e1 = np.repeat(np.arange(rows.size), fan)
+        offset = np.arange(e1.size) - np.repeat(np.cumsum(fan) - fan, fan)
+        e2 = np.repeat(self.slot_ptr[cols], fan) + offset
+        keep = rows[e1] != cols[e2]
+        self.e1, self.e2 = e1[keep], e2[keep]
+        entries, self.path_entry = np.unique(
+            rows[self.e1] * n + cols[self.e2], return_inverse=True)
+        self.entry_row, entry_col = np.divmod(entries, n)
+        ptr = np.concatenate([[0], np.cumsum(np.bincount(self.entry_row, minlength=n))])
+        # Kept in the index dtype scipy picks, so a commutator built on them
+        # neither scans nor casts them.
+        template = sparse.csr_matrix(
+            (np.zeros(entries.size), entry_col, ptr), shape=(n, n))
+        self.entry_col, self.entry_ptr = template.indices, template.indptr
+        self.delta = np.ascontiguousarray(
+            (values[self.entry_col] - values[self.entry_row]).T)
 
     def features(self, transform: np.ndarray) -> FeatureLocations:
         return FeatureLocations(self.q.values @ transform)
@@ -112,58 +167,67 @@ def _evaluate(
 ) -> tuple[float, np.ndarray]:
     """Objective and its gradient at the given transform, in one pass.
 
-    Each cross commutator M = [G_j^2, X_i] gets one spectral norm; its value
-    sigma enters the objective, and its singular vector v (with
-    sigma = |M v|) gives d(sigma^2) = 2 Re((M v)^H dM v).  M and every dM
-    are real skew-symmetric, so the top singular value is a pair and this
-    is the same for every unit v in the pair's span; only where a third
-    singular value meets the pair is it a subgradient, which is all
-    descent needs.  The penalty's subgradient runs along the sign pattern of the row that
+    Plain array arithmetic on the workspace's fixed patterns: ``g = T^T R``
+    is each ``G_k`` on the edge slots, ``S_j`` sums ``g_j(e1) g_j(e2)`` over
+    the two-step paths of each entry of ``P``, and ``D_i = T^T delta`` is
+    ``x_i(c) - x_i(r)`` there, so ``[G_j^2, X_i]`` holds ``S_j D_i`` on
+    ``P``: no sparse product and no sparse matvec besides ``M v``.
+
+    Each cross commutator M gets one spectral norm; its value sigma enters
+    the objective, and its singular vector v (with sigma = |M v|) gives
+    d(sigma^2) = 2 Re((M v)^H dM v) = 2 sum_P W dM, with
+    ``W = Re(conj((M v)[r]) v[c])``.  M and every dM are real
+    skew-symmetric, so the top singular value is a pair and this is the
+    same for every unit v in the pair's span; only where a third singular
+    value meets the pair is it a subgradient, which is all descent needs.
+    The penalty's subgradient runs along the sign pattern of the row that
     attains each derivative's infinity norm.
+
+    ``np.bincount`` overflows to ``inf`` without a floating-point error, so
+    non-finite commutator data raises :class:`FloatingPointError` here,
+    before any norm of it is taken.
     """
-    m_in, k_out = transform.shape
-    cols = [ws.q.values @ transform[:, k] for k in range(k_out)]
-    grads = [_derivative_csr(ws.graph, col) for col in cols]
+    k_out = transform.shape[1]
+    g = transform.T @ ws.raw
+    d = transform.T @ ws.delta
+    g1, g2 = g[:, ws.e1], g[:, ws.e2]
+    squares = [np.bincount(ws.path_entry, g1[j] * g2[j], minlength=d.shape[1])
+               for j in range(k_out)]
     grad = np.zeros_like(transform)
 
     cross = 0.0
-    for i, j, comm in cross_commutators(grads, cols):
+    for i, j in permutations(range(k_out), 2):
+        data = squares[j] * d[i]
+        if not np.all(np.isfinite(data)):
+            raise FloatingPointError(
+                f"commutator [G_{j}^2, X_{i}] has non-finite entries")
+        comm = SparseOperator(sparse.csr_matrix(
+            (data, ws.entry_col, ws.entry_ptr), shape=(ws.n, ws.n)))
         est = operator_norm(comm)
         cross += float(est) ** 2
         if est == 0.0:
             continue
         v = est.vector
-        av = comm.apply(v)
-        xi, gj = cols[i], grads[j]
-        gj_v = gj @ v
-        gj_xiv = gj @ (xi * v)
-        sq_v = gj @ gj_v
-        for a in range(m_in):
-            ga = ws.raw_grads[a]
-            qa = ws.q.column(a)
-            # d/dT[a,j]: [Ga Gj + Gj Ga, X_i]
-            dm_v = (
-                ga @ gj_xiv + gj @ (ga @ (xi * v))
-                - xi * (ga @ gj_v) - xi * (gj @ (ga @ v))
-            )
-            grad[a, j] += 2.0 * float(np.real(np.vdot(av, dm_v)))
-            # d/dT[a,i]: [Gj^2, X_{q_a}]
-            dm_v = gj @ (gj @ (qa * v)) - qa * sq_v
-            grad[a, i] += 2.0 * float(np.real(np.vdot(av, dm_v)))
+        w = np.real(np.conj(comm.apply(v)[ws.entry_row]) * v[ws.entry_col])
+        # d/dT[a,j]: dS_j sums R_a(e1) g_j(e2) + g_j(e1) R_a(e2)
+        wd = (w * d[i])[ws.path_entry]
+        slot_weights = (np.bincount(ws.e1, wd * g2[j], minlength=g.shape[1])
+                        + np.bincount(ws.e2, wd * g1[j], minlength=g.shape[1]))
+        grad[:, j] += 2.0 * (ws.raw @ slot_weights)
+        # d/dT[a,i]: dD_i is delta_a
+        grad[:, i] += 2.0 * (ws.delta @ (w * squares[j]))
 
     penalty = 0.0
-    for k, gk in enumerate(grads):
-        sums = _abs_row_sums(gk)
+    rows = np.flatnonzero(np.diff(ws.slot_ptr))
+    for k in range(k_out):
+        sums = np.zeros(ws.n)
+        sums[rows] = np.add.reduceat(np.abs(g[k]), ws.slot_ptr[rows])
         row = int(np.argmax(sums))
         inf = float(sums[row])
         penalty += (inf - 1.0) ** 2
-        coef = 2.0 * lam * (inf - 1.0)
-        signs = np.zeros(ws.n)
-        lo, hi = gk.indptr[row], gk.indptr[row + 1]
-        signs[gk.indices[lo:hi]] = np.sign(gk.data[lo:hi])
-        for a, ga in enumerate(ws.raw_grads):
-            lo, hi = ga.indptr[row], ga.indptr[row + 1]
-            grad[a, k] += coef * float(signs[ga.indices[lo:hi]] @ ga.data[lo:hi])
+        lo, hi = ws.slot_ptr[row], ws.slot_ptr[row + 1]
+        grad[:, k] += 2.0 * lam * (inf - 1.0) * (
+            ws.raw[:, lo:hi] @ np.sign(g[k, lo:hi]))
     return cross + lam * penalty, grad
 
 
@@ -188,13 +252,14 @@ def pmo_objective(
 def _guarded(step, where: str, last_good):
     """``step()``, with any overflow reported as :class:`DivergedError`.
 
-    A runaway step overflows first in the Adam moments or in the sparse
-    squares of the derivatives, whose entries would then reach the norm
-    solver infinite or NaN.  Every floating-point overflow or invalid
-    operation raises instead, so the fit stops at the first one, before any
-    norm of a non-finite operator is taken.  (A finite commutator whose
-    squared norm overflows makes ``operator_norm`` raise
-    :class:`NumericalError` itself.)
+    A runaway step overflows first in the Adam moments or in the products
+    along two-step paths, whose sums would then reach the norm solver
+    infinite or NaN.  Every floating-point overflow or invalid operation
+    raises instead, and ``_evaluate`` raises on a sum that overflowed
+    silently, so the fit stops at the first one, before any norm of a
+    non-finite operator is taken.  (A finite commutator whose squared norm
+    overflows makes ``operator_norm`` raise :class:`NumericalError`
+    itself.)
     """
     try:
         with np.errstate(over="raise", invalid="raise"):

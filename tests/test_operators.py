@@ -384,6 +384,75 @@ class TestNorms:
             operator_norm(op)
 
 
+def _block_diagonal_cases():
+    """Block-diagonal operands: (matrix, block sizes, index of the top block)."""
+    rng = np.random.default_rng(9)
+    a = rng.normal(size=(4, 4))
+    b = 3.0 * rng.normal(size=(3, 3))
+    assert np.linalg.norm(b, 2) > 1.01 * np.linalg.norm(a, 2)
+    stored_zeros = sparse.block_diag([np.ones((3, 3)), a], format="csr")
+    stored_zeros.data[:9] = 0.0  # rows 0-2: a block of explicit zeros
+    # 1x1 blocks, two of them empty rows, around a 2x2 block of norm 3
+    singletons = sparse.block_diag(
+        [[[2.0]], [[0.0]], [[0.0, 1.0], [3.0, 0.0]], [[0.0]], [[-5.0]]], format="csr")
+    assert np.diff(singletons.indptr).tolist() == [1, 0, 1, 1, 0, 1]
+    c = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+    d = 4.0 * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    return {
+        "different": (sparse.block_diag([a, b], format="csr"), [4, 3], 1),
+        "equal": (sparse.block_diag([a, -a], format="csr"), [4, 4], 0),
+        "zero-block": (stored_zeros, [3, 4], 1),
+        "singletons": (singletons, [1, 1, 2, 1, 1], 4),
+        "complex": (sparse.block_diag([c, d], format="csr"), [5, 2], 1),
+    }
+
+
+class TestBlockDiagonalNorm:
+    """The dense solve takes a block-diagonal operand one block at a time."""
+
+    @staticmethod
+    def _counting_eigh(monkeypatch):
+        import scipy.linalg
+
+        calls = []
+        original = scipy.linalg.eigh
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh", counted)
+        return calls
+
+    @pytest.mark.parametrize("name", sorted(_block_diagonal_cases()))
+    def test_top_block_gives_the_norm_and_vector(self, name, monkeypatch):
+        mat, sizes, top = _block_diagonal_cases()[name]
+        bounds = np.cumsum([0, *sizes])
+        calls = self._counting_eigh(monkeypatch)
+        est = operator_norm(SparseOperator(mat))
+        monkeypatch.undo()
+        assert calls == [(k, k) for k in sizes if k > 1]
+        dense = mat.toarray()
+        sigma, v = float(est), est.vector
+        assert sigma == pytest.approx(np.linalg.svd(dense, compute_uv=False)[0],
+                                      rel=1e-13)
+        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-13)
+        assert np.linalg.norm(dense @ v) == pytest.approx(sigma, rel=1e-13)
+        lo, hi = bounds[top], bounds[top + 1]
+        assert not v[:lo].any() and not v[hi:].any()
+
+    def test_permuted_blocks_take_one_solve(self, monkeypatch):
+        mat, _, _ = _block_diagonal_cases()["different"]
+        perm = np.random.default_rng(3).permutation(mat.shape[0])
+        mixed = mat[perm][:, perm]
+        assert operators._block_bounds(mixed).tolist() == [0, mat.shape[0]]
+        calls = self._counting_eigh(monkeypatch)
+        est = operator_norm(SparseOperator(mixed))
+        assert calls == [mat.shape]
+        assert float(est) == pytest.approx(
+            np.linalg.svd(mat.toarray(), compute_uv=False)[0], rel=1e-13)
+
+
 def _row_sum_cases():
     rng = np.random.default_rng(5)
     mat = sparse.random(40, 30, density=0.15, format="csr", random_state=rng)

@@ -8,10 +8,13 @@ import pytest
 from schro_gsp import pmo as pmo_module
 from schro_gsp.errors import ContractError, DivergedError, NumericalError
 from schro_gsp.experiments import grid_graph
-from schro_gsp.graph_core import FeatureLocations, Graph
+from schro_gsp.graph_core import FeatureLocations, Graph, ring_graph
 from schro_gsp.observe import commuting_deficiency
-from schro_gsp.pmo import PMOConfig, pmo_fit, pmo_objective
+from schro_gsp.operators import feature_derivative
+from schro_gsp.pmo import PMOConfig, _evaluate, _Workspace, pmo_fit, pmo_objective
 from schro_gsp.verify import random_connected_graph, random_features
+
+from conftest import log_weight_instance
 
 
 class TestConfig:
@@ -57,8 +60,6 @@ class TestObjective:
         lam = 1.0
         val = pmo_objective(graph, q, t, lam)
 
-        from schro_gsp.operators import feature_derivative
-
         feats = FeatureLocations(q.values @ t)
         dense = [
             feature_derivative(graph, feats, k).tosparse().toarray()
@@ -91,6 +92,118 @@ class TestObjective:
         a = pmo_objective(graph, q, t, 1.0)
         b = pmo_objective(graph, q, t[:, ::-1], 1.0)
         assert a == pytest.approx(b, rel=1e-9)
+
+
+def _oracle_case(family: str, m_in: int):
+    """A graph and ``m_in`` raw columns from one of the oracle's families."""
+    rng = np.random.default_rng(40 + m_in)
+    if family == "grid":
+        graph, q = grid_graph(12)
+    elif family == "ring":
+        graph, _ = ring_graph(10)
+        q = random_features(rng, graph.n_nodes, m_in)
+    elif family == "tree":
+        n = 15
+        graph = Graph.from_edges(n, [(int(rng.integers(0, v)), v, rng.uniform(0.1, 2.0))
+                                     for v in range(1, n)])
+        q = random_features(rng, n, m_in)
+    elif family == "random":
+        graph = random_connected_graph(np.random.default_rng(3), n_min=12, n_max=16)
+        pattern = (graph.adjacency != 0).toarray().astype(float)
+        assert np.trace(pattern @ pattern @ pattern) > 0  # a triangle
+        q = random_features(rng, graph.n_nodes, m_in)
+    else:  # disconnected, weights in [1e-8, 1e8]
+        graph, q, _ = log_weight_instance(11, 3)
+    extra = rng.uniform(-2.0, 2.0, size=(graph.n_nodes, 3))
+    values = np.column_stack([q.values, extra])[:, :m_in]
+    return graph, FeatureLocations(values)
+
+
+def _dense_objective(graph, q, transform, lam):
+    """The objective from dense matrices, with each commutator's singular values."""
+    feats = FeatureLocations(q.values @ transform)
+    k_out = transform.shape[1]
+    dense = [feature_derivative(graph, feats, k).tosparse().toarray()
+             for k in range(k_out)]
+    cross, svals = 0.0, []
+    for i in range(k_out):
+        x = feats.column(i)
+        for j in range(k_out):
+            if i != j:
+                sq = dense[j] @ dense[j]
+                s = np.linalg.svd(sq * x[None, :] - x[:, None] * sq, compute_uv=False)
+                cross += s[0] ** 2
+                svals.append(s)
+    penalty = sum((np.abs(d).sum(axis=1).max() - 1.0) ** 2 for d in dense)
+    return cross + lam * penalty, svals
+
+
+_FAMILIES = ["grid", "ring", "tree", "random", "log-weight"]
+_SHAPES = [(2, 1), (2, 2), (3, 2), (3, 3)]
+
+
+class TestEvaluateAgainstDenseOracle:
+    """``_evaluate`` on its fixed patterns against dense ``[G_j^2, X_i]``.
+
+    The grid, the even ring and the tree are bipartite, so each commutator
+    splits into two blocks; the random graph has a triangle and does not;
+    the log-weight instance is disconnected.
+    """
+
+    @pytest.mark.parametrize("m_in,k_out", _SHAPES)
+    @pytest.mark.parametrize("family", _FAMILIES)
+    def test_objective_matches_the_dense_svd(self, family, m_in, k_out, monkeypatch):
+        from schro_gsp import operators
+
+        blocks = []
+        real_norm = pmo_module.operator_norm
+
+        def recording(op):
+            blocks.append(len(operators._block_bounds(op.tosparse())) - 1)
+            return real_norm(op)
+
+        monkeypatch.setattr(pmo_module, "operator_norm", recording)
+        graph, q = _oracle_case(family, m_in)
+        ws = _Workspace(graph, q)
+        rng = np.random.default_rng(m_in * 10 + k_out)
+        for transform in (np.eye(m_in)[:, :k_out], rng.normal(size=(m_in, k_out))):
+            got = _evaluate(ws, transform, 0.7)[0]
+            want = _dense_objective(graph, q, transform, 0.7)[0]
+            assert got == pytest.approx(want, rel=1e-12)
+        assert len(blocks) == 2 * k_out * (k_out - 1)
+        if family == "random":
+            assert set(blocks) <= {1}
+        elif family == "log-weight":
+            assert min(blocks, default=3) >= 3
+        else:
+            assert set(blocks) <= {2}
+
+    @pytest.mark.parametrize("m_in,k_out", _SHAPES)
+    @pytest.mark.parametrize("family", _FAMILIES)
+    def test_gradient_matches_central_differences(self, family, m_in, k_out):
+        graph, q = _oracle_case(family, m_in)
+        ws = _Workspace(graph, q)
+        rng = np.random.default_rng(m_in * 10 + k_out)
+        # A transform where every commutator's top pair stands apart from
+        # its third singular value, so sigma^2 is differentiable there.
+        for _ in range(10):
+            transform = rng.normal(size=(m_in, k_out))
+            svals = _dense_objective(graph, q, transform, 0.7)[1]
+            if all(s[2] < (1.0 - 1e-5) * s[0] for s in svals):
+                break
+        else:
+            pytest.fail("no transform with isolated top pairs")
+        grad = _evaluate(ws, transform, 0.7)[1]
+        fd = np.zeros_like(transform)
+        step = 1e-6
+        for idx in np.ndindex(*transform.shape):
+            probe = transform.copy()
+            probe[idx] += step
+            up = _dense_objective(graph, q, probe, 0.7)[0]
+            probe[idx] -= 2.0 * step
+            down = _dense_objective(graph, q, probe, 0.7)[0]
+            fd[idx] = (up - down) / (2.0 * step)
+        assert np.linalg.norm(grad - fd) <= 1e-7 * np.linalg.norm(fd)
 
 
 class TestFit:
@@ -132,8 +245,6 @@ class TestFit:
         assert pmo_objective(graph, q, result.transform, cfg.lam) <= init + 1e-12
 
     def test_spectral_gradient_matches_finite_differences(self):
-        from schro_gsp.pmo import _evaluate, _Workspace
-
         rng = np.random.default_rng(23)
         graph = random_connected_graph(rng, n_min=6, n_max=10)
         q = random_features(rng, graph.n_nodes, 2)
@@ -170,15 +281,17 @@ class TestFit:
         assert exc.value.last_good is not None
         assert np.allclose(exc.value.last_good, [[1.0]])
 
-    # Each rate overflows at a different stage: the Adam moments, the sparse
-    # squares (inf times a zero coordinate difference is NaN), a squared
-    # norm, or, at 1e100, the Gram matrix of a finite commutator, which the
-    # norm solver rejects itself.
+    # Each rate overflows at a different stage: the Adam moments (1e50),
+    # the Adam step (1e308), the products along two-step paths (1e155,
+    # 1e200), or, at 1e100, the Gram matrix of a finite commutator, which
+    # the norm solver rejects itself.
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("out_features,rate,error", [
         (2, 1e50, DivergedError), (2, 1e100, NumericalError),
         (2, 1e155, DivergedError), (2, 1e200, DivergedError),
-        (2, 1e308, DivergedError), (1, 1e200, DivergedError)])
+        (2, 1e308, DivergedError), (1, 1e200, DivergedError),
+        (3, 1e50, DivergedError), (3, 1e100, NumericalError),
+        (3, 1e200, DivergedError), (3, 1e308, DivergedError)])
     def test_runaway_step_with_cross_commutators_raises(
             self, monkeypatch, out_features, rate, error):
         # The two-output case crashed inside the norm solver with a bare
@@ -193,6 +306,8 @@ class TestFit:
 
         monkeypatch.setattr(pmo_module, "operator_norm", finite_only)
         graph, q = grid_graph(3)
+        if out_features == 3:
+            q = FeatureLocations(np.column_stack([q.values, q.values.prod(axis=1)]))
         cfg = PMOConfig(out_features=out_features, learning_rate=rate, max_iters=5)
         with pytest.raises(error) as exc:
             pmo_fit(graph, q, cfg)
@@ -201,8 +316,26 @@ class TestFit:
             assert np.all(np.isfinite(exc.value.last_good))
         else:
             assert "overflows" in str(exc.value)
-        if out_features == 2:
+        if out_features > 1:
             assert norms  # the starting transform took its norms
+
+    def test_silent_overflow_in_a_path_sum_raises_before_any_norm(self, monkeypatch):
+        # On a 4-cycle two paths join each opposite pair.  Their products
+        # are each 1e308, finite, and their sum overflows inside
+        # ``np.bincount``, which raises no floating-point error.
+        def no_norm(op):
+            raise AssertionError("a norm of a non-finite commutator was taken")
+
+        monkeypatch.setattr(pmo_module, "operator_norm", no_norm)
+        graph = Graph.from_edges(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 1.0)])
+        q = FeatureLocations(np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 2.0], [1.0, 1.0]]))
+        ws = _Workspace(graph, q)
+        transform = np.diag([1.0, 1e154])
+        with np.errstate(over="raise", invalid="raise"):
+            with pytest.raises(FloatingPointError, match="non-finite"):
+                _evaluate(ws, transform, 1.0)
+        with pytest.raises(DivergedError):
+            pmo_module._guarded(lambda: _evaluate(ws, transform, 1.0), "here", None)
 
     def test_result_serializes(self):
         rng = np.random.default_rng(24)
@@ -214,52 +347,82 @@ class TestFit:
         assert data["objective_trace"][0][0] == 0
 
 
+def _diagonal_blocks(op) -> list[int]:
+    """Sizes of the diagonal blocks of op's stored pattern, in its order."""
+    coo = op.tosparse().tocoo()
+    linked = np.zeros((op.dim, op.dim), dtype=bool)
+    linked[coo.row, coo.col] = True
+    linked |= linked.T
+    cuts = [k for k in range(1, op.dim) if not linked[:k, k:].any()]
+    return np.diff([0, *cuts, op.dim]).tolist()
+
+
 class TestWorkBudget:
     def test_one_norm_estimate_per_commutator_and_iterate(self, monkeypatch):
-        # Counts the solves of both norm solvers: Lanczos (``svds``) and the
-        # dense Gram eigensolve (``eigh``), which these small graphs take.
+        # Counts the norm calls, and within each the solves of both norm
+        # solvers: Lanczos (``svds``), which these small graphs never take,
+        # and the dense Gram eigensolve (``eigh``), once per diagonal block
+        # of more than one node.
         import scipy.linalg
         from scipy.sparse import linalg
 
-        callers = []
+        from schro_gsp import observe
+
+        solvers, norms = [], []
 
         def counting(original):
             def counted(*args, **kwargs):
                 # the solver's caller, and its caller for the dense helper
-                callers.append((sys._getframe(1).f_code.co_name,
+                solvers.append((sys._getframe(1).f_code.co_name,
                                 sys._getframe(2).f_code.co_name))
                 return original(*args, **kwargs)
             return counted
 
+        def counted_norm(original):
+            def norm(op):
+                before = len(solvers)
+                est = original(op)
+                norms.append((_diagonal_blocks(op), len(solvers) - before))
+                return est
+            return norm
+
         monkeypatch.setattr(linalg, "svds", counting(linalg.svds))
         monkeypatch.setattr(scipy.linalg, "eigh", counting(scipy.linalg.eigh))
+        for module in (pmo_module, observe):
+            monkeypatch.setattr(module, "operator_norm",
+                                counted_norm(module.operator_norm))
 
         rng = np.random.default_rng(21)
         graph = random_connected_graph(rng, n_min=8, n_max=12)
         q = random_features(rng, graph.n_nodes, 2)
         calls = {}
         for iters in (3, 6):
-            callers.clear()
+            solvers.clear()
+            norms.clear()
             result = pmo_fit(
                 graph, q, PMOConfig(out_features=2, max_iters=iters, seed=1))
-            assert all("operator_norm" in names for names in callers)
-            calls[iters] = len(callers)
+            assert all(names == ("_dense_norm", "operator_norm") for names in solvers)
+            for blocks, solves in norms:
+                assert solves == sum(size > 1 for size in blocks)
+            calls[iters] = len(norms)
+        fit_blocks = [blocks for blocks, _ in norms[:-2]]
         monkeypatch.undo()
+        # the graph is bipartite: each fit commutator is two blocks, one
+        # per colour class
+        assert all(len(blocks) == 2 for blocks in fit_blocks)
         # the identity-start run improved by more than 1%: no restart
         values = [v for _, v in result.objective_trace]
         assert values[0] == pmo_objective(graph, q, np.eye(2), 1.0)
         assert values[-1] < 0.99 * values[0]
-        # one solve for each of the two ordered pairs per iterate
+        # one norm for each of the two ordered pairs per iterate
         assert calls[6] - calls[3] == 2 * 3
         # the start, each iterate, and the final deficiency
         assert calls[3] == 2 * (1 + 3) + 2
 
-    def test_one_sparse_product_per_output_feature(self, monkeypatch):
-        # The squares G_k G_k are the only sparse-sparse products of an
-        # iterate; each commutator rescales the entries of its square.
+    def test_no_sparse_product_per_iterate(self, monkeypatch):
+        # The workspace fixes every pattern once; an iterate is array
+        # arithmetic on it, with no sparse-sparse product.
         from scipy.sparse import _compressed
-
-        from schro_gsp.pmo import _evaluate, _Workspace
 
         original = _compressed.csr_matmat
         calls = []
@@ -271,12 +434,13 @@ class TestWorkBudget:
         rng = np.random.default_rng(25)
         graph = random_connected_graph(rng, n_min=8, n_max=12)
         q = random_features(rng, graph.n_nodes, 3)
-        ws = _Workspace(graph, q)
         monkeypatch.setattr(_compressed, "csr_matmat", counted)
+        ws = _Workspace(graph, q)
+        assert len(calls) == 1  # the two-hop pattern, for the node order
         for k_out in (2, 3):
             calls.clear()
             _evaluate(ws, rng.normal(size=(3, k_out)), 1.0)
-            assert len(calls) == k_out
+            assert calls == []
 
 
 class TestNormsAlongAFit:
