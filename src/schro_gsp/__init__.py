@@ -57,7 +57,6 @@ from .propagate import DensePropagator, evolve, unitarity_defect
 from .observe import (
     VARIANCE_FLOOR,
     RoutingReport,
-    commuting_deficiency,
     dynamics_rhs_multi,
     dynamics_rhs_single,
     epsilon_regularity,
@@ -77,7 +76,7 @@ from .filters import (
     save_filter_params,
     schrodinger_filter,
 )
-from .pmo import PMOConfig, PMOResult, pmo_fit, pmo_objective
+from .pmo import PMOConfig, PMOResult, commuting_deficiency, pmo_fit, pmo_objective
 from .diagnose import (
     ShiftReport,
     WindowSet,

@@ -18,7 +18,7 @@ from .graph_core import (
     PINNED_CLUSTER_SEED,
     cluster_graph,
 )
-from .observe import commuting_deficiency, mean, routing_measure, variance
+from .observe import mean, routing_measure, variance
 from .operators import (
     feature_derivative,
     infinity_norm,
@@ -26,7 +26,7 @@ from .operators import (
     modulation,
     schrodinger_laplacian,
 )
-from .pmo import PMOConfig, PMOResult, pmo_fit, pmo_objective
+from .pmo import PMOConfig, PMOResult, commuting_deficiency, pmo_fit, pmo_objective
 from .propagate import DensePropagator
 
 __all__ = [

@@ -10,6 +10,9 @@ The *_rhs functions return closed-form time derivatives of localization
 statistics under unitary propagation, evaluated without any propagation:
 they are what finite differences of the evolved statistics are checked
 against.
+
+The commuting deficiency of a feature set is a norm of cross commutators
+and lives in ``pmo``, beside the objective that sums the same norms.
 """
 
 from __future__ import annotations
@@ -27,10 +30,8 @@ from .graph_core import FeatureLocations, Graph, Signal
 from .operators import (
     LinearNodeOperator,
     SecondOrderGenerator,
-    cross_commutators,
     feature_derivative,
     location_observable,
-    operator_norm,
     schrodinger_laplacian,
     smoothing_operator,
 )
@@ -243,17 +244,6 @@ def epsilon_regularity(graph: Graph, f: np.ndarray, g) -> float:
     floc = FeatureLocations.single(np.asarray(f, dtype=np.float64))
     smooth = smoothing_operator(graph, floc, 0)
     return float(np.linalg.norm(smooth.apply(vec) - vec))
-
-
-def commuting_deficiency(graph: Graph, f: FeatureLocations) -> float:
-    """Largest pairwise obstruction to treating the feature set as jointly
-    diagonal: max over ordered pairs (i, j), i != j, of the spectral norm of
-    ``[grad_j^2, X_i]``.  Zero when there is a single feature."""
-    grads = [feature_derivative(graph, f, k).tosparse()
-             for k in range(f.n_features)]
-    cols = [f.column(k) for k in range(f.n_features)]
-    return max((float(operator_norm(comm))
-                for _, _, comm in cross_commutators(grads, cols)), default=0.0)
 
 
 def mixed_derivative_rhs(

@@ -289,25 +289,6 @@ def commutator(a: LinearNodeOperator, b: LinearNodeOperator) -> SparseOperator:
     return SparseOperator((am @ bm - bm @ am).tocsr())
 
 
-def cross_commutators(grads, cols):
-    """Yield ``(i, j, [G_j^2, X_i])`` over ordered pairs ``i != j``.
-
-    ``grads`` holds the derivative matrices ``G_k`` and ``cols`` the feature
-    columns ``x_k`` they were built from; ``X_i = diag(x_i)``.  Entry
-    ``(n, m)`` of ``[S, X_i]`` is ``S(n, m) (x_i(m) - x_i(n))``, so each
-    commutator rescales the entries of ``S = G_j^2``: no sparse products.
-    """
-    squares = [(g @ g).tocsr() for g in grads]
-    for i, col in enumerate(cols):
-        for j, sq in enumerate(squares):
-            if i != j:
-                comm = sq.copy()
-                rows = np.repeat(np.arange(sq.shape[0]), np.diff(sq.indptr))
-                comm.data *= col[sq.indices] - col[rows]
-                comm.eliminate_zeros()
-                yield i, j, SparseOperator(comm)
-
-
 # ---------------------------------------------------------------------------
 # Norms.
 # ---------------------------------------------------------------------------

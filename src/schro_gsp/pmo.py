@@ -18,6 +18,11 @@ grid sizes, one per diagonal block, Lanczos on larger graphs); the
 gradient uses the top singular pair (u, v) of that solve, with
 d(sigma) = Re(u^H dM v), so it is exact and differentiates the same value
 the objective sums.
+
+``commuting_deficiency``, the largest of those norms, runs the same pass:
+at the identity transform for a given feature set, and at the fitted
+transform for ``PMOResult.final_deficiency``.  ``_evaluate`` is the only
+code that forms cross-commutator data.
 """
 
 from __future__ import annotations
@@ -29,9 +34,8 @@ from itertools import permutations
 import numpy as np
 from scipy import sparse
 
-from .errors import ContractError, DivergedError, check_config_fields
+from .errors import ContractError, DivergedError, NumericalError, check_config_fields
 from .graph_core import FeatureLocations, Graph
-from .observe import commuting_deficiency
 from .operators import SparseOperator, operator_norm
 from .optim import Adam
 
@@ -119,7 +123,9 @@ class _Workspace:
         # Imported here: loading scipy.sparse.csgraph slows every CLI start.
         from scipy.sparse.csgraph import connected_components
 
-        self.q = q
+        if q.n_nodes != graph.n_nodes:
+            raise ContractError(
+                f"{q.n_nodes} feature rows for a {graph.n_nodes}-node graph")
         n = self.n = graph.n_nodes
         u = np.concatenate([graph.edge_u, graph.edge_v])
         v = np.concatenate([graph.edge_v, graph.edge_u])
@@ -158,14 +164,11 @@ class _Workspace:
         self.delta = np.ascontiguousarray(
             (values[self.entry_col] - values[self.entry_row]).T)
 
-    def features(self, transform: np.ndarray) -> FeatureLocations:
-        return FeatureLocations(self.q.values @ transform)
-
 
 def _evaluate(
     ws: _Workspace, transform: np.ndarray, lam: float
-) -> tuple[float, np.ndarray]:
-    """Objective and its gradient at the given transform, in one pass.
+) -> tuple[float, np.ndarray, float]:
+    """Objective, its gradient and the largest cross norm, in one pass.
 
     Plain array arithmetic on the workspace's fixed patterns: ``g = T^T R``
     is each ``G_k`` on the edge slots, ``S_j`` sums ``g_j(e1) g_j(e2)`` over
@@ -195,7 +198,7 @@ def _evaluate(
                for j in range(k_out)]
     grad = np.zeros_like(transform)
 
-    cross = 0.0
+    cross = largest = 0.0
     for i, j in permutations(range(k_out), 2):
         data = squares[j] * d[i]
         if not np.all(np.isfinite(data)):
@@ -205,6 +208,7 @@ def _evaluate(
             (data, ws.entry_col, ws.entry_ptr), shape=(ws.n, ws.n)))
         est = operator_norm(comm)
         cross += float(est) ** 2
+        largest = max(largest, float(est))
         if est == 0.0:
             continue
         v = est.vector
@@ -228,7 +232,7 @@ def _evaluate(
         lo, hi = ws.slot_ptr[row], ws.slot_ptr[row + 1]
         grad[:, k] += 2.0 * lam * (inf - 1.0) * (
             ws.raw[:, lo:hi] @ np.sign(g[k, lo:hi]))
-    return cross + lam * penalty, grad
+    return cross + lam * penalty, grad, largest
 
 
 def pmo_objective(
@@ -247,6 +251,28 @@ def pmo_objective(
         raise ContractError(
             f"transform must be ({q.n_features}, K), got {transform.shape}")
     return _evaluate(_Workspace(graph, q), transform, lam)[0]
+
+
+def commuting_deficiency(graph: Graph, f: FeatureLocations) -> float:
+    """Largest pairwise obstruction to treating the feature set as jointly
+    diagonal: max over ordered pairs (i, j), i != j, of the spectral norm of
+    ``[grad_j^2, X_i]``.  Zero when there is a single feature.
+
+    The norms are the objective's, at the identity transform.  Features at
+    a scale where a commutator or a derivative norm overflows raise
+    :class:`NumericalError`.
+    """
+    return _largest_norm(_Workspace(graph, f), np.eye(f.n_features))
+
+
+def _largest_norm(ws: _Workspace, transform: np.ndarray) -> float:
+    """Largest cross norm at ``transform``, with any overflow reported as
+    :class:`NumericalError` rather than warned about."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return _evaluate(ws, transform, 0.0)[2]
+    except (FloatingPointError, OverflowError) as exc:
+        raise NumericalError(f"cross commutator overflows: {exc}") from exc
 
 
 def _guarded(step, where: str, last_good):
@@ -320,7 +346,7 @@ def pmo_fit(graph: Graph, q: FeatureLocations, cfg: PMOConfig) -> PMOResult:
     ws = _Workspace(graph, q)
 
     def evaluate(t):
-        return _evaluate(ws, t, cfg.lam)
+        return _evaluate(ws, t, cfg.lam)[:2]
 
     t0 = np.zeros((m_in, k_out))
     t0[:k_out, :k_out] = np.eye(k_out)
@@ -334,5 +360,4 @@ def pmo_fit(graph: Graph, q: FeatureLocations, cfg: PMOConfig) -> PMOResult:
         if alt_obj < best_obj:
             best_t, best_obj, trace = alt_t, alt_obj, alt_trace
 
-    deficiency = commuting_deficiency(graph, ws.features(best_t))
-    return PMOResult(best_t, tuple(trace), float(deficiency))
+    return PMOResult(best_t, tuple(trace), _largest_norm(ws, best_t))

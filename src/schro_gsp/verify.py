@@ -61,7 +61,6 @@ from .propagate import DensePropagator, evolve, evolve_array, unitarity_defect
 
 __all__ = [
     "SuiteResult",
-    "available_suites",
     "random_connected_graph",
     "random_features",
     "random_unit",
@@ -147,10 +146,6 @@ def _suite(name: str):
         return fn
 
     return deco
-
-
-def available_suites() -> tuple[str, ...]:
-    return tuple(_REGISTRY)
 
 
 def select_suites(pattern: str | None = None) -> list[str]:

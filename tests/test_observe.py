@@ -6,7 +6,6 @@ import pytest
 from schro_gsp.errors import ContractError, DegenerateSignalError
 from schro_gsp.graph_core import FeatureLocations, Graph
 from schro_gsp.observe import (
-    commuting_deficiency,
     dynamics_rhs_multi,
     dynamics_rhs_single,
     epsilon_regularity,
@@ -218,17 +217,6 @@ class TestRegularity:
             eps = epsilon_regularity(graph, col, vec)
             bound = 2.0 * eps * float(operator_norm(feature_derivative(graph, f, 0)))
             assert lhs <= bound + 1e-9
-
-
-class TestCommutingDeficiency:
-    def test_single_feature_has_no_pairs(self):
-        graph, f, _ = make_instance(127)
-        assert commuting_deficiency(graph, f) == 0.0
-
-    def test_constant_features_commute(self):
-        graph, _, _ = make_instance(131)
-        const = FeatureLocations(np.ones((graph.n_nodes, 3)))
-        assert commuting_deficiency(graph, const) == 0.0
 
 
 class TestMixedDerivative:

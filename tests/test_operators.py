@@ -15,7 +15,6 @@ from schro_gsp.operators import (
     DiagonalOperator,
     SparseOperator,
     commutator,
-    cross_commutators,
     feature_derivative,
     infinity_norm,
     location_observable,
@@ -200,29 +199,6 @@ class TestSmoothingAndCommutators:
     def test_momentum_observable_is_self_adjoint(self):
         graph, f, _ = make_instance(3)
         assert momentum_observable(graph, f, 0).is_self_adjoint()
-
-
-class TestCrossCommutators:
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 2 ** 31), st.integers(1, 3), st.booleans())
-    def test_matches_the_product_form(self, seed, n_parts, constant):
-        # Edge weights in [1e-8, 1e8]; more than one part is a disconnected
-        # graph.  A constant column commutes with everything.
-        graph, f, _ = log_weight_instance(seed, n_parts)
-        if constant:
-            f = FeatureLocations(np.column_stack([
-                np.full(graph.n_nodes, f.column(0)[0]), f.column(1)]))
-        grads = [feature_derivative(graph, f, k).tosparse() for k in range(2)]
-        pairs = list(cross_commutators(grads, [f.column(0), f.column(1)]))
-        assert [(i, j) for i, j, _ in pairs] == [(0, 1), (1, 0)]
-        for i, j, comm in pairs:
-            square = SparseOperator(grads[j] @ grads[j])
-            ref = commutator(square, location_observable(f, i)).tosparse().toarray()
-            got = comm.tosparse().toarray()
-            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
-            if constant:
-                assert comm.tosparse().nnz == 0
-                assert float(operator_norm(comm)) == 0.0
 
 
 class TestSelfAdjointness:
@@ -489,13 +465,13 @@ def _solver_cases():
     """Operators for both norm solvers, with whether their top value is a pair."""
     graph, q = grid_graph(12)
     cols = [q.values @ t for t in ([0.9, 0.2], [-0.3, 0.7])]
-    grads = [feature_derivative(graph, FeatureLocations.single(c), 0).tosparse()
-             for c in cols]
-    _, _, grid = next(cross_commutators(grads, cols))
+    f = FeatureLocations(np.column_stack(cols))
+    g = feature_derivative(graph, f, 1).tosparse()
+    grid = commutator(SparseOperator(g @ g), location_observable(f, 0))
     graph, f, _ = make_instance(6, n_features=2)
     momentum = commutator(momentum_observable(graph, f, 0), location_observable(f, 1))
-    grads = [feature_derivative(graph, f, k).tosparse() for k in range(2)]
-    _, _, skew = next(cross_commutators(grads, [f.column(0), f.column(1)]))
+    g = feature_derivative(graph, f, 1).tosparse()
+    skew = commutator(SparseOperator(g @ g), location_observable(f, 0))
     ring = Graph.from_edges(8, [(k, (k + 1) % 8, 1.0) for k in range(8)])
     lap = SparseOperator(2.0 * sparse.eye(8) - ring.adjacency)
     return {"grid-144": (grid, True), "momentum": (momentum, False),

@@ -4,17 +4,25 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schro_gsp import pmo as pmo_module
 from schro_gsp.errors import ContractError, DivergedError, NumericalError
 from schro_gsp.experiments import grid_graph
 from schro_gsp.graph_core import FeatureLocations, Graph, ring_graph
-from schro_gsp.observe import commuting_deficiency
 from schro_gsp.operators import feature_derivative
-from schro_gsp.pmo import PMOConfig, _evaluate, _Workspace, pmo_fit, pmo_objective
+from schro_gsp.pmo import (
+    PMOConfig,
+    _evaluate,
+    _Workspace,
+    commuting_deficiency,
+    pmo_fit,
+    pmo_objective,
+)
 from schro_gsp.verify import random_connected_graph, random_features
 
-from conftest import log_weight_instance
+from conftest import log_weight_instance, make_instance
 
 
 class TestConfig:
@@ -167,9 +175,11 @@ class TestEvaluateAgainstDenseOracle:
         ws = _Workspace(graph, q)
         rng = np.random.default_rng(m_in * 10 + k_out)
         for transform in (np.eye(m_in)[:, :k_out], rng.normal(size=(m_in, k_out))):
-            got = _evaluate(ws, transform, 0.7)[0]
-            want = _dense_objective(graph, q, transform, 0.7)[0]
+            got, _, largest = _evaluate(ws, transform, 0.7)
+            want, svals = _dense_objective(graph, q, transform, 0.7)
             assert got == pytest.approx(want, rel=1e-12)
+            top = max((s[0] for s in svals), default=0.0)
+            assert largest == pytest.approx(top, rel=1e-12)
         assert len(blocks) == 2 * k_out * (k_out - 1)
         if family == "random":
             assert set(blocks) <= {1}
@@ -232,7 +242,7 @@ class TestFit:
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
         recomputed = commuting_deficiency(
             graph, FeatureLocations(q.values @ result.transform))
-        assert result.final_deficiency == pytest.approx(recomputed, rel=1e-6)
+        assert result.final_deficiency == pytest.approx(recomputed, rel=1e-12)
 
     def test_spectral_mode_descends(self):
         # the spectral-pair gradient is the only one; a second instance
@@ -347,6 +357,72 @@ class TestFit:
         assert data["objective_trace"][0][0] == 0
 
 
+class TestFeatureRows:
+    @pytest.mark.parametrize("extra", [1, -1])
+    def test_size_mismatch_rejected_before_any_work(self, extra, monkeypatch):
+        def no_norm(op):
+            raise AssertionError("a norm was taken for mismatched features")
+
+        monkeypatch.setattr(pmo_module, "operator_norm", no_norm)
+        graph, q = grid_graph(3)
+        rows = graph.n_nodes + extra
+        f = FeatureLocations(np.random.default_rng(7).uniform(-1.0, 1.0, size=(rows, 2)))
+        with pytest.raises(ContractError, match="feature rows"):
+            pmo_objective(graph, f, np.eye(2), 1.0)
+        with pytest.raises(ContractError, match="feature rows"):
+            pmo_fit(graph, f, PMOConfig(out_features=2, max_iters=5))
+        with pytest.raises(ContractError, match="feature rows"):
+            commuting_deficiency(graph, f)
+
+
+class TestCommutingDeficiency:
+    def test_single_feature_has_no_pairs(self):
+        graph, f, _ = make_instance(127)
+        assert commuting_deficiency(graph, f) == 0.0
+
+    def test_constant_features_commute(self):
+        graph, _, _ = make_instance(131)
+        const = FeatureLocations(np.ones((graph.n_nodes, 3)))
+        assert commuting_deficiency(graph, const) == 0.0
+
+    @pytest.mark.parametrize("n_nodes", [1, 3])
+    def test_edgeless_graph_has_no_derivative(self, n_nodes):
+        graph = Graph.from_edges(n_nodes, [])
+        f = FeatureLocations(np.arange(2.0 * n_nodes).reshape(n_nodes, 2))
+        assert commuting_deficiency(graph, f) == 0.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 31), st.integers(1, 3), st.booleans())
+    def test_matches_the_dense_product_form(self, seed, n_parts, constant):
+        # Edge weights in [1e-8, 1e8]; more than one part is a disconnected
+        # graph.  A constant column commutes with everything.
+        graph, f, _ = log_weight_instance(seed, n_parts)
+        if constant:
+            f = FeatureLocations(np.column_stack([
+                np.full(graph.n_nodes, f.column(0)[0]), f.column(1)]))
+        grads = [feature_derivative(graph, f, k).tosparse().toarray() for k in range(2)]
+        norms = []
+        for i, j in [(0, 1), (1, 0)]:
+            x, square = f.column(i), grads[j] @ grads[j]
+            comm = square * x[None, :] - x[:, None] * square
+            norms.append(np.linalg.svd(comm, compute_uv=False)[0])
+        got = commuting_deficiency(graph, f)
+        if constant:
+            assert got == 0.0
+        else:
+            assert got == pytest.approx(max(norms), rel=1e-12)
+
+    # At 1e100 the commutators are finite and their Gram matrices overflow
+    # in the norm solver; at 1e160 the products along two-step paths
+    # overflow first.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e100, 1e160])
+    def test_overflow_raises_numerical_error(self, scale):
+        graph, q = grid_graph(3)
+        with pytest.raises(NumericalError, match="overflow"):
+            commuting_deficiency(graph, FeatureLocations(scale * q.values))
+
+
 def _diagonal_blocks(op) -> list[int]:
     """Sizes of the diagonal blocks of op's stored pattern, in its order."""
     coo = op.tosparse().tocoo()
@@ -365,8 +441,6 @@ class TestWorkBudget:
         # of more than one node.
         import scipy.linalg
         from scipy.sparse import linalg
-
-        from schro_gsp import observe
 
         solvers, norms = [], []
 
@@ -388,9 +462,8 @@ class TestWorkBudget:
 
         monkeypatch.setattr(linalg, "svds", counting(linalg.svds))
         monkeypatch.setattr(scipy.linalg, "eigh", counting(scipy.linalg.eigh))
-        for module in (pmo_module, observe):
-            monkeypatch.setattr(module, "operator_norm",
-                                counted_norm(module.operator_norm))
+        monkeypatch.setattr(pmo_module, "operator_norm",
+                            counted_norm(pmo_module.operator_norm))
 
         rng = np.random.default_rng(21)
         graph = random_connected_graph(rng, n_min=8, n_max=12)
@@ -465,8 +538,9 @@ class TestNormsAlongAFit:
         monkeypatch.setattr(pmo, "operator_norm", checked)
         graph, q = grid_graph(12)
         pmo_fit(graph, q, PMOConfig(out_features=2, max_iters=150))
-        # the start, then two ordered pairs per iterate, with no early stop
-        assert len(errors) == 2 * 151
+        # the start, then two ordered pairs per iterate, with no early stop,
+        # and the two of the final deficiency
+        assert len(errors) == 2 * 151 + 2
         # the instance still crosses after the start
         assert min(gaps[2:]) < 1e-7
         assert max(errors) <= 1e-12
@@ -495,7 +569,8 @@ class TestGradientAcrossNormSolvers:
 
         monkeypatch.setattr(pmo, "operator_norm", rotated)
         results.append(pmo._evaluate(ws, transform, 1.0))
-        (obj, grad), *others = results
-        for other_obj, other_grad in others:
+        (obj, grad, largest), *others = results
+        for other_obj, other_grad, other_largest in others:
             assert other_obj == pytest.approx(obj, rel=1e-13)
+            assert other_largest == pytest.approx(largest, rel=1e-13)
             assert np.linalg.norm(other_grad - grad) <= 1e-10 * np.linalg.norm(grad)
