@@ -8,21 +8,23 @@ norm of those cross commutators over ordered pairs, plus a penalty keeping
 each derivative's infinity norm near one (otherwise T = 0 is a trivial
 minimizer).
 
-The optimizer is Adam on the entries of T.  Every derivative is linear in
+The optimizer is BFGS with a weak Wolfe line search (``optim.bfgs``) on
+the entries of T.  Every derivative is linear in
 T, so the objective is a polynomial in T on sparsity patterns fixed by the
 graph and q; ``_Workspace`` builds them once per fit as index arrays, and
 an iterate is plain array arithmetic on them, with no sparse product.
-Each iterate builds every cross commutator once and takes its spectral
+Each evaluation builds every cross commutator once and takes its spectral
 norm once, from one exact solve (``operator_norm``: a dense eigensolve at
 grid sizes, one per diagonal block, Lanczos on larger graphs); the
 gradient uses the top singular pair (u, v) of that solve, with
 d(sigma) = Re(u^H dM v), so it is exact and differentiates the same value
 the objective sums.
 
-``commuting_deficiency``, the largest of those norms, runs the same pass:
-at the identity transform for a given feature set, and at the fitted
-transform for ``PMOResult.final_deficiency``.  ``_evaluate`` is the only
-code that forms cross-commutator data.
+``_evaluate`` also returns the largest of those norms, the commuting
+deficiency: the fit keeps it from its first evaluation and from the one
+that gave its best transform, and ``commuting_deficiency`` runs the same
+pass at the identity transform.  ``_evaluate`` is the only code that forms
+cross-commutator data.
 """
 
 from __future__ import annotations
@@ -34,15 +36,10 @@ from itertools import permutations
 import numpy as np
 from scipy import sparse
 
-from .errors import ContractError, DivergedError, NumericalError, check_config_fields
+from .errors import ContractError, NumericalError, check_config_fields
 from .graph_core import FeatureLocations, Graph
 from .operators import SparseOperator, operator_norm
-from .optim import Adam
-
-# Stop when the best objective improves by less than this relative amount
-# over a window of iterations.
-_STALL_WINDOW = 20
-_STALL_RTOL = 1e-8
+from .optim import bfgs
 
 
 @dataclass(frozen=True)
@@ -51,9 +48,7 @@ class PMOConfig:
 
     out_features: int
     lam: float = 1.0
-    # Larger steps reach a collapsed local basin (both outputs on one
-    # direction); 0.02 tracks the descent into the separating minimum.
-    learning_rate: float = 0.02
+    # Caps the quasi-Newton iterations of each run.
     max_iters: int = 2000
     seed: int = 0
 
@@ -63,8 +58,6 @@ class PMOConfig:
             raise ContractError("out_features must be at least 1")
         if self.lam < 0:
             raise ContractError("penalty weight must be nonnegative")
-        if self.learning_rate <= 0:
-            raise ContractError("learning_rate must be positive")
         if self.max_iters < 1:
             raise ContractError("max_iters must be at least 1")
 
@@ -73,13 +66,22 @@ class PMOConfig:
 class PMOResult:
     """Fitted transform with its improvement trace.
 
-    ``objective_trace`` records (iteration, objective) whenever the running
-    best improved, so the recorded values are non-increasing.
+    ``objective_trace`` records (iteration, objective) of the returned run
+    whenever its running best improved, with iteration 0 for its start, so
+    the recorded values are non-increasing.  The deficiencies are the
+    largest cross norms at the fitted transform and at the identity-padded
+    start, whose objective is ``initial_objective``.  ``evaluations``
+    counts the objective evaluations of every run, the restart included;
+    ``stop_reason`` is why the returned run stopped (see ``optim.bfgs``).
     """
 
     transform: np.ndarray
     objective_trace: tuple[tuple[int, float], ...]
     final_deficiency: float
+    initial_objective: float
+    initial_deficiency: float
+    evaluations: int
+    stop_reason: str
 
     def __post_init__(self):
         t = np.asarray(self.transform, dtype=np.float64)
@@ -94,6 +96,10 @@ class PMOResult:
             "transform": [[float(x) for x in row] for row in self.transform],
             "objective_trace": [[i, v] for i, v in self.objective_trace],
             "final_deficiency": self.final_deficiency,
+            "initial_objective": self.initial_objective,
+            "initial_deficiency": self.initial_deficiency,
+            "evaluations": self.evaluations,
+            "stop_reason": self.stop_reason,
         }
 
 
@@ -262,71 +268,12 @@ def commuting_deficiency(graph: Graph, f: FeatureLocations) -> float:
     a scale where a commutator or a derivative norm overflows raise
     :class:`NumericalError`.
     """
-    return _largest_norm(_Workspace(graph, f), np.eye(f.n_features))
-
-
-def _largest_norm(ws: _Workspace, transform: np.ndarray) -> float:
-    """Largest cross norm at ``transform``, with any overflow reported as
-    :class:`NumericalError` rather than warned about."""
+    ws = _Workspace(graph, f)
     try:
         with np.errstate(over="raise", invalid="raise"):
-            return _evaluate(ws, transform, 0.0)[2]
+            return _evaluate(ws, np.eye(f.n_features), 0.0)[2]
     except (FloatingPointError, OverflowError) as exc:
         raise NumericalError(f"cross commutator overflows: {exc}") from exc
-
-
-def _guarded(step, where: str, last_good):
-    """``step()``, with any overflow reported as :class:`DivergedError`.
-
-    A runaway step overflows first in the Adam moments or in the products
-    along two-step paths, whose sums would then reach the norm solver
-    infinite or NaN.  Every floating-point overflow or invalid operation
-    raises instead, and ``_evaluate`` raises on a sum that overflowed
-    silently, so the fit stops at the first one, before any norm of a
-    non-finite operator is taken.  (A finite commutator whose squared norm
-    overflows makes ``operator_norm`` raise :class:`NumericalError`
-    itself.)
-    """
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            return step()
-    except (FloatingPointError, OverflowError) as exc:
-        raise DivergedError(f"overflow {where}: {exc}", last_good=last_good) from exc
-
-
-def _adam_run(evaluate, t0: np.ndarray, cfg: PMOConfig):
-    adam = Adam(cfg.learning_rate)
-
-    def advance(t, g):
-        t = adam.step(t, g)
-        return (t, *evaluate(t))
-
-    t = t0.copy()
-    obj, g = _guarded(lambda: evaluate(t), "at the starting transform", None)
-    if not np.isfinite(obj):
-        raise DivergedError("objective not finite at the starting transform",
-                            last_good=None)
-    best_t, best_obj = t.copy(), obj
-    trace = [(0, obj)]
-    best_history = [obj]
-    for it in range(1, cfg.max_iters + 1):
-        if not np.all(np.isfinite(g)):
-            raise DivergedError(
-                f"gradient not finite at iteration {it}", last_good=best_t)
-        t, obj, g = _guarded(lambda: advance(t, g), f"at iteration {it}", best_t)
-        if not np.isfinite(obj):
-            raise DivergedError(
-                f"objective not finite at iteration {it}", last_good=best_t)
-        if obj < best_obj:
-            best_obj = obj
-            best_t = t.copy()
-            trace.append((it, obj))
-        best_history.append(best_obj)
-        if it >= _STALL_WINDOW:
-            ref = best_history[-1 - _STALL_WINDOW]
-            if ref - best_obj < _STALL_RTOL * max(abs(ref), 1e-300):
-                break
-    return best_t, best_obj, trace
 
 
 def pmo_fit(graph: Graph, q: FeatureLocations, cfg: PMOConfig) -> PMOResult:
@@ -335,6 +282,14 @@ def pmo_fit(graph: Graph, q: FeatureLocations, cfg: PMOConfig) -> PMOResult:
     Falls back to one seeded random restart when the first run improves the
     starting objective by less than one percent, and returns whichever run
     ends lower.  The result never has a higher objective than the start.
+
+    An overflow in an evaluation, or in the loop's arithmetic on it, raises
+    :class:`DivergedError` carrying the best transform of that run so far
+    (``None`` at its start).  The products along two-step paths overflow
+    with a floating-point error, and ``_evaluate`` raises on a path sum that
+    overflowed silently, so no norm of a non-finite operator is taken; a
+    finite commutator whose squared norm overflows makes ``operator_norm``
+    raise :class:`NumericalError` itself.
     """
     m_in = q.n_features
     k_out = cfg.out_features
@@ -346,18 +301,21 @@ def pmo_fit(graph: Graph, q: FeatureLocations, cfg: PMOConfig) -> PMOResult:
     ws = _Workspace(graph, q)
 
     def evaluate(t):
-        return _evaluate(ws, t, cfg.lam)[:2]
+        return _evaluate(ws, t, cfg.lam)
 
     t0 = np.zeros((m_in, k_out))
     t0[:k_out, :k_out] = np.eye(k_out)
-    best_t, best_obj, trace = _adam_run(evaluate, t0, cfg)
-    init_obj = trace[0][1]
+    first = run = bfgs(evaluate, t0, cfg.max_iters)
+    evaluations = run.evaluations
+    init_obj = run.trace[0][1]
 
-    if init_obj > 0 and (init_obj - best_obj) < 0.01 * abs(init_obj):
+    if init_obj > 0 and (init_obj - run.value) < 0.01 * abs(init_obj):
         rng = np.random.default_rng(cfg.seed)
         t_rand = rng.normal(0.0, 1.0, size=(m_in, k_out))
-        alt_t, alt_obj, alt_trace = _adam_run(evaluate, t_rand, cfg)
-        if alt_obj < best_obj:
-            best_t, best_obj, trace = alt_t, alt_obj, alt_trace
+        alt = bfgs(evaluate, t_rand, cfg.max_iters)
+        evaluations += alt.evaluations
+        if alt.value < run.value:
+            run = alt
 
-    return PMOResult(best_t, tuple(trace), _largest_norm(ws, best_t))
+    return PMOResult(run.x, run.trace, run.info, init_obj, first.start_info,
+                     evaluations, run.stop_reason)

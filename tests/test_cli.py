@@ -105,7 +105,7 @@ class TestConfigErrors:
     # json.loads accepts NaN, and every range comparison with it is false
     @pytest.mark.parametrize("command,data", [
         ("ring", {"noise_std": float("nan")}),
-        ("pmo-grid", {"learning_rate": float("nan")}),
+        ("pmo-grid", {"lam": float("inf")}),
         ("pmo-grid", {"lam": float("nan")}),
         ("clusters", {"theta_min": float("-inf")}),
     ])
@@ -314,6 +314,12 @@ class TestPmoGridCommand:
         summary = _read_summary(out)
         assert summary["assertions"]["inputs_start_correlated"]["passed"] is True
         assert summary["config"]["grad_mode"] == "spectral-pair"
+        # the fit's stop is part of the deterministic record
+        assert summary["metrics"]["stop_reason"] == "max-iters"
+        assert summary["metrics"]["evaluations"] > 3
+        again = tmp_path / "again"
+        assert main(["pmo-grid", "--config", cfg, "--out", str(again)]) == rc
+        assert _read_summary(again)["metrics"] == summary["metrics"]
 
     def test_norm_failure_exits_three(self, tmp_path, capsys, monkeypatch):
         from scipy.sparse import linalg

@@ -17,7 +17,8 @@ from schro_gsp.experiments import (
 from schro_gsp.graph_core import cluster_graph
 from schro_gsp.observe import mean, variance
 from schro_gsp.operators import location_observable, schrodinger_laplacian
-from schro_gsp.pmo import PMOConfig, pmo_objective
+from schro_gsp.graph_core import FeatureLocations
+from schro_gsp.pmo import PMOConfig, commuting_deficiency, pmo_objective
 from schro_gsp.propagate import DensePropagator
 
 
@@ -127,14 +128,13 @@ class TestGridGraph:
         built = []
         monkeypatch.setattr(experiments, "grid_graph",
                             lambda side: built.append(side))
-        for bad in ({"max_iters": 0, "learning_rate": -1.0}, {"max_iters": 0},
-                    {"learning_rate": -1.0}, {"lam": -0.5}):
+        for bad in ({"max_iters": 0, "lam": -1.0}, {"max_iters": 0},
+                    {"max_iters": -1}, {"lam": -0.5}):
             with pytest.raises(ContractError):
                 run_grid_pmo(GridPMOConfig(**bad))
         assert built == []
-        cfg = GridPMOConfig(side=3, lam=0.5, learning_rate=0.01, max_iters=7, seed=4)
-        assert cfg.pmo == PMOConfig(out_features=2, lam=0.5, learning_rate=0.01,
-                                    max_iters=7, seed=4)
+        cfg = GridPMOConfig(side=3, lam=0.5, max_iters=7, seed=4)
+        assert cfg.pmo == PMOConfig(out_features=2, lam=0.5, max_iters=7, seed=4)
 
     def test_grid_pmo_config_takes_only_the_spectral_gradient(self):
         assert GridPMOConfig().grad_mode == "spectral-pair"
@@ -153,6 +153,39 @@ class TestGridPMO:
             graph, q, result.fit.transform, cfg.lam)
         assert summary["initial_objective"] == pmo_objective(
             graph, q, np.eye(2), cfg.lam)
+        # both deficiencies come from the fit's own evaluations
+        assert summary["initial_deficiency"] == commuting_deficiency(graph, q)
+        fitted = FeatureLocations(q.values @ result.fit.transform)
+        assert summary["final_deficiency"] == pytest.approx(
+            commuting_deficiency(graph, fitted), rel=1e-12)
+        assert summary["stop_reason"] == "max-iters"
+        assert summary["evaluations"] > 8
+
+    def test_default_fit_recovers_the_closed_form(self, monkeypatch):
+        # With q = (x, x + y) the objective is zero at f = (x/2, y/2), that
+        # is T = [[1/2, -1/2], [0, 1/2]] up to column order and sign.
+        from schro_gsp import pmo
+
+        calls = []
+        real_norm = pmo.operator_norm
+
+        def counted(op):
+            calls.append(op)
+            return real_norm(op)
+
+        monkeypatch.setattr(pmo, "operator_norm", counted)
+        result = run_grid_pmo()
+        summary = result.summary()
+        # two ordered pairs per evaluation, and no norm outside the fit
+        assert len(calls) == 2 * summary["evaluations"]
+        assert summary["stop_reason"] == "gradient"
+        assert summary["iterations"] < GridPMOConfig().max_iters
+        t = result.fit.transform
+        exact = np.array([[0.5, -0.5], [0.0, 0.5]])
+        err = min(np.abs(t[:, order] * signs - exact).max()
+                  for order in ([0, 1], [1, 0])
+                  for signs in ([1, 1], [1, -1], [-1, 1], [-1, -1]))
+        assert err <= 1e-6
 
 
 class TestCenteredCosine:

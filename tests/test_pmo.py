@@ -1,5 +1,8 @@
 """Feature-alignment objective and its optimizer."""
 
+import json
+import os
+import subprocess
 import sys
 
 import numpy as np
@@ -29,14 +32,14 @@ class TestConfig:
     @pytest.mark.parametrize("kwargs", [
         {"out_features": 0},
         {"out_features": 2, "lam": -0.5},
-        {"out_features": 2, "learning_rate": 0.0},
+        {"out_features": 2, "max_iters": float("nan")},
         {"out_features": 2, "max_iters": 0},
-        {"out_features": 2, "learning_rate": -0.02},
+        {"out_features": 2, "seed": 0.5},
         {"out_features": 2, "max_iters": -3},
         {"out_features": 2, "lam": float("nan")},
         {"out_features": 2, "lam": float("inf")},
-        {"out_features": 2, "learning_rate": float("nan")},
-        {"out_features": 2, "learning_rate": float("inf")},
+        {"out_features": 2, "max_iters": float("inf")},
+        {"out_features": 2, "seed": True},
         {"out_features": 2, "lam": float("-inf")},
         {"out_features": 2, "max_iters": 2.5},
         {"out_features": True},
@@ -282,28 +285,31 @@ class TestFit:
 
     @pytest.mark.filterwarnings("error")
     def test_runaway_step_raises_with_last_good(self, path3):
-        # first step lands at |T| ~ 1e308, where the derivatives overflow
+        # At feature scale 1e100 the start is finite, but the first step's
+        # own arithmetic on its 1e200 gradient overflows
         graph, f = path3
-        q = FeatureLocations.single(f.column(0))
-        cfg = PMOConfig(out_features=1, learning_rate=1e308, max_iters=5)
-        with pytest.raises(DivergedError) as exc:
+        q = FeatureLocations.single(1e100 * f.column(0))
+        cfg = PMOConfig(out_features=1, max_iters=5)
+        with pytest.raises(DivergedError, match="iteration 1") as exc:
             pmo_fit(graph, q, cfg)
         assert exc.value.last_good is not None
         assert np.allclose(exc.value.last_good, [[1.0]])
 
-    # Each rate overflows at a different stage: the Adam moments (1e50),
-    # the Adam step (1e308), the products along two-step paths (1e155,
-    # 1e200), or, at 1e100, the Gram matrix of a finite commutator, which
-    # the norm solver rejects itself.
+    # Each feature scale overflows at a different stage: the first step's
+    # arithmetic on a finite gradient (1e50; 1e100 with one output, which
+    # has no commutator), the Gram matrix of a finite commutator, which the
+    # norm solver rejects itself (1e100), or the products along two-step
+    # paths (1e155, 1e200).  The last two are reached only at the start, so
+    # no transform is good yet.
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("out_features,rate,error", [
+    @pytest.mark.parametrize("out_features,scale,error", [
         (2, 1e50, DivergedError), (2, 1e100, NumericalError),
         (2, 1e155, DivergedError), (2, 1e200, DivergedError),
-        (2, 1e308, DivergedError), (1, 1e200, DivergedError),
+        (1, 1e100, DivergedError), (1, 1e200, DivergedError),
         (3, 1e50, DivergedError), (3, 1e100, NumericalError),
-        (3, 1e200, DivergedError), (3, 1e308, DivergedError)])
+        (3, 1e200, DivergedError)])
     def test_runaway_step_with_cross_commutators_raises(
-            self, monkeypatch, out_features, rate, error):
+            self, monkeypatch, out_features, scale, error):
         # The two-output case crashed inside the norm solver with a bare
         # ValueError before the fit could see a non-finite objective.
         norms = []
@@ -318,16 +324,20 @@ class TestFit:
         graph, q = grid_graph(3)
         if out_features == 3:
             q = FeatureLocations(np.column_stack([q.values, q.values.prod(axis=1)]))
-        cfg = PMOConfig(out_features=out_features, learning_rate=rate, max_iters=5)
+        q = FeatureLocations(scale * q.values)
+        cfg = PMOConfig(out_features=out_features, max_iters=5)
         with pytest.raises(error) as exc:
             pmo_fit(graph, q, cfg)
+        at_start = scale > 1e150
         if error is DivergedError:
-            assert exc.value.last_good is not None
-            assert np.all(np.isfinite(exc.value.last_good))
+            assert (exc.value.last_good is None) == at_start
+            if not at_start:
+                assert np.all(np.isfinite(exc.value.last_good))
         else:
             assert "overflows" in str(exc.value)
         if out_features > 1:
-            assert norms  # the starting transform took its norms
+            # the start took its norms unless its commutators overflowed
+            assert bool(norms) != at_start
 
     def test_silent_overflow_in_a_path_sum_raises_before_any_norm(self, monkeypatch):
         # On a 4-cycle two paths join each opposite pair.  Their products
@@ -344,8 +354,45 @@ class TestFit:
         with np.errstate(over="raise", invalid="raise"):
             with pytest.raises(FloatingPointError, match="non-finite"):
                 _evaluate(ws, transform, 1.0)
-        with pytest.raises(DivergedError):
-            pmo_module._guarded(lambda: _evaluate(ws, transform, 1.0), "here", None)
+        scaled = FeatureLocations(q.values @ transform)
+        with pytest.raises(DivergedError, match="non-finite") as exc:
+            pmo_fit(graph, scaled, PMOConfig(out_features=2, max_iters=5))
+        assert exc.value.last_good is None
+
+    @pytest.mark.parametrize("scale", [1e-3, 1e-1, 10.0, 1e3])
+    def test_fit_reaches_the_grid_optimum_at_any_feature_scale(self, scale):
+        # The start is the identity whatever the scale, so its objective
+        # runs from about 2 to 1e18; the first step is cut to just under the
+        # start's length and the inverse Hessian is scaled after it.
+        graph, q = grid_graph(6)
+        q = FeatureLocations(scale * q.values)
+        result = pmo_fit(graph, q, PMOConfig(out_features=2, max_iters=1000))
+        assert result.stop_reason == "gradient"
+        assert result.objective_trace[-1][1] <= 1e-12
+
+    def test_first_step_stops_short_of_the_zero_transform(self, path3):
+        # One output of one column: the gradient is parallel to the start,
+        # and a step of the start's full length lands on T = 0, where every
+        # derivative and the penalty's subgradient vanish.
+        graph, f = path3
+        q = FeatureLocations.single(10.0 * f.column(0))
+        result = pmo_fit(graph, q, PMOConfig(out_features=1))
+        assert result.objective_trace[-1][1] <= 1e-12
+        assert result.transform[0, 0] == pytest.approx(0.05, rel=1e-9)
+
+    def test_fit_leaves_scipy_optimize_unloaded(self):
+        # importing it adds about 27 MB to every process that runs a fit
+        src = os.path.dirname(os.path.dirname(pmo_module.__file__))
+        code = (f"import sys; sys.path.insert(0, {src!r}); "
+                "import schro_gsp.cli; "
+                "from schro_gsp.experiments import GridPMOConfig, run_grid_pmo; "
+                "from schro_gsp.verify import run_suites; "
+                "run_grid_pmo(GridPMOConfig(side=4)); "
+                "assert all(s.passed for s in run_suites('pmo')); "
+                "print('scipy.optimize' in sys.modules)")
+        done = subprocess.run([sys.executable, "-I", "-c", code],
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "False"
 
     def test_result_serializes(self):
         rng = np.random.default_rng(24)
@@ -353,8 +400,11 @@ class TestFit:
         q = random_features(rng, graph.n_nodes, 2)
         result = pmo_fit(graph, q, PMOConfig(out_features=1, max_iters=5))
         data = result.as_dict()
-        assert set(data) == {"transform", "objective_trace", "final_deficiency"}
+        assert set(data) == {"transform", "objective_trace", "final_deficiency",
+                             "initial_objective", "initial_deficiency",
+                             "evaluations", "stop_reason"}
         assert data["objective_trace"][0][0] == 0
+        assert json.loads(json.dumps(data)) == data
 
 
 class TestFeatureRows:
@@ -468,7 +518,6 @@ class TestWorkBudget:
         rng = np.random.default_rng(21)
         graph = random_connected_graph(rng, n_min=8, n_max=12)
         q = random_features(rng, graph.n_nodes, 2)
-        calls = {}
         for iters in (3, 6):
             solvers.clear()
             norms.clear()
@@ -477,20 +526,19 @@ class TestWorkBudget:
             assert all(names == ("_dense_norm", "operator_norm") for names in solvers)
             for blocks, solves in norms:
                 assert solves == sum(size > 1 for size in blocks)
-            calls[iters] = len(norms)
-        fit_blocks = [blocks for blocks, _ in norms[:-2]]
+            # one norm for each of the two ordered pairs per evaluation: the
+            # deficiencies come from the first and the best evaluation
+            assert len(norms) == 2 * result.evaluations
+            assert result.evaluations > iters
         monkeypatch.undo()
         # the graph is bipartite: each fit commutator is two blocks, one
         # per colour class
-        assert all(len(blocks) == 2 for blocks in fit_blocks)
+        assert all(len(blocks) == 2 for blocks, _ in norms)
         # the identity-start run improved by more than 1%: no restart
         values = [v for _, v in result.objective_trace]
         assert values[0] == pmo_objective(graph, q, np.eye(2), 1.0)
         assert values[-1] < 0.99 * values[0]
-        # one norm for each of the two ordered pairs per iterate
-        assert calls[6] - calls[3] == 2 * 3
-        # the start, each iterate, and the final deficiency
-        assert calls[3] == 2 * (1 + 3) + 2
+        assert result.initial_objective == values[0]
 
     def test_no_sparse_product_per_iterate(self, monkeypatch):
         # The workspace fixes every pattern once; an iterate is array
@@ -517,13 +565,15 @@ class TestWorkBudget:
 
 
 class TestNormsAlongAFit:
+    # On the 12-side grid the top two singular pairs of a commutator cross
+    # along the fit: from its 13th evaluation on, sigma_1 and sigma_3 of a
+    # commutator agree to better than 1e-7 relative at norms near 1e-2,
+    # and to 1.7e-9 further on.  A solve started from the previous
+    # iterate's vector stays on the lower pair there and returns a norm
+    # short by up to 4.5e-7 without raising; every norm must be the dense
+    # SVD's, from the dense Gram eigensolve and from Lanczos alike.
     def test_every_norm_matches_the_dense_svd(self, monkeypatch):
-        # On the 12-side grid the top two singular pairs of a commutator
-        # cross at iterates 141-147 (sigma_1 and sigma_3 agree to 1e-9
-        # relative).  A solve started from the previous iterate's vector
-        # stays on the lower pair there and returns a norm short by up to
-        # 4.5e-7 without raising; every norm must be the dense SVD's.
-        from schro_gsp import pmo
+        from schro_gsp import operators, pmo
 
         original = pmo.operator_norm
         errors, gaps = [], []
@@ -537,13 +587,15 @@ class TestNormsAlongAFit:
 
         monkeypatch.setattr(pmo, "operator_norm", checked)
         graph, q = grid_graph(12)
-        pmo_fit(graph, q, PMOConfig(out_features=2, max_iters=150))
-        # the start, then two ordered pairs per iterate, with no early stop,
-        # and the two of the final deficiency
-        assert len(errors) == 2 * 151 + 2
-        # the instance still crosses after the start
-        assert min(gaps[2:]) < 1e-7
-        assert max(errors) <= 1e-12
+        for cap in (operators.DENSE_NORM_MAX_NODES, 0):  # dense, then Lanczos
+            monkeypatch.setattr(operators, "DENSE_NORM_MAX_NODES", cap)
+            errors.clear()
+            gaps.clear()
+            result = pmo_fit(graph, q, PMOConfig(out_features=2, max_iters=30))
+            assert len(errors) == 2 * result.evaluations
+            # the fit still crosses after its start
+            assert min(gaps[20:]) < 1e-7
+            assert max(errors) <= 1e-12
 
 
 class TestGradientAcrossNormSolvers:
