@@ -52,12 +52,14 @@ class DivergedError(NumericalError):
     """Optimization hit a non-finite objective.
 
     ``last_good`` holds the most recent iterate with a finite objective so
-    callers can inspect or resume from it.
+    callers can inspect or resume from it; ``trace`` holds the descent's
+    record up to the failure, when the loop keeps one.
     """
 
-    def __init__(self, message: str, last_good=None):
+    def __init__(self, message: str, last_good=None, trace=()):
         super().__init__(message)
         self.last_good = last_good
+        self.trace = trace
 
 
 class SizeError(SchroGspError, ValueError):

@@ -1,17 +1,15 @@
-"""The package's descent loops.
+"""The package's one descent loop.
 
-``bfgs`` fits the PMO transform: dense BFGS (Nocedal and Wright,
-Numerical Optimization, 2006, ch. 6) with the weak Wolfe bisection and
-doubling line search of Lewis and Overton, "Nonsmooth optimization via
-quasi-Newton methods" (Math. Programming 141, 2013), which also works on
-max-eigenvalue objectives that are not differentiable everywhere.  It is
-written here rather than taken from ``scipy.optimize``: importing that
+``bfgs`` fits both the PMO transform and the ring models: dense BFGS
+(Nocedal and Wright, Numerical Optimization, 2006, ch. 6) with the weak
+Wolfe bisection and doubling line search of Lewis and Overton, "Nonsmooth
+optimization via quasi-Newton methods" (Math. Programming 141, 2013),
+which also works on max-eigenvalue objectives that are not differentiable
+everywhere.  It is written here rather than taken from ``scipy.optimize``
+(whose L-BFGS-B would also serve the smooth ring fit): importing that
 after the command-line modules adds about 27 MB of resident memory and
-0.25 s, against a 107 MB peak for the ``verify`` battery that runs this
-fit.
-
-``Adam`` is the step rule of the ring fit (Kingma and Ba, 2015:
-bias-corrected first and second moments); that fit keeps its own loop.
+0.25 s, against a 107 MB peak for the ``verify`` battery that runs the
+PMO fit.
 """
 
 from __future__ import annotations
@@ -21,10 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergedError
-
-BETA1 = 0.9
-BETA2 = 0.999
-EPS = 1e-8
 
 # Weak Wolfe constants: sufficient decrease and curvature (Lewis-Overton).
 _ARMIJO = 1e-4
@@ -43,41 +37,22 @@ _GRADIENT_TOL = 1e-12
 _FIRST_STEP = 0.99
 
 
-class Adam:
-    """Moment state of one descent run at a fixed learning rate."""
-
-    def __init__(self, learning_rate: float):
-        self.learning_rate = learning_rate
-        self._steps = 0
-        self._m = 0.0
-        self._v = 0.0
-
-    def step(self, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        """Parameters after one descent step along ``grad``."""
-        self._steps += 1
-        self._m = BETA1 * self._m + (1 - BETA1) * grad
-        self._v = BETA2 * self._v + (1 - BETA2) * grad * grad
-        mhat = self._m / (1 - BETA1 ** self._steps)
-        vhat = self._v / (1 - BETA2 ** self._steps)
-        return params - self.learning_rate * mhat / (np.sqrt(vhat) + EPS)
-
-
 @dataclass(frozen=True)
 class Descent:
     """Outcome of one ``bfgs`` run.
 
     ``x``, ``value`` and ``info`` come from the evaluation with the lowest
-    value; ``trace`` records ``(iteration, value)`` whenever that running
-    best improved, with iteration 0 for the start, so its values are
-    non-increasing.  ``start_info`` is the third value of the first
-    evaluation.
+    value; ``trace`` records ``(iteration, value, info)`` of that running
+    best at the end of every iteration that improved it, with iteration 0
+    for the start, so its values are non-increasing.  ``start_info`` is
+    the third value of the first evaluation.
     """
 
     x: np.ndarray
     value: float
     info: object
     start_info: object
-    trace: tuple[tuple[int, float], ...]
+    trace: tuple[tuple[int, float, object], ...]
     evaluations: int
     stop_reason: str
 
@@ -100,15 +75,17 @@ def bfgs(evaluate, x0: np.ndarray, max_iters: int) -> Descent:
     runs with floating-point overflow and invalid operations raising, so
     the first of them, or a non-finite value or gradient, raises
     :class:`DivergedError` carrying the best iterate so far (``None`` at
-    the start).
+    the start) and the trace so far.
     """
     shape = x0.shape
     best: dict = {}
+    trace: list = []
     where = "at the start"
     evaluations = 0
 
-    def last_good():
-        return best["x"].reshape(shape) if best else None
+    def diverged(message):
+        return DivergedError(message, last_good=best["x"].reshape(shape) if best else None,
+                             trace=tuple(trace))
 
     def call(x):
         nonlocal evaluations
@@ -116,8 +93,7 @@ def bfgs(evaluate, x0: np.ndarray, max_iters: int) -> Descent:
         evaluations += 1
         grad = np.asarray(grad, dtype=np.float64).ravel()
         if not (np.isfinite(value) and np.all(np.isfinite(grad))):
-            raise DivergedError(f"objective or gradient not finite {where}",
-                                last_good=last_good())
+            raise diverged(f"objective or gradient not finite {where}")
         if not best or value < best["value"]:
             best.update(x=x.copy(), value=value, info=info)
         return value, grad, info
@@ -126,7 +102,7 @@ def bfgs(evaluate, x0: np.ndarray, max_iters: int) -> Descent:
         nonlocal where
         x = np.array(x0, dtype=np.float64).ravel()
         f, g, start_info = call(x)
-        trace = [(0, f)]
+        trace.append((0, f, start_info))
         h = None
         stop = "max-iters"
         for it in range(1, max_iters + 1):
@@ -156,7 +132,7 @@ def bfgs(evaluate, x0: np.ndarray, max_iters: int) -> Descent:
                     break
                 t = 2.0 * lo if hi == np.inf else 0.5 * (lo + hi)
             if best["value"] < trace[-1][1]:
-                trace.append((it, best["value"]))
+                trace.append((it, best["value"], best["info"]))
             if not found:
                 stop = "line-search"
                 break
@@ -176,4 +152,4 @@ def bfgs(evaluate, x0: np.ndarray, max_iters: int) -> Descent:
         with np.errstate(over="raise", invalid="raise"):
             return descend()
     except (FloatingPointError, OverflowError) as exc:
-        raise DivergedError(f"overflow {where}: {exc}", last_good=last_good()) from exc
+        raise diverged(f"overflow {where}: {exc}") from exc

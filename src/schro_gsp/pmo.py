@@ -317,5 +317,6 @@ def pmo_fit(graph: Graph, q: FeatureLocations, cfg: PMOConfig) -> PMOResult:
         if alt.value < run.value:
             run = alt
 
-    return PMOResult(run.x, run.trace, run.info, init_obj, first.start_info,
+    trace = tuple((it, value) for it, value, _ in run.trace)
+    return PMOResult(run.x, trace, run.info, init_obj, first.start_info,
                      evaluations, run.stop_reason)

@@ -13,12 +13,12 @@ fitted with the same budget and compared:
 - "diffusion": heat-kernel smoothing under the classical Laplacian with
   the same parameter budget.  Symmetric for the same reason.
 
-Fitting is full-batch Adam descent over the few dozen scalar parameters,
-with exact gradients taken in the eigenbases the propagation already uses
-(see ``_Pass``).  A deterministic sweep over (wavenumber, time) pairs
-provides the starting point; complex mix weights are initialized by
-alternating least squares with a phase update, since the modulus discards
-the output phase anyway.
+Fitting is full-batch BFGS descent (``optim.bfgs``, the loop the PMO fit
+also runs) over the few dozen scalar parameters, with exact gradients taken
+in the eigenbases the propagation already uses (see ``_Pass``).  A
+deterministic sweep over (wavenumber, time) pairs provides the starting
+point; complex mix weights are initialized by alternating least squares
+with a phase update, since the modulus discards the output phase anyway.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .operators import (
     infinity_norm,
     schrodinger_laplacian,
 )
-from .optim import Adam
+from .optim import Descent, bfgs
 from .propagate import DensePropagator
 
 __all__ = [
@@ -46,9 +46,7 @@ __all__ = [
     "RingModelParams",
     "RingTaskConfig",
     "RingTaskResult",
-    "evaluate_model",
     "fit_ring_model",
-    "identity_params",
     "make_dataset",
     "predict_model",
     "run_ring_task",
@@ -68,7 +66,6 @@ class RingTaskConfig:
     seed: int = 0
     channels: int = 4
     max_iters: int = 200
-    learning_rate: float = 0.02
     n_windows: int = 4
 
     def __post_init__(self):
@@ -85,8 +82,8 @@ class RingTaskConfig:
             raise ContractError("noise level must be nonnegative")
         if not 1 <= self.channels <= 4:
             raise ContractError("the model is capped at 4 channels")
-        if self.max_iters < 1 or self.learning_rate <= 0:
-            raise ContractError("optimizer settings must be positive")
+        if self.max_iters < 1:
+            raise ContractError("max_iters must be positive")
         if self.n_windows < 2:
             raise ContractError("need at least 2 diagnostic windows")
 
@@ -236,19 +233,6 @@ class RingModelParams:
         }
 
 
-def identity_params(channels: int = 4) -> RingModelParams:
-    """Pass-through model: zero times, zero modulation, first-channel mix."""
-    mix = np.zeros(channels, dtype=np.complex128)
-    mix[0] = 1.0
-    return RingModelParams(
-        kind="modulated",
-        times=np.zeros(channels),
-        directions=np.zeros((channels, 3)),
-        mix=mix,
-        scale=1.0,
-    )
-
-
 class _RingWorkspace:
     """Fixed spectral factorizations shared by every model evaluation.
 
@@ -373,13 +357,6 @@ class _Pass:
         return np.concatenate(blocks)
 
 
-def evaluate_model(
-    cfg: RingTaskConfig, params: RingModelParams, x: np.ndarray, y: np.ndarray
-) -> float:
-    """Mean squared error of a model on an (x, y) batch."""
-    return _Pass(_RingWorkspace(cfg), params, x).loss(y)
-
-
 def predict_model(
     cfg: RingTaskConfig, params: RingModelParams, x: np.ndarray
 ) -> np.ndarray:
@@ -390,13 +367,20 @@ def predict_model(
 
 def _phase_weights(atoms: np.ndarray, target: np.ndarray, iters: int = 60) -> np.ndarray:
     """Least-squares weights for |atoms @ w| ~ target, alternating between
-    the weight fit and the phase the current output implies."""
-    w, *_ = np.linalg.lstsq(atoms, target.astype(np.complex128), rcond=None)
+    the weight fit and the phase the current output implies.
+
+    One reduced QR factorization ``atoms = Q R`` serves every iteration:
+    the fit runs on ``z = R w``, whose output is ``Q z`` and whose
+    least-squares update is ``Q^H b``, and ``R`` is solved once at the
+    end."""
+    q, r = np.linalg.qr(atoms)
+    qh = q.conj().T
+    z = qh @ target
     for _ in range(iters):
-        pred = atoms @ w
+        pred = q @ z
         mag = np.maximum(np.abs(pred), 1e-12)
-        w, *_ = np.linalg.lstsq(atoms, target * (pred / mag), rcond=None)
-    return w
+        z = qh @ (target * (pred / mag))
+    return np.linalg.solve(r, z)
 
 
 def _grid_init(
@@ -451,43 +435,36 @@ def _grid_init(
 
 def fit_ring_model(
     ws: _RingWorkspace, kind: str, dataset: RingDataset
-) -> tuple[RingModelParams, list[tuple[int, float, float]]]:
-    """Sweep-initialized Adam descent on the train MSE with exact gradients.
+) -> tuple[Descent, list[tuple[int, float, float]]]:
+    """Sweep-initialized BFGS descent on the train MSE with exact gradients.
 
-    Returns the best parameters seen and the per-iteration trace of
-    (iteration, train MSE, validation MSE); iteration 0 is the sweep
-    initialization.  Raises DivergedError (carrying the last good
-    parameters and the trace so far) if the loss leaves the finite range.
+    Returns the descent, whose ``info`` is the best parameters seen, and
+    its trace as (iteration, train MSE, validation MSE) rows: iteration 0
+    is the sweep initialization, and a later row is an iteration that
+    lowered the train MSE, so the validation MSE is taken only at the
+    iterates the trace keeps.  Raises DivergedError (carrying the last good
+    parameters and the trace so far) if the loss or its gradient leaves
+    the finite range.
     """
-    cfg = ws.cfg
     x, y = dataset.train_x, dataset.train_y
-    params = _grid_init(ws, kind, x, y)
+    start = _grid_init(ws, kind, x, y)
 
-    vec = params.pack()
-    train = _Pass(ws, params, x)
-    loss = train.loss(y)
-    trace = [(0, loss, _Pass(ws, params, dataset.val_x).loss(dataset.val_y))]
-    best_vec, best_loss = vec.copy(), loss
-    adam = Adam(cfg.learning_rate)
-    for it in range(1, cfg.max_iters + 1):
-        vec = adam.step(vec, train.gradient(y))
-        if not np.all(np.isfinite(vec)):
-            raise DivergedError(
-                f"{kind} ring fit produced non-finite parameters at iteration {it}",
-                last_good={"params": params.unpack(best_vec), "trace": trace},
-            )
-        params = params.unpack(vec)
+    def evaluate(vec):
+        params = start.unpack(vec)
         train = _Pass(ws, params, x)
-        loss = train.loss(y)
-        if not math.isfinite(loss):
-            raise DivergedError(
-                f"{kind} ring fit produced a non-finite loss at iteration {it}",
-                last_good={"params": params.unpack(best_vec), "trace": trace},
-            )
-        trace.append((it, loss, _Pass(ws, params, dataset.val_x).loss(dataset.val_y)))
-        if loss < best_loss:
-            best_vec, best_loss = vec.copy(), loss
-    return params.unpack(best_vec), trace
+        return train.loss(y), train.gradient(y), params
+
+    def scored(trace):
+        return [(it, loss, _Pass(ws, params, dataset.val_x).loss(dataset.val_y))
+                for it, loss, params in trace]
+
+    try:
+        run = bfgs(evaluate, start.pack(), ws.cfg.max_iters)
+    except DivergedError as exc:
+        params = None if exc.last_good is None else start.unpack(exc.last_good)
+        raise DivergedError(f"{kind} ring fit: {exc}",
+                            last_good={"params": params, "trace": scored(exc.trace)}) from exc
+    return run, scored(run.trace)
 
 
 @dataclass(frozen=True)
@@ -497,6 +474,8 @@ class RingTaskResult:
     traces: dict            # kind -> list[(iter, train mse, val mse)]
     test_mse: dict          # kind -> float
     val_mse: dict           # kind -> val mse at the best train iterate
+    evaluations: dict       # kind -> objective evaluations of the fit
+    stop_reason: dict       # kind -> why the fit stopped (see optim.bfgs)
     shift_reports: dict     # kind -> ShiftReport, for modulated and diffusion
     windows: WindowSet
     dataset: RingDataset
@@ -520,6 +499,8 @@ class RingTaskResult:
             "max_iters": self.config.max_iters,
             "test_mse": dict(self.test_mse),
             "val_mse": dict(self.val_mse),
+            "evaluations": dict(self.evaluations),
+            "stop_reason": dict(self.stop_reason),
             "mse_ratio_plain": self.mse_ratio_plain,
             "mse_ratio_diffusion": self.mse_ratio_diffusion,
             "mean_shift_modulated": self.shift_reports["modulated"].mean_shift,
@@ -557,14 +538,18 @@ def run_ring_task(cfg: RingTaskConfig = RingTaskConfig()) -> RingTaskResult:
     test_mse = {}
     test_pred = {}
     val_mse = {}
+    evaluations = {}
+    stop_reason = {}
     for kind in _KINDS:
-        params, trace = fit_ring_model(ws, kind, dataset)
-        models[kind] = params
+        run, trace = fit_ring_model(ws, kind, dataset)
+        models[kind] = run.info
         traces[kind] = trace
-        test = _Pass(ws, params, dataset.test_x)
+        test = _Pass(ws, run.info, dataset.test_x)
         test_mse[kind] = test.loss(dataset.test_y)
         test_pred[kind] = test.pred
-        val_mse[kind] = min(trace, key=lambda row: row[1])[2]
+        val_mse[kind] = trace[-1][2]
+        evaluations[kind] = run.evaluations
+        stop_reason[kind] = run.stop_reason
     windows = build_windows(ws.features, 2, cfg.n_windows)
     probe = _shift_probe(ws.features.column(2))
     shift_reports = {
@@ -577,6 +562,8 @@ def run_ring_task(cfg: RingTaskConfig = RingTaskConfig()) -> RingTaskResult:
         traces=traces,
         test_mse=test_mse,
         val_mse=val_mse,
+        evaluations=evaluations,
+        stop_reason=stop_reason,
         shift_reports=shift_reports,
         windows=windows,
         dataset=dataset,

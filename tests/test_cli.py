@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import schro_gsp
-from schro_gsp import operators
+from schro_gsp import operators, ring_task
 from schro_gsp.cli import main
 from schro_gsp.filters import FilterParams, FilterTerm, save_filter_params
 from schro_gsp.graph_core import (
@@ -63,12 +63,15 @@ class TestParsing:
 
 class TestConfigErrors:
     def test_unknown_key_rejected(self, tmp_path, capsys):
-        cfg = _write_cfg(tmp_path, {"n_thetaa": 5})
-        rc = main(["clusters", "--config", cfg, "--out", str(tmp_path / "o")])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "unknown config keys" in err
-        assert "n_theta" in err  # the allowed keys are listed
+        # A misspelled key, and a ring setting the fit no longer has.
+        for command, data, allowed in [("clusters", {"n_thetaa": 5}, "n_theta"),
+                                       ("ring", {"learning_rate": 0.02}, "max_iters")]:
+            cfg = _write_cfg(tmp_path, data)
+            rc = main([command, "--config", cfg, "--out", str(tmp_path / "o")])
+            assert rc == 2, command
+            err = capsys.readouterr().err
+            assert "unknown config keys" in err, command
+            assert allowed in err, command  # the allowed keys are listed
 
     def test_reversed_range_rejected(self, tmp_path):
         cfg = _write_cfg(tmp_path, {"theta_min": 2.0, "theta_max": -2.0})
@@ -216,17 +219,25 @@ class TestVerifyCommand:
 
 
 class TestRingCommand:
-    # the runaway step overflows on purpose before the guard trips
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
-    def test_divergent_fit_exits_three_with_trace_dump(self, tmp_path, capsys):
+    def test_divergent_fit_exits_three_with_trace_dump(self, tmp_path, capsys,
+                                                       monkeypatch):
+        # The fourth train loss, inside a line search, is NaN.
+        real_loss = ring_task._Pass.loss
+        calls = []
+
+        def loss(self, y):
+            calls.append(None)
+            return float("nan") if len(calls) == 4 else real_loss(self, y)
+
+        monkeypatch.setattr(ring_task._Pass, "loss", loss)
         cfg = _write_cfg(tmp_path, {
             "n_nodes": 24, "shift": 5, "n_samples": 20, "channels": 1,
-            "max_iters": 5, "n_windows": 2, "learning_rate": 1e200,
+            "max_iters": 5, "n_windows": 2,
         })
         out = tmp_path / "out"
         rc = main(["ring", "--config", cfg, "--out", str(out)])
         assert rc == 3
-        assert "non-finite" in capsys.readouterr().err
+        assert "not finite" in capsys.readouterr().err
         with open(out / "divergence.json", encoding="ascii") as fh:
             dump = json.load(fh)
         assert "error" in dump
@@ -245,10 +256,15 @@ class TestRingCommand:
         # still be complete and well-formed
         assert rc in (0, 1)
 
+        # a row per iteration that lowered the train MSE, the start first
         curves = _read_csv(out / "learning_curves.csv")
         assert curves[0] == ["kind", "iteration", "train_mse", "val_mse"]
-        assert len(curves) == 1 + 3 * 6
-        assert {r[0] for r in curves[1:]} == {"modulated", "plain", "diffusion"}
+        iters = {}
+        for row in curves[1:]:
+            iters.setdefault(row[0], []).append(int(row[1]))
+        assert set(iters) == {"modulated", "plain", "diffusion"}
+        for its in iters.values():
+            assert its[0] == 0 and its == sorted(set(its)) and its[-1] <= 5
 
         shifts = _read_csv(out / "shifts.csv")
         assert shifts[0][:3] == ["kind", "window_id", "coordinate"]
@@ -266,6 +282,10 @@ class TestRingCommand:
             "trained_model_shifts_windows",
             "diffusion_does_not_shift_windows",
         }
+        metrics = summary["metrics"]
+        for kind, its in iters.items():
+            assert metrics["evaluations"][kind] >= len(its)
+            assert metrics["stop_reason"][kind] in ("gradient", "line-search", "max-iters")
 
     def test_predictions_match_predict_model_on_test_row_zero(self, tmp_path):
         data = {"n_nodes": 30, "shift": 10, "n_samples": 20, "channels": 1,

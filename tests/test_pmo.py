@@ -381,18 +381,23 @@ class TestFit:
         assert result.transform[0, 0] == pytest.approx(0.05, rel=1e-9)
 
     def test_fit_leaves_scipy_optimize_unloaded(self):
-        # importing it adds about 27 MB to every process that runs a fit
+        # importing it adds about 27 MB to every process that runs a fit;
+        # checked after the PMO fits, then after a short ring fit
         src = os.path.dirname(os.path.dirname(pmo_module.__file__))
         code = (f"import sys; sys.path.insert(0, {src!r}); "
                 "import schro_gsp.cli; "
                 "from schro_gsp.experiments import GridPMOConfig, run_grid_pmo; "
+                "from schro_gsp.ring_task import RingTaskConfig, run_ring_task; "
                 "from schro_gsp.verify import run_suites; "
                 "run_grid_pmo(GridPMOConfig(side=4)); "
                 "assert all(s.passed for s in run_suites('pmo')); "
+                "print('scipy.optimize' in sys.modules); "
+                "run_ring_task(RingTaskConfig(n_nodes=24, shift=5, n_samples=20, "
+                "channels=1, max_iters=5, n_windows=2)); "
                 "print('scipy.optimize' in sys.modules)")
         done = subprocess.run([sys.executable, "-I", "-c", code],
                               capture_output=True, text=True, check=True)
-        assert done.stdout.strip() == "False"
+        assert done.stdout.split() == ["False", "False"]
 
     def test_result_serializes(self):
         rng = np.random.default_rng(24)

@@ -12,13 +12,25 @@ from schro_gsp.propagate import evolve_array
 from schro_gsp.ring_task import (
     RingModelParams,
     RingTaskConfig,
-    evaluate_model,
     fit_ring_model,
-    identity_params,
     make_dataset,
     predict_model,
 )
-from schro_gsp.ring_task import _grid_init, _Pass, _RingWorkspace, _wrapped_bump
+from schro_gsp.ring_task import (
+    _grid_init,
+    _Pass,
+    _phase_weights,
+    _RingWorkspace,
+    _wrapped_bump,
+)
+
+
+def _pass_through(channels):
+    """Zero times, zero modulation, all weight on the first channel."""
+    mix = np.zeros(channels, dtype=np.complex128)
+    mix[0] = 1.0
+    return RingModelParams(kind="modulated", times=np.zeros(channels),
+                           directions=np.zeros((channels, 3)), mix=mix, scale=1.0)
 
 
 class TestConfig:
@@ -33,13 +45,10 @@ class TestConfig:
         {"channels": 0},
         {"channels": 5},
         {"max_iters": 0},
-        {"learning_rate": 0.0},
         {"max_iters": -5},
         {"n_windows": 1},
         {"noise_std": float("nan")},
         {"noise_std": float("inf")},
-        {"learning_rate": float("nan")},
-        {"learning_rate": float("inf")},
         {"width_hi": float("inf")},
         {"channels": 2.0},
     ])
@@ -174,12 +183,12 @@ class TestEvaluatePredict:
         cfg = RingTaskConfig(n_nodes=60, shift=0, n_samples=20, seed=2,
                              channels=2)
         ds = make_dataset(cfg)
-        mse = evaluate_model(cfg, identity_params(2), ds.test_x, ds.test_y)
-        assert mse <= 1e-5
+        pred = predict_model(cfg, _pass_through(2), ds.test_x)
+        assert float(np.mean((pred - ds.test_y) ** 2)) <= 1e-5
 
     def test_predict_shapes(self):
         cfg = RingTaskConfig(n_nodes=30, shift=3, n_samples=10, seed=4)
-        params = identity_params(1)
+        params = _pass_through(1)
         single = predict_model(cfg, params, np.ones(30))
         assert single.shape == (1, 30)
         batch = predict_model(cfg, params, np.ones((5, 30)))
@@ -202,10 +211,10 @@ class TestEvaluatePredict:
     def test_evaluate_matches_prediction_error(self):
         cfg = RingTaskConfig(n_nodes=30, shift=3, n_samples=10, seed=4)
         ds = make_dataset(cfg)
-        params = identity_params(1)
+        params = _pass_through(1)
         pred = predict_model(cfg, params, ds.test_x)
         direct = float(np.mean((pred - ds.test_y) ** 2))
-        mse = evaluate_model(cfg, params, ds.test_x, ds.test_y)
+        mse = _Pass(_RingWorkspace(cfg), params, ds.test_x).loss(ds.test_y)
         assert mse == pytest.approx(direct, rel=1e-12)
 
 
@@ -279,23 +288,29 @@ class TestFit:
     SMALL = RingTaskConfig(n_nodes=24, shift=5, n_samples=20, seed=1,
                            channels=1, max_iters=3, n_windows=2)
 
-    def test_plain_fit_traces_every_iteration(self):
+    def test_plain_fit_traces_improving_iterations(self):
         ws = _RingWorkspace(self.SMALL)
         ds = make_dataset(self.SMALL)
-        params, trace = fit_ring_model(ws, "plain", ds)
-        assert [row[0] for row in trace] == [0, 1, 2, 3]
-        assert all(np.isfinite(row[1]) and np.isfinite(row[2]) for row in trace)
-        best_train = min(row[1] for row in trace)
-        recomputed = evaluate_model(self.SMALL, params, ds.train_x, ds.train_y)
-        assert recomputed == pytest.approx(best_train, rel=1e-10)
+        run, trace = fit_ring_model(ws, "plain", ds)
+        iters = [row[0] for row in trace]
+        assert iters[0] == 0
+        assert iters == sorted(set(iters)) and iters[-1] <= self.SMALL.max_iters
+        assert len(trace) > 1
+        train = [row[1] for row in trace]
+        assert all(later <= earlier for earlier, later in zip(train, train[1:]))
+        assert train[-1] == run.value
+        val = predict_model(self.SMALL, run.info, ds.val_x)
+        assert trace[-1][2] == pytest.approx(float(np.mean((val - ds.val_y) ** 2)),
+                                             rel=1e-10)
+        assert run.evaluations >= len(trace)
 
     def test_modulated_fit_returns_its_kind(self):
         cfg = RingTaskConfig(n_nodes=24, shift=5, n_samples=20, seed=1,
                              channels=1, max_iters=2, n_windows=2)
         ws = _RingWorkspace(cfg)
-        params, trace = fit_ring_model(ws, "modulated", make_dataset(cfg))
-        assert params.kind == "modulated"
-        assert len(trace) == 3
+        run, trace = fit_ring_model(ws, "modulated", make_dataset(cfg))
+        assert run.info.kind == "modulated"
+        assert trace[0][0] == 0 and len(trace) <= 3
 
     @pytest.mark.parametrize("kind", ["modulated", "plain", "diffusion"])
     def test_gradient_matches_central_differences(self, kind):
@@ -320,15 +335,38 @@ class TestFit:
             fd[i] = (loss(vec + bump) - loss(vec - bump)) / (2.0 * step)
         assert np.linalg.norm(exact - fd) <= 1e-5 * np.linalg.norm(fd)
 
-    # the runaway step overflows on purpose before the guard trips
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
-    def test_runaway_rate_diverges_with_context(self):
+    def test_non_finite_loss_diverges_with_context(self, monkeypatch):
+        # The fourth train loss, inside a line search, is NaN.
+        real_loss = _Pass.loss
+        calls = []
+
+        def loss(self, y):
+            calls.append(None)
+            return float("nan") if len(calls) == 4 else real_loss(self, y)
+
+        monkeypatch.setattr(_Pass, "loss", loss)
         cfg = RingTaskConfig(n_nodes=24, shift=5, n_samples=20, seed=1,
-                             channels=1, max_iters=5, n_windows=2,
-                             learning_rate=1e200)
+                             channels=1, max_iters=5, n_windows=2)
         ws = _RingWorkspace(cfg)
-        with pytest.raises(DivergedError) as exc:
+        with pytest.raises(DivergedError, match="not finite at iteration") as exc:
             fit_ring_model(ws, "plain", make_dataset(cfg))
         info = exc.value.last_good
         assert isinstance(info["params"], RingModelParams)
         assert info["trace"][0][0] == 0
+        assert all(np.isfinite(row[1]) and np.isfinite(row[2]) for row in info["trace"])
+
+
+class TestPhaseWeights:
+    def test_match_least_squares_refit_every_iteration(self):
+        # The alternating fit as it ran before one factorization served
+        # every iteration: a fresh least-squares solve per phase update.
+        rng = np.random.default_rng(21)
+        atoms = rng.normal(size=(300, 3)) + 1j * rng.normal(size=(300, 3))
+        target = np.abs(rng.normal(size=300))
+        w, *_ = np.linalg.lstsq(atoms, target.astype(np.complex128), rcond=None)
+        for _ in range(60):
+            pred = atoms @ w
+            phase = pred / np.maximum(np.abs(pred), 1e-12)
+            w, *_ = np.linalg.lstsq(atoms, target * phase, rcond=None)
+        fast = _phase_weights(atoms, target)
+        assert np.linalg.norm(fast - w) <= 1e-10 * np.linalg.norm(w)
