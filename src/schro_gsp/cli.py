@@ -105,6 +105,8 @@ def _load_config(path: str | None, cls, overrides: dict):
                 text = fh.read()
         except OSError as exc:
             raise ContractError(f"cannot read config file {path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"config {path} is not ASCII text: {exc}") from exc
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:

@@ -150,8 +150,12 @@ def save_filter_params(params: FilterParams, path) -> None:
 
 
 def load_filter_params(path) -> FilterParams:
-    with open(path, "r", encoding="ascii") as fh:
-        return FilterParams.from_json(fh.read())
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"filter parameters {path} are not ASCII text: {exc}") from exc
+    return FilterParams.from_json(text)
 
 
 def schrodinger_filter(

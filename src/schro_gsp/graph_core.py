@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Callable
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -95,21 +97,8 @@ class Graph:
     @classmethod
     def from_edges(cls, n_nodes: int, edges) -> "Graph":
         """Build a graph from ``(u, v, weight)`` triples in any orientation."""
-        us, vs, ws = [], [], []
-        for u, v, w in edges:
-            if u == v:
-                raise ContractError(f"self-loop at node {u}")
-            a, b = (u, v) if u < v else (v, u)
-            us.append(a)
-            vs.append(b)
-            ws.append(w)
-        order = np.lexsort((vs, us)) if us else np.array([], dtype=np.int64)
-        return cls(
-            n_nodes,
-            np.asarray(us, dtype=np.int64)[order],
-            np.asarray(vs, dtype=np.int64)[order],
-            np.asarray(ws, dtype=np.float64)[order],
-        )
+        columns = list(zip(*edges)) or [(), (), ()]
+        return _oriented_graph(n_nodes, *columns)
 
     @property
     def n_edges(self) -> int:
@@ -260,42 +249,166 @@ def normalize_channel(g: Signal, j: int) -> Signal:
 # File formats.
 #
 # Graph files are line oriented:  a single header "#nodes=N", then one edge
-# per line as "u<TAB>v<TAB>weight".  Lines starting with "#" (other than the
-# header) are comments.  Signals and feature locations are CSV; complex
-# values are interleaved re/im column pairs.  Floats are serialized with
-# repr(), which round-trips float64 exactly in at most 17 significant digits.
+# per line as "u<TAB>v<TAB>weight".  A line whose first non-blank character
+# is "#", other than the header, is a comment.  Signals ("channels=J", then
+# rows) and feature locations are CSV; complex values are interleaved re/im
+# column pairs.  Floats are serialized with repr(), which round-trips
+# float64 exactly in at most 17 significant digits.
 #
-# Each loader first parses the file with numpy: its header from the first
-# line, then every other line with ``np.loadtxt``.  A file that this fast
-# parse does not take is read again line by line (``_scan_*``), which raises
-# a FormatError naming the first bad line.  The line reader also accepts the
-# rare valid files numpy does not parse: comment lines, blank lines before
-# the header, whitespace-only lines, and numbers written like ``1_000``.
+# Each loader parses with ``np.loadtxt`` straight from the open file, after
+# the header line.  A graph file that this rejects is read as text and, less
+# its whole-line comments, parsed once more.  Only a file that numpy or the
+# container's checks still reject reaches the line reader (``_scan``): it
+# names the first bad line, and takes the rare valid files numpy does not
+# parse (blank lines or comments before the header, whitespace-only lines,
+# numbers written like ``1_000``).
 # ---------------------------------------------------------------------------
 
-_EDGE_DTYPE = np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)])
+
+@dataclass(frozen=True)
+class _Format:
+    """A file format, as the numpy parse and the line reader read it.
+
+    ``key`` starts the ``key=N`` header line (None: no header).  ``row(N)``
+    makes the line reader's check of one row, from its cells and line to the
+    parsed row; ``build(N, rows)`` makes the container from a 2-D ``dtype``
+    array or raises a ValueError.  The strings make the error messages, and
+    ``empty`` None lets a file have no rows.
+    """
+
+    key: str | None
+    delimiter: str
+    dtype: np.dtype
+    comments: bool
+    row: Callable
+    build: Callable
+    count: str = ""
+    header: str = ""
+    before: str = ""
+    empty: str | None = None
 
 
-def _header_count(line: str, key: str) -> int:
-    """The positive count of a ``key=N`` header line; ValueError otherwise."""
-    line = line.strip()
-    if not line.startswith(key):
-        raise ValueError(f"no {key!r} header")
-    count = int(line[len(key):])
+def _load(path, fmt: _Format):
+    """The container in the file at ``path``.
+
+    A ValueError, a UnicodeDecodeError included, or a warning from one
+    reader passes the file on to the next."""
+    with open(path, "r", encoding="ascii") as fh:
+        with suppress(ValueError, Warning):
+            return fmt.build(*_parse(fh, fmt))
+        if fmt.comments:
+            with suppress(ValueError, Warning):
+                fh.seek(0)
+                kept = [ln for ln in fh.read().split("\n")
+                        if not _is_comment(ln.strip(), fmt)]
+                parsed = _parse(iter(kept), fmt)
+                del kept  # frees the line strings before the build
+                return fmt.build(*parsed)
+    return fmt.build(*_scan(path, fmt))
+
+
+def _parse(lines, fmt: _Format):
+    """``(N, rows)`` that numpy parses from ``lines``, header first.
+
+    ``comments=None`` keeps a ``#`` within a row a parse failure, and an
+    empty remainder warns; every warning is an error."""
+    count = _count(next(lines, "").strip(), fmt) if fmt.key else None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = np.loadtxt(lines, delimiter=fmt.delimiter, comments=None,
+                          dtype=fmt.dtype, ndmin=2)
+    return count, rows
+
+
+def _is_comment(line: str, fmt: _Format) -> bool:
+    """Whether a stripped line is a whole-line comment of ``fmt``."""
+    return fmt.comments and line.startswith("#") and not line.startswith(fmt.key)
+
+
+def _count(line: str, fmt: _Format) -> int:
+    """N of a stripped ``key=N`` header line; FormatError unless positive."""
+    if not line.startswith(fmt.key):
+        raise FormatError(fmt.before)
+    try:
+        count = int(line[len(fmt.key):])
+    except ValueError:
+        raise FormatError(f"bad {fmt.count} {line!r}") from None
     if count <= 0:
-        raise ValueError(f"non-positive {key!r} count")
+        raise FormatError(f"{fmt.count} must be positive")
     return count
 
 
-def _load_rows(fh, delimiter: str, dtype, ndmin: int) -> np.ndarray:
-    """The rest of ``fh`` as numpy rows; every warning is an error.
+def _scan(path, fmt: _Format):
+    """``(N, rows)`` of a file read line by line; FormatError at the first bad line.
 
-    ``comments=None`` keeps a ``#`` a parse failure, as the line readers
-    treat it, and an empty remainder warns, so it fails too."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        return np.loadtxt(fh, delimiter=delimiter, comments=None, dtype=dtype,
-                          ndmin=ndmin)
+    Line numbers count physical lines, split where text mode splits them."""
+    count, rows = None, []
+    check = None if fmt.key else fmt.row(None)
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()
+    for lineno, raw in enumerate(lines, start=1):
+        try:
+            line = raw.decode("ascii").strip()
+            if not line or _is_comment(line, fmt):
+                continue
+            if check is None:
+                count = _count(line, fmt)
+                check = fmt.row(count)
+            elif fmt.key and line.startswith(fmt.key):
+                raise FormatError(f"repeated {fmt.header} header")
+            else:
+                rows.append(check(line.split(fmt.delimiter), line))
+        except UnicodeDecodeError:
+            raise FormatError(f"non-ASCII byte in {path}", lineno) from None
+        except FormatError as exc:
+            raise FormatError(exc.args[0], lineno) from None
+    if check is None:
+        raise FormatError(f"missing {fmt.header} header")
+    if not rows and fmt.empty:
+        raise FormatError(fmt.empty)
+    return count, np.array(rows, dtype=fmt.dtype)
+
+
+def _edge_row(n_nodes: int):
+    """The line reader's check of one edge of a graph on ``n_nodes`` nodes."""
+    seen: dict[tuple[int, int], float] = {}
+
+    def row(cells: list[str], line: str) -> tuple[int, int, float]:
+        if len(cells) != 3:
+            raise FormatError(f"expected 'u<TAB>v<TAB>w', got {line!r}")
+        try:
+            u, v, w = int(cells[0]), int(cells[1]), float(cells[2])
+        except ValueError:
+            raise FormatError(f"unparsable edge {line!r}") from None
+        if u == v:
+            raise FormatError(f"self-loop at node {u}")
+        if not 0 <= u < n_nodes or not 0 <= v < n_nodes:
+            raise FormatError(f"edge endpoint out of range in {line!r}")
+        a, b = (u, v) if u < v else (v, u)
+        if (a, b) in seen:
+            if seen[a, b] != w:
+                raise FormatError(f"edge ({u},{v}) repeats an earlier edge with a "
+                                  f"different weight")
+            raise FormatError(f"duplicate undirected edge ({u},{v})")
+        seen[a, b] = w
+        return a, b, w
+
+    return row
+
+
+def _value_row(width: int | None, unit: str = ""):
+    """The line reader's check of one row of ``width`` floats (None: the first row's)."""
+    def row(cells: list[str], line: str) -> list[float]:
+        nonlocal width
+        width = width or len(cells)
+        if len(cells) != width:
+            raise FormatError(f"expected {width} columns{unit}, got {len(cells)}")
+        try:
+            return [float(c) for c in cells]
+        except ValueError:
+            raise FormatError(f"unparsable value in {line!r}") from None
+
+    return row
 
 
 def _oriented_graph(n_nodes: int, u, v, w) -> Graph:
@@ -309,6 +422,29 @@ def _oriented_graph(n_nodes: int, u, v, w) -> Graph:
     return Graph(n_nodes, a[order], b[order], np.asarray(w, dtype=np.float64)[order])
 
 
+def _signal_from_rows(j: int, rows: np.ndarray) -> Signal:
+    if rows.shape[1] != 2 * j:
+        raise ValueError("column count does not match the channels")
+    # Interleaved re/im pairs are exactly the complex128 layout.
+    return Signal(rows.view(np.complex128))
+
+
+_GRAPH = _Format(
+    key="#nodes=", delimiter="\t", comments=True, row=_edge_row,
+    dtype=np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)]),
+    build=lambda n, rows: _oriented_graph(n, *(rows.reshape(-1)[k] for k in "uvw")),
+    count="node count", header="#nodes", before="edge listed before #nodes header")
+_SIGNAL = _Format(
+    key="channels=", delimiter=",", dtype=np.dtype(np.float64), comments=False,
+    row=lambda j: _value_row(2 * j, f" for {j} channels"), build=_signal_from_rows,
+    count="channel count", header="'channels='", before="missing 'channels=' header",
+    empty="signal file has no node rows")
+_FEATURES = _Format(
+    key=None, delimiter=",", dtype=np.dtype(np.float64), comments=False,
+    row=lambda _: _value_row(None), build=lambda _, rows: FeatureLocations(rows),
+    empty="feature file has no rows")
+
+
 def save_graph(graph: Graph, path) -> None:
     lines = [f"#nodes={graph.n_nodes}"]
     for u, v, w in zip(graph.edge_u, graph.edge_v, graph.edge_w):
@@ -318,68 +454,7 @@ def save_graph(graph: Graph, path) -> None:
 
 
 def load_graph(path) -> Graph:
-    with open(path, "r", encoding="ascii") as fh:
-        try:
-            n_nodes = _header_count(fh.readline(), "#nodes=")
-            rows = _load_rows(fh, "\t", _EDGE_DTYPE, 1)
-            # Graph raises ContractError, a ValueError, on a self-loop, an
-            # endpoint out of range or a duplicate edge.
-            return _oriented_graph(n_nodes, rows["u"], rows["v"], rows["w"])
-        except (ValueError, Warning):
-            fh.seek(0)
-            n_nodes, u, v, w = _scan_graph(fh)
-    return _oriented_graph(n_nodes, u, v, w)
-
-
-def _scan_graph(fh):
-    """Read a graph file line by line; FormatError at the first bad line."""
-    n_nodes = None
-    us, vs, ws = [], [], []
-    seen: dict[tuple[int, int], float] = {}
-    for lineno, raw in enumerate(fh, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#nodes="):
-            if n_nodes is not None:
-                raise FormatError("repeated #nodes header", lineno)
-            try:
-                n_nodes = int(line[len("#nodes="):])
-            except ValueError:
-                raise FormatError(f"bad node count {line!r}", lineno) from None
-            if n_nodes <= 0:
-                raise FormatError("node count must be positive", lineno)
-            continue
-        if line.startswith("#"):
-            continue
-        if n_nodes is None:
-            raise FormatError("edge listed before #nodes header", lineno)
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise FormatError(f"expected 'u<TAB>v<TAB>w', got {line!r}", lineno)
-        try:
-            u, v, w = int(parts[0]), int(parts[1]), float(parts[2])
-        except ValueError:
-            raise FormatError(f"unparsable edge {line!r}", lineno) from None
-        if u == v:
-            raise FormatError(f"self-loop at node {u}", lineno)
-        if not 0 <= u < n_nodes or not 0 <= v < n_nodes:
-            raise FormatError(f"edge endpoint out of range in {line!r}", lineno)
-        a, b = (u, v) if u < v else (v, u)
-        prev = seen.get((a, b))
-        if prev is not None:
-            if prev != w:
-                raise FormatError(
-                    f"edge ({u},{v}) repeats an earlier edge with a "
-                    f"different weight", lineno)
-            raise FormatError(f"duplicate undirected edge ({u},{v})", lineno)
-        seen[(a, b)] = w
-        us.append(a)
-        vs.append(b)
-        ws.append(w)
-    if n_nodes is None:
-        raise FormatError("missing #nodes header")
-    return n_nodes, us, vs, ws
+    return _load(path, _GRAPH)
 
 
 def save_signal(g: Signal, path) -> None:
@@ -396,47 +471,7 @@ def save_signal(g: Signal, path) -> None:
 
 
 def load_signal(path) -> Signal:
-    with open(path, "r", encoding="ascii") as fh:
-        try:
-            j = _header_count(fh.readline(), "channels=")
-            rows = _load_rows(fh, ",", np.float64, 2)
-            if rows.shape[1] != 2 * j:
-                raise ValueError("column count does not match the channels")
-            # Interleaved re/im pairs are exactly the complex128 layout.
-            return Signal(rows.view(np.complex128))
-        except (ValueError, Warning):
-            fh.seek(0)
-            return _scan_signal(fh)
-
-
-def _scan_signal(fh) -> Signal:
-    """Read a signal file line by line; FormatError at the first bad line.
-
-    Line numbers count physical lines, blank ones included."""
-    lines = [(no, ln.strip()) for no, ln in enumerate(fh, start=1) if ln.strip()]
-    head_no, head = lines[0] if lines else (1, "")
-    if not head.startswith("channels="):
-        raise FormatError("missing 'channels=' header", head_no)
-    try:
-        j = int(head[len("channels="):])
-    except ValueError:
-        raise FormatError(f"bad channel count {head!r}", head_no) from None
-    if j <= 0:
-        raise FormatError("channel count must be positive", head_no)
-    rows = []
-    for lineno, line in lines[1:]:
-        cells = line.split(",")
-        if len(cells) != 2 * j:
-            raise FormatError(
-                f"expected {2 * j} columns for {j} channels, got {len(cells)}", lineno)
-        try:
-            nums = [float(c) for c in cells]
-        except ValueError:
-            raise FormatError(f"unparsable value in {line!r}", lineno) from None
-        rows.append([complex(nums[2 * i], nums[2 * i + 1]) for i in range(j)])
-    if not rows:
-        raise FormatError("signal file has no node rows")
-    return Signal(np.array(rows, dtype=np.complex128))
+    return _load(path, _SIGNAL)
 
 
 def save_features(f: FeatureLocations, path) -> None:
@@ -446,35 +481,7 @@ def save_features(f: FeatureLocations, path) -> None:
 
 
 def load_features(path) -> FeatureLocations:
-    with open(path, "r", encoding="ascii") as fh:
-        try:
-            return FeatureLocations(_load_rows(fh, ",", np.float64, 2))
-        except (ValueError, Warning):
-            fh.seek(0)
-            return _scan_features(fh)
-
-
-def _scan_features(fh) -> FeatureLocations:
-    """Read a feature file line by line; FormatError at the first bad line."""
-    rows = []
-    width = None
-    for lineno, raw in enumerate(fh, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        cells = line.split(",")
-        if width is None:
-            width = len(cells)
-        elif len(cells) != width:
-            raise FormatError(
-                f"expected {width} columns, got {len(cells)}", lineno)
-        try:
-            rows.append([float(c) for c in cells])
-        except ValueError:
-            raise FormatError(f"unparsable value in {line!r}", lineno) from None
-    if not rows:
-        raise FormatError("feature file has no rows")
-    return FeatureLocations(np.array(rows, dtype=np.float64))
+    return _load(path, _FEATURES)
 
 
 # ---------------------------------------------------------------------------

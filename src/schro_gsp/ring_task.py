@@ -30,7 +30,6 @@ import numpy as np
 
 from .diagnose import ShiftReport, WindowSet, build_windows, relative_shift
 from .errors import ContractError, DivergedError, check_config_fields
-from .filters import FilterParams, FilterTerm
 from .graph_core import FeatureLocations, Signal, ring_graph
 from .operators import (
     _real_matmul,
@@ -203,24 +202,6 @@ class RingModelParams:
             mix=re + 1j * im,
             scale=float(vec[pos]),
         )
-
-    def to_filter_params(self) -> FilterParams:
-        """The model's linear stage as filter terms (single output channel).
-
-        The surrounding modulus and output scale are not part of the
-        filter; apply the modulus activation downstream to reproduce the
-        model."""
-        if self.kind == "diffusion":
-            raise ContractError("the diffusion baseline is not a filter")
-        terms = []
-        for i in range(self.n_channels):
-            terms.append(FilterTerm(
-                time=float(self.times[i]),
-                phase=1.0,
-                direction=self.directions[i],
-                mix=np.array([[self.mix[i]]], dtype=np.complex128),
-            ))
-        return FilterParams(terms=tuple(terms))
 
     def as_dict(self) -> dict:
         return {

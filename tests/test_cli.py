@@ -90,6 +90,13 @@ class TestConfigErrors:
         assert main(["clusters", "--config", str(path),
                      "--out", str(tmp_path / "o")]) == 2
 
+    def test_non_ascii_config_rejected(self, tmp_path, capsys):
+        path = tmp_path / "accented.json"
+        path.write_bytes(b'{"filter": "caf\xc3\xa9"}')
+        assert main(["verify", "--config", str(path),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "accented.json" in capsys.readouterr().err
+
     def test_missing_config_file_rejected(self, tmp_path):
         assert main(["clusters", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "o")]) == 2
@@ -457,6 +464,16 @@ class TestDiagnoseCommand:
         rc = main(["diagnose", "--config", cfg, "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "missing.txt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["graph", "features", "signal", "filter_params"])
+    def test_non_ascii_input_file_names_the_path(self, tmp_path, diagnose_inputs,
+                                                  capsys, kind):
+        with open(diagnose_inputs[kind], "ab") as fh:
+            fh.write("\u00e9\n".encode("utf-8"))
+        cfg = _write_cfg(tmp_path, diagnose_inputs)
+        rc = main(["diagnose", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert os.path.basename(diagnose_inputs[kind]) in capsys.readouterr().err
 
     def test_coordinate_out_of_range_rejected(self, tmp_path, diagnose_inputs):
         cfg = _write_cfg(tmp_path, dict(diagnose_inputs, coordinate=5))

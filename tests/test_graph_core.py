@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from schro_gsp import graph_core
 from schro_gsp.errors import ContractError, DegenerateSignalError, FormatError
 from schro_gsp.graph_core import (
     PINNED_CLUSTER_SEED,
@@ -136,6 +137,26 @@ class TestGraphFiles:
         p = tmp_path / "g.tsv"
         p.write_text("#nodes=2\n# a comment\n\n0\t1\t0.5\n")
         assert load_graph(p).n_edges == 1
+
+    def test_whole_line_comments_stay_on_the_numpy_parse(self, tmp_path, monkeypatch):
+        g, _, _ = cluster_graph(PINNED_CLUSTER_SEED)
+        plain, commented = tmp_path / "plain.tsv", tmp_path / "commented.tsv"
+        save_graph(g, plain)
+        head, *edges = plain.read_text().splitlines(keepends=True)
+        commented.write_text("".join([head, "# after the header\n", *edges[:5],
+                                      "# between edges\n", *edges[5:9], "  # indented\n",
+                                      *edges[9:], "# at the end\n"]))
+
+        def no_line_reader(path, fmt):
+            raise AssertionError("the line reader ran")
+
+        monkeypatch.setattr(graph_core, "_scan", no_line_reader)
+        back = load_graph(commented)
+        ref = load_graph(plain)
+        assert back.n_nodes == ref.n_nodes
+        for a, b in ((back.edge_u, ref.edge_u), (back.edge_v, ref.edge_v),
+                     (back.edge_w, ref.edge_w)):
+            assert a.dtype == b.dtype and _bits(a) == _bits(b)
 
     def test_self_loop_line_rejected_with_line_number(self, tmp_path):
         p = tmp_path / "g.tsv"
@@ -273,6 +294,9 @@ _BAD_GRAPHS = {
     "negative-endpoint": ("#nodes=3\n-1\t1\t1.0\n", 2, "out of range"),
     "duplicate": ("#nodes=3\n0\t1\t1.0\n1\t2\t1.0\n1\t0\t1.0\n", 4, "duplicate"),
     "conflicting-duplicate": ("#nodes=3\n0\t1\t1.0\n0\t1\t2.0\n", 3, "different weight"),
+    "non-ascii": ("#nodes=3\n0\t1\t1.0\n1\t2\t1.0\u00e9\n", 3, "non-ASCII byte"),
+    # A comment line still counts: the bad edge is on physical line 4.
+    "comment-before-bad-edge": ("#nodes=3\n# c\n0\t1\t1.0\n0\t3\t1.0\n", 4, "out of range"),
 }
 
 _BAD_SIGNALS = {
@@ -283,6 +307,7 @@ _BAD_SIGNALS = {
     "short-row": ("channels=2\n1,2,3,4\n1,2,3\n", 3, "expected 4 columns"),
     # Blank lines count: the bad value is on physical line 4.
     "bad-value-after-blank": ("channels=1\n1.0,0.0\n\n1.0,x\n", 4, "unparsable value"),
+    "non-ascii": ("channels=1\n1.0,0.0\n\u00b5,0.0\n", 3, "non-ASCII byte"),
 }
 
 _BAD_FEATURES = {
@@ -290,6 +315,7 @@ _BAD_FEATURES = {
     "bad-value": ("1.0,2.0\n3.0,4.0\n5.0,nope\n", 3, "unparsable value"),
     "comment": ("# x\n1.0\n", 1, "unparsable value"),
     "empty": ("\n\n", None, "no rows"),
+    "non-ascii": ("1.0,2.0\n\n3.0,4.0\u00a0\n", 3, "non-ASCII byte"),
 }
 
 
@@ -297,7 +323,7 @@ class TestMalformedFiles:
     @pytest.mark.parametrize("text,line,fragment", _BAD_GRAPHS.values(), ids=_BAD_GRAPHS)
     def test_graph_error_names_the_line(self, tmp_path, text, line, fragment):
         p = tmp_path / "g.tsv"
-        p.write_text(text)
+        p.write_text(text, encoding="utf-8")
         with pytest.raises(FormatError, match=fragment) as err:
             load_graph(p)
         assert err.value.line == line
@@ -305,7 +331,7 @@ class TestMalformedFiles:
     @pytest.mark.parametrize("text,line,fragment", _BAD_SIGNALS.values(), ids=_BAD_SIGNALS)
     def test_signal_error_names_the_line(self, tmp_path, text, line, fragment):
         p = tmp_path / "s.csv"
-        p.write_text(text)
+        p.write_text(text, encoding="utf-8")
         with pytest.raises(FormatError, match=fragment) as err:
             load_signal(p)
         assert err.value.line == line
@@ -313,7 +339,7 @@ class TestMalformedFiles:
     @pytest.mark.parametrize("text,line,fragment", _BAD_FEATURES.values(), ids=_BAD_FEATURES)
     def test_features_error_names_the_line(self, tmp_path, text, line, fragment):
         p = tmp_path / "f.csv"
-        p.write_text(text)
+        p.write_text(text, encoding="utf-8")
         with pytest.raises(FormatError, match=fragment) as err:
             load_features(p)
         assert err.value.line == line

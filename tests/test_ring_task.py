@@ -5,7 +5,6 @@ import pytest
 from scipy.linalg import expm
 
 from schro_gsp.errors import ContractError, DivergedError
-from schro_gsp.filters import FilterParams
 from schro_gsp.graph_core import FeatureLocations
 from schro_gsp.operators import schrodinger_laplacian
 from schro_gsp.propagate import evolve_array
@@ -158,18 +157,6 @@ class TestModelParams:
         assert np.array_equal(back.directions, params.directions)
         assert np.array_equal(back.mix, params.mix)
         assert back.scale == params.scale
-
-    def test_diffusion_is_not_a_filter(self):
-        with pytest.raises(ContractError):
-            self._params("diffusion").to_filter_params()
-
-    def test_filter_view_round_trips_through_json(self):
-        fp = self._params("modulated", c=3).to_filter_params()
-        assert fp.n_terms == 3
-        assert fp.n_features == 3
-        assert fp.in_channels == 1
-        assert fp.out_channels == 1
-        assert FilterParams.from_json(fp.to_json()).to_json() == fp.to_json()
 
     def test_as_dict_fields(self):
         data = self._params("plain").as_dict()
