@@ -184,8 +184,9 @@ def cmd_verify(args) -> int:
     cfg = _load_config(args.config, VerifyConfig, {"filter": args.filter})
     names = select_suites(cfg.filter)
     results = []
+    shared: dict = {}
     for name in names:
-        result = run_suite(name)
+        result = run_suite(name, shared)
         results.append(result)
         status = "PASS" if result.passed else "FAIL"
         print(

@@ -23,13 +23,16 @@ class SchroGspError(Exception):
 
 
 class FormatError(SchroGspError, ValueError):
-    """Malformed input file.  Carries the offending line number when known."""
+    """Malformed input file.  Carries the file and the offending line when known."""
 
-    def __init__(self, message: str, line: int | None = None):
+    def __init__(self, message: str, line: int | None = None, path=None):
         if line is not None:
             message = f"line {line}: {message}"
+        if path is not None:
+            message = f"{path}: {message}"
         super().__init__(message)
         self.line = line
+        self.path = path
 
 
 class ContractError(SchroGspError, ValueError):

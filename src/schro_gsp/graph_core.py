@@ -341,7 +341,8 @@ def _count(line: str, fmt: _Format) -> int:
 def _scan(path, fmt: _Format):
     """``(N, rows)`` of a file read line by line; FormatError at the first bad line.
 
-    Line numbers count physical lines, split where text mode splits them."""
+    The error names the file.  Line numbers count physical lines, split
+    where text mode splits them."""
     count, rows = None, []
     check = None if fmt.key else fmt.row(None)
     with open(path, "rb") as fh:
@@ -359,13 +360,13 @@ def _scan(path, fmt: _Format):
             else:
                 rows.append(check(line.split(fmt.delimiter), line))
         except UnicodeDecodeError:
-            raise FormatError(f"non-ASCII byte in {path}", lineno) from None
+            raise FormatError("non-ASCII byte", lineno, path) from None
         except FormatError as exc:
-            raise FormatError(exc.args[0], lineno) from None
+            raise FormatError(exc.args[0], lineno, path) from None
     if check is None:
-        raise FormatError(f"missing {fmt.header} header")
+        raise FormatError(f"missing {fmt.header} header", path=path)
     if not rows and fmt.empty:
-        raise FormatError(fmt.empty)
+        raise FormatError(fmt.empty, path=path)
     return count, np.array(rows, dtype=fmt.dtype)
 
 

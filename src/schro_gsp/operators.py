@@ -52,6 +52,9 @@ SELF_ADJOINT_TOL = 1e-12
 class LinearNodeOperator:
     """Linear map on node signals; concrete classes fix storage and apply."""
 
+    # Set by the first ``is_self_adjoint`` test; operators are immutable.
+    _self_adjoint: bool | None = None
+
     @property
     def dim(self) -> int:
         raise NotImplementedError
@@ -64,13 +67,16 @@ class LinearNodeOperator:
         raise NotImplementedError
 
     def is_self_adjoint(self) -> bool:
-        """Whether ``max |A - A*| <= SELF_ADJOINT_TOL max |A|``, a scale-free test."""
-        mat = self.tosparse()
-        diff = mat - mat.conjugate().T
-        if diff.nnz == 0:
-            return True
-        scale = float(np.abs(mat.data).max())
-        return float(np.abs(diff.data).max()) <= SELF_ADJOINT_TOL * scale
+        """Whether ``max |A - A*| <= SELF_ADJOINT_TOL max |A|``, a scale-free test.
+
+        Computed at the first call and kept."""
+        if self._self_adjoint is None:
+            mat = self.tosparse()
+            diff = mat - mat.conjugate().T
+            self._self_adjoint = diff.nnz == 0 or (
+                float(np.abs(diff.data).max())
+                <= SELF_ADJOINT_TOL * float(np.abs(mat.data).max()))
+        return self._self_adjoint
 
     def _check_operand(self, values: np.ndarray) -> np.ndarray:
         arr = np.asarray(values)

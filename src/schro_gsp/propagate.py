@@ -120,6 +120,15 @@ def _chebyshev_coefficients(z: float) -> np.ndarray:
     return coef[: negligible[0]]
 
 
+def chebyshev_terms(laplacian: LinearNodeOperator, t: float) -> int:
+    """Terms of the series that propagates for time ``t``.
+
+    Every term after the first costs one generator application."""
+    _, half = _spectral_interval(laplacian)
+    z = t * half
+    return 1 if abs(z) < CHEB_TAIL_TOL else _chebyshev_coefficients(z).size
+
+
 def _chebyshev(
     laplacian: LinearNodeOperator, t: float, values: np.ndarray
 ) -> np.ndarray:

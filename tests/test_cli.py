@@ -475,6 +475,23 @@ class TestDiagnoseCommand:
         assert rc == 2
         assert os.path.basename(diagnose_inputs[kind]) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["graph", "features", "signal"])
+    def test_malformed_input_file_names_the_path_and_line(
+            self, tmp_path, diagnose_inputs, capsys, kind):
+        path = diagnose_inputs[kind]
+        with open(path, encoding="ascii") as fh:
+            lines = fh.read().splitlines()
+        # The last row again, with its last value made unparsable.
+        delimiter = "\t" if kind == "graph" else ","
+        bad = delimiter.join(lines[-1].split(delimiter)[:-1] + ["x"])
+        with open(path, "a", encoding="ascii") as fh:
+            fh.write(bad + "\n")
+        cfg = _write_cfg(tmp_path, diagnose_inputs)
+        rc = main(["diagnose", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{path}: line {len(lines) + 1}: unparsable" in err, err
+
     def test_coordinate_out_of_range_rejected(self, tmp_path, diagnose_inputs):
         cfg = _write_cfg(tmp_path, dict(diagnose_inputs, coordinate=5))
         assert main(["diagnose", "--config", cfg,

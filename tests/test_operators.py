@@ -214,6 +214,17 @@ class TestSelfAdjointness:
         assert 0.0 < sym[0, 1] - sym[1, 0] < 1.5e-8
         assert SparseOperator(sym).is_self_adjoint()
 
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_second_call_reuses_the_first_answer(self, symmetric):
+        mat = np.array([[1.0, 2.0], [2.0 if symmetric else 3.0, 0.0]])
+        op = SparseOperator(mat)
+        built = []
+        tosparse = op.tosparse
+        op.tosparse = lambda: built.append(1) or tosparse()
+        assert op.is_self_adjoint() is symmetric
+        assert op.is_self_adjoint() is symmetric
+        assert len(built) == 1
+
 
 class TestNorms:
     def test_identity_norms(self):
