@@ -160,30 +160,36 @@ def relative_shift(
     """
     if g.n_nodes != f.n_nodes or windows.n_nodes != g.n_nodes:
         raise ContractError("signal, features, and windows disagree on size")
-    pieces = []
-    for w in windows.weights:
-        windowed = np.sqrt(w)[:, None] * g.values
-        mass = float(np.linalg.norm(windowed))
-        pieces.append(windowed / mass if mass > NORM_FLOOR else None)
-    live = [b for b, piece in enumerate(pieces) if piece is not None]
-    outputs = {}
-    if live:
-        batch = np.stack([pieces[b] for b in live], axis=2)
+    # Each normalized window is written into the next free slice of one
+    # stack, so a window without usable mass is overwritten by the next and
+    # the live ones end up side by side; the pieces are views of the stack.
+    stack = np.empty((g.n_nodes, g.n_channels, windows.n_windows), dtype=np.complex128)
+    slot = {}
+    for b, w in enumerate(windows.weights):
+        piece = stack[:, :, len(slot)]
+        np.multiply(np.sqrt(w)[:, None], g.values, out=piece)
+        mass = float(np.linalg.norm(piece))
+        if mass > NORM_FLOOR:
+            piece /= mass
+            slot[b] = len(slot)
+    # Read-only: the map must not write over the pieces it is given.
+    stack.setflags(write=False)
+    batch = stack[:, :, :len(slot)]
+    if slot:
         out = np.asarray(layer_fn(batch))
-        if out.ndim != 3 or out.shape[0] != g.n_nodes or out.shape[2] != len(live):
+        if out.ndim != 3 or out.shape[0] != g.n_nodes or out.shape[2] != len(slot):
             raise ContractError(
                 f"layer_fn mapped a {batch.shape} window stack to shape "
-                f"{out.shape}, expected ({g.n_nodes}, D, {len(live)})")
+                f"{out.shape}, expected ({g.n_nodes}, D, {len(slot)})")
         if not np.all(np.isfinite(out)):
             raise ContractError("layer_fn output must be finite")
-        outputs = {b: out[:, :, i] for i, b in enumerate(live)}
     entries = []
     shifts = []
     for b, wid in enumerate(windows.window_ids):
         p_pre = p_post = None
-        if b in outputs:
-            p_pre = _energy_profile(pieces[b])
-            p_post = _energy_profile(outputs[b])
+        if b in slot:
+            p_pre = _energy_profile(batch[:, :, slot[b]])
+            p_post = _energy_profile(out[:, :, slot[b]])
         if p_pre is None or p_post is None:
             for k in windows.coordinates:
                 entries.append(WindowShift(wid, k, True, None, None, None, None, None))

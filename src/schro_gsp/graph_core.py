@@ -83,11 +83,15 @@ class Graph:
                 raise ContractError("self-loops are not allowed")
             if np.any(u > v):
                 raise ContractError("edges must be stored with u < v")
-            # u * n + v names the pair uniquely and stays below 2**62;
-            # equal neighbours after a sort are duplicates.
-            keys = np.sort(u * self.n_nodes + v)
-            if np.any(keys[1:] == keys[:-1]):
-                raise ContractError("duplicate undirected edge")
+            # u * n + v names the pair uniquely and stays below 2**62.
+            # Strictly increasing keys, as ``_oriented_graph`` stores them,
+            # are distinct; otherwise equal neighbours after a sort are
+            # duplicates.
+            keys = u * self.n_nodes + v
+            if not np.all(keys[1:] > keys[:-1]):
+                keys.sort()
+                if np.any(keys[1:] == keys[:-1]):
+                    raise ContractError("duplicate undirected edge")
         if not np.all(np.isfinite(w)):
             raise ContractError("edge weights must be finite")
         object.__setattr__(self, "edge_u", _readonly(u))
@@ -533,9 +537,9 @@ def ring_graph(n_nodes: int) -> tuple[Graph, FeatureLocations]:
     """
     if n_nodes < 3:
         raise ContractError("a ring needs at least 3 nodes")
-    angles = -math.pi + 2.0 * math.pi * np.arange(n_nodes) / n_nodes
-    edges = [(i, (i + 1) % n_nodes, 1.0) for i in range(n_nodes)]
-    graph = Graph.from_edges(n_nodes, edges)
+    nodes = np.arange(n_nodes)
+    angles = -math.pi + 2.0 * math.pi * nodes / n_nodes
+    graph = _oriented_graph(n_nodes, nodes, (nodes + 1) % n_nodes, np.ones(n_nodes))
     features = FeatureLocations(
         np.column_stack([np.cos(angles), np.sin(angles), angles])
     )

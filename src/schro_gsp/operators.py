@@ -13,6 +13,18 @@ derivatives side by side in ``D = [G_0 ... G_{K-1}]``: one sparse product
 whose result is exactly symmetric.  ``DiagonalOperator`` holds a real
 diagonal (location observables) or a unit-modulus one (modulations).
 
+Edge operators (derivatives, momenta, smoothing operators) are gathered
+straight into CSR.  One stable argsort of the directed keys
+``row * n + col`` over both directions of every edge gives the CSR order;
+a generator makes it once for all its derivatives and frees it before its
+product.  An operator's data is its per-edge values gathered in that
+order, less the stored zeros, and one ``csr_matrix((data, indices,
+indptr))`` call wraps the arrays, whose index dtype is the one scipy would
+pick.  The result equals scipy's COO build byte for byte, without the COO
+object, ``sum_duplicates`` or ``eliminate_zeros``.  A complex block applied
+to a real matrix is multiplied as its float view: one product per
+generator application.
+
 There is one spectral norm, ``operator_norm``, exact to machine precision.
 It picks its solver by size: up to ``DENSE_NORM_MAX_NODES`` nodes, the top
 eigenpair of the Gram matrix ``A* A``, formed once and solved densely one
@@ -91,7 +103,8 @@ class SparseOperator(LinearNodeOperator):
     """General operator backed by a square CSR matrix."""
 
     def __init__(self, mat):
-        mat = sparse.csr_matrix(mat)
+        if not isinstance(mat, sparse.csr_matrix):
+            mat = sparse.csr_matrix(mat)
         if mat.shape[0] != mat.shape[1]:
             raise ContractError("operator matrix must be square")
         self._mat = mat
@@ -202,13 +215,18 @@ def _real_matmul(mat, arr: np.ndarray) -> np.ndarray:
 
     A real (``float64``) matrix, dense or sparse, multiplies the float64
     view of a complex operand, so numpy or scipy does not upcast the matrix
-    to complex: one real product at half the flops, with no cast copy.
+    to complex: one real product at half the flops, with no cast copy.  A
+    C-contiguous complex ``(N, J)`` block already is ``(N, 2J)`` floats, so
+    it takes one view, one product and one view back.
     """
-    shape = (mat.shape[0], *arr.shape[1:])
     if np.iscomplexobj(arr) and mat.dtype == np.float64:
+        if arr.ndim == 2 and arr.dtype == np.complex128 and arr.flags.c_contiguous:
+            return (mat @ arr.view(np.float64)).view(np.complex128)
+        shape = (mat.shape[0], *arr.shape[1:])
         arr = np.ascontiguousarray(arr, dtype=np.complex128)
         out = mat @ arr.view(np.float64).reshape(arr.shape[0], -1)
         return out.view(np.complex128).reshape(shape)
+    shape = (mat.shape[0], *arr.shape[1:])
     return (mat @ arr.reshape(arr.shape[0], -1)).reshape(shape)
 
 
@@ -217,20 +235,42 @@ def _real_matmul(mat, arr: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _edge_csr(graph: Graph, forward, backward) -> sparse.csr_matrix:
-    """CSR matrix holding ``forward`` at each edge (u, v), ``backward`` at (v, u)."""
-    u, v = graph.edge_u, graph.edge_v
-    rows = np.concatenate([u, v])
-    cols = np.concatenate([v, u])
-    vals = np.concatenate([forward, backward])
-    mat = sparse.csr_matrix((vals, (rows, cols)), shape=(graph.n_nodes,) * 2)
-    mat.eliminate_zeros()
-    return mat
+def _edge_pattern(graph: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR order of the directed edges, and the pattern's index arrays.
+
+    The directed edges are every ``(u, v)`` then every ``(v, u)``.  Returns
+    ``order``, which lists them in CSR order (rows ascending, columns
+    ascending within a row), and the full pattern's ``indices`` and
+    ``indptr`` in the index dtype scipy picks for this size.
+    """
+    n = graph.n_nodes
+    rows = np.concatenate([graph.edge_u, graph.edge_v])
+    cols = np.concatenate([graph.edge_v, graph.edge_u])
+    # row * n + col is unique per directed edge and below 2**62.
+    order = np.argsort(rows * n + cols, kind="stable")
+    idx = np.int32 if max(rows.size, n) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(n + 1, dtype=idx)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return order, cols[order].astype(idx), indptr
 
 
-def _derivative_csr(graph: Graph, col: np.ndarray) -> sparse.csr_matrix:
+def _edge_csr(pattern, forward, backward) -> sparse.csr_matrix:
+    """CSR matrix holding ``forward`` at each edge (u, v), ``backward`` at
+    (v, u), with stored zeros dropped; ``pattern`` is ``_edge_pattern``'s."""
+    order, indices, indptr = pattern
+    data = np.concatenate([forward, backward])[order]
+    keep = data != 0
+    if not keep.all():
+        data, indices = data[keep], indices[keep]
+        # A row's new start is the count of kept entries before its old one.
+        indptr = np.concatenate([[0], np.cumsum(keep)])[indptr].astype(indptr.dtype)
+    n = indptr.size - 1
+    return sparse.csr_matrix((data, indices, indptr), shape=(n, n))
+
+
+def _derivative_csr(graph: Graph, col: np.ndarray, pattern) -> sparse.csr_matrix:
     duv = graph.edge_w * (col[graph.edge_u] - col[graph.edge_v])
-    return _edge_csr(graph, duv, -duv)
+    return _edge_csr(pattern, duv, -duv)
 
 
 def _check_feature_args(graph: Graph, f: FeatureLocations, k: int) -> np.ndarray:
@@ -246,21 +286,33 @@ def feature_derivative(graph: Graph, f: FeatureLocations, k: int) -> SparseOpera
     adjacency pattern.
     """
     col = _check_feature_args(graph, f, k)
-    return SparseOperator(_derivative_csr(graph, col))
+    return SparseOperator(_derivative_csr(graph, col, _edge_pattern(graph)))
 
 
 def momentum_observable(graph: Graph, f: FeatureLocations, k: int) -> SparseOperator:
     """Self-adjoint momentum observable: i times the feature derivative."""
     col = _check_feature_args(graph, f, k)
-    return SparseOperator(_derivative_csr(graph, col).astype(np.complex128) * 1j)
+    # Each entry is x * 1j, formed before the gather: the same products as
+    # the derivative's data cast to complex and multiplied by 1j.
+    duv = graph.edge_w * (col[graph.edge_u] - col[graph.edge_v])
+    return SparseOperator(_edge_csr(_edge_pattern(graph), duv * 1j, -duv * 1j))
 
 
 def schrodinger_laplacian(graph: Graph, f: FeatureLocations) -> SecondOrderGenerator:
     """Self-adjoint generator: minus the sum of squared feature derivatives."""
     if f.n_nodes != graph.n_nodes:
         raise ContractError("feature locations do not match the graph size")
-    return SecondOrderGenerator(
-        _derivative_csr(graph, f.column(k)) for k in range(f.n_features))
+    return SecondOrderGenerator(_derivative_mats(graph, f))
+
+
+def _derivative_mats(graph: Graph, f: FeatureLocations):
+    """Every feature's derivative matrix, in order, from one shared pattern.
+
+    A generator: the pattern is freed once the last matrix is taken, before
+    ``SecondOrderGenerator`` forms its product."""
+    pattern = _edge_pattern(graph)
+    for k in range(f.n_features):
+        yield _derivative_csr(graph, f.column(k), pattern)
 
 
 def location_observable(f: FeatureLocations, k: int) -> DiagonalOperator:
@@ -276,7 +328,7 @@ def smoothing_operator(graph: Graph, f: FeatureLocations, k: int) -> SparseOpera
     """
     col = _check_feature_args(graph, f, k)
     s = graph.edge_w * (col[graph.edge_u] - col[graph.edge_v]) ** 2
-    return SparseOperator(_edge_csr(graph, s, s))
+    return SparseOperator(_edge_csr(_edge_pattern(graph), s, s))
 
 
 def modulation(h: np.ndarray, theta: float) -> DiagonalOperator:

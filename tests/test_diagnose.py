@@ -244,6 +244,34 @@ class TestRelativeShift:
             assert e.shift == pytest.approx((post - pre) / col.std(), rel=1e-12, abs=1e-12)
         assert sum(e.missing for e in report.entries) == 1
 
+    def test_stack_holds_each_normalized_window_exactly(self, rng):
+        graph, f, _ = make_instance(253, n_features=1)
+        n = graph.n_nodes
+        g = Signal(rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2)))
+        hats = build_windows(f, 0, 3)
+        # Windows without mass first, in the middle and last.
+        zero = np.zeros((1, n))
+        weights = np.vstack([zero, hats.weights[:2], zero, hats.weights[2:], zero])
+        ws = WindowSet(coordinates=(0,), weights=weights,
+                       window_ids=tuple((b,) for b in range(6)), centers=hats.centers)
+        seen = []
+
+        def layer(stack):
+            seen.append(stack)
+            assert not stack.flags.writeable
+            return stack
+
+        report = relative_shift(layer, g, f, ws)
+        want = []
+        for w in hats.weights:
+            windowed = np.sqrt(w)[:, None] * g.values
+            want.append(windowed / float(np.linalg.norm(windowed)))
+        assert (np.ascontiguousarray(seen[0]).tobytes()
+                == np.stack(want, axis=2).tobytes())
+        assert [e.missing for e in report.entries] == [True, False, False, True,
+                                                       False, True]
+        assert all(e.shift == 0.0 for e in report.entries if not e.missing)
+
     def test_stack_shape_mismatch_rejected(self, rng):
         graph, f, _ = make_instance(257)
         g = Signal(rng.normal(size=graph.n_nodes) + 1j)

@@ -45,6 +45,15 @@ class TestGraph:
         with pytest.raises(ContractError):
             Graph.from_edges(3, [(0, 1, 1.0), (1, 0, 2.0)])
 
+    @pytest.mark.parametrize("u, v", [
+        ([0, 1, 0], [1, 2, 1]),     # duplicates apart, keys out of order
+        ([0, 0, 1], [1, 1, 2]),     # adjacent duplicates, keys not decreasing
+        ([1, 0, 0], [2, 1, 1]),     # adjacent duplicates, keys decreasing
+    ])
+    def test_duplicate_edge_rejected_in_any_stored_order(self, u, v):
+        with pytest.raises(ContractError, match="duplicate undirected edge"):
+            Graph(3, u, v, [1.0, 1.0, 1.0])
+
     def test_endpoint_out_of_range_rejected(self):
         with pytest.raises(ContractError):
             Graph.from_edges(3, [(0, 5, 1.0)])
@@ -400,6 +409,14 @@ class TestRingGraph:
         assert f.n_features == 3
         assert f.values[0, 0] == pytest.approx(-1.0)  # cos(-pi)
         assert f.values[0, 2] == pytest.approx(-np.pi)
+
+    @pytest.mark.parametrize("n", [3, 4, 10, 99, 1000])
+    def test_same_graph_as_the_edge_list_build(self, n):
+        g, _ = ring_graph(n)
+        ref = Graph.from_edges(n, [(i, (i + 1) % n, 1.0) for i in range(n)])
+        for attr in ("edge_u", "edge_v", "edge_w"):
+            got, want = getattr(g, attr), getattr(ref, attr)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_triangle_is_smallest(self):
         g, _ = ring_graph(3)

@@ -1,5 +1,7 @@
 """Operator construction against hand-computed matrices and exact identities."""
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from scipy import sparse
 from schro_gsp import operators
 from schro_gsp.errors import ContractError, NumericalError
 from schro_gsp.experiments import grid_graph
-from schro_gsp.graph_core import FeatureLocations, Graph
+from schro_gsp.graph_core import FeatureLocations, Graph, ring_graph
 from schro_gsp.operators import (
     DENSE_MAX_NODES,
     DiagonalOperator,
@@ -511,3 +513,129 @@ class TestNormSolversAgree:
             estimates.append(sigma)
         assert estimates[0] == pytest.approx(estimates[1], rel=1e-13)
         assert estimates[0] == pytest.approx(svals[0], rel=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# Edge operators gathered into CSR, against scipy's COO route.
+# ---------------------------------------------------------------------------
+
+
+def _coo_edge_csr(graph, forward, backward):
+    """The reference: a COO build, summed and with stored zeros dropped."""
+    u, v = graph.edge_u, graph.edge_v
+    mat = sparse.csr_matrix(
+        (np.concatenate([forward, backward]),
+         (np.concatenate([u, v]), np.concatenate([v, u]))),
+        shape=(graph.n_nodes,) * 2)
+    mat.eliminate_zeros()
+    return mat
+
+
+def _coo_derivative(graph, f, k):
+    col = f.column(k)
+    duv = graph.edge_w * (col[graph.edge_u] - col[graph.edge_v])
+    return _coo_edge_csr(graph, duv, -duv)
+
+
+def _coo_operators(graph, f):
+    """Reference matrices of every edge operator, keyed by constructor name."""
+    mats = [_coo_derivative(graph, f, k) for k in range(f.n_features)]
+    if len(mats) == 1:
+        stack, stack_t = mats[0], -mats[0]
+    else:
+        stack = sparse.vstack(mats, format="csr")
+        stack_t = stack.T.tocsr()
+    col = f.column(0)
+    s = graph.edge_w * (col[graph.edge_u] - col[graph.edge_v]) ** 2
+    return {
+        "feature_derivative": mats[0],
+        "momentum_observable": mats[0].astype(np.complex128) * 1j,
+        "smoothing_operator": _coo_edge_csr(graph, s, s),
+        "schrodinger_laplacian": stack_t @ stack,
+    }
+
+
+def _gathered_operators(graph, f):
+    return {
+        "feature_derivative": feature_derivative(graph, f, 0),
+        "momentum_observable": momentum_observable(graph, f, 0),
+        "smoothing_operator": smoothing_operator(graph, f, 0),
+        "schrodinger_laplacian": schrodinger_laplacian(graph, f),
+    }
+
+
+def _assembly_cases():
+    rng = np.random.default_rng(2024)
+    cases = {}
+    for seed in range(6):
+        graph, f, _ = make_instance(seed, n_features=1 + seed % 3, n_max=32)
+        cases[f"verify-family-{seed}"] = (graph, f)
+    for parts in (1, 3):
+        graph, f, _ = log_weight_instance(parts, parts)
+        cases[f"log-weights-{parts}"] = (graph, f)
+    for n in (3, 8, 31):
+        cases[f"ring-{n}"] = ring_graph(n)
+    cases["grid-5"] = grid_graph(5)
+    graph, f, _ = make_instance(9, n_features=2, n_max=32)
+    perm = rng.permutation(graph.n_edges)
+    cases["unsorted-edges"] = (Graph(graph.n_nodes, graph.edge_u[perm],
+                                     graph.edge_v[perm], graph.edge_w[perm]), f)
+    # Features on a coarse lattice, and a zero weight: many edges carry a
+    # zero entry, which the build must drop.
+    graph, f, _ = make_instance(4, n_features=2, n_max=32)
+    w = graph.edge_w.copy()
+    w[::5] = 0.0
+    cases["zero-entries"] = (Graph(graph.n_nodes, graph.edge_u, graph.edge_v, w),
+                             FeatureLocations(np.round(f.values)))
+    empty = np.zeros(0)
+    cases["one-node"] = (Graph(1, empty, empty, empty),
+                         FeatureLocations(np.array([[0.5, -1.0]])))
+    cases["edgeless"] = (Graph(5, empty, empty, empty),
+                         FeatureLocations(rng.normal(size=(5, 2))))
+    return cases
+
+
+class TestGatheredAssembly:
+    """Every edge operator equals scipy's COO build in bytes and dtypes."""
+
+    @pytest.mark.parametrize("case", sorted(_assembly_cases()))
+    def test_arrays_match_the_coo_route(self, case):
+        graph, f = _assembly_cases()[case]
+        want = _coo_operators(graph, f)
+        for name, op in _gathered_operators(graph, f).items():
+            got, ref = op.tosparse(), want[name]
+            for attr in ("indptr", "indices", "data"):
+                a, b = getattr(got, attr), getattr(ref, attr)
+                assert a.dtype == b.dtype, (name, attr)
+                assert a.tobytes() == b.tobytes(), (name, attr)
+
+    def test_zero_entries_are_dropped(self):
+        graph, f = _assembly_cases()["zero-entries"]
+        mat = feature_derivative(graph, f, 0).tosparse()
+        assert mat.nnz < 2 * graph.n_edges
+        assert np.all(mat.data != 0)
+
+    def test_pattern_is_freed_before_the_generator_product(self, monkeypatch):
+        # Between the derivatives and the product the generator stacks them;
+        # by then the shared CSR order must be gone.
+        graph, f, _ = make_instance(5, n_features=2, n_max=32)
+        orders, alive_at_stack = [], []
+        pattern, vstack = operators._edge_pattern, sparse.vstack
+
+        def recorded_pattern(g):
+            out = pattern(g)
+            orders.append(weakref.ref(out[0]))
+            return out
+
+        def recorded_vstack(*args, **kwargs):
+            alive_at_stack.extend(ref() is not None for ref in orders)
+            return vstack(*args, **kwargs)
+
+        monkeypatch.setattr(operators, "_edge_pattern", recorded_pattern)
+        monkeypatch.setattr(sparse, "vstack", recorded_vstack)
+        schrodinger_laplacian(graph, f)
+        assert alive_at_stack == [False]
+
+    def test_operator_keeps_the_matrix_it_is_handed(self):
+        mat = sparse.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        assert SparseOperator(mat).tosparse() is mat

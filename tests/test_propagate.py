@@ -19,6 +19,7 @@ from schro_gsp.propagate import (
     CHEB_TAIL_TOL,
     DensePropagator,
     _chebyshev_coefficients,
+    chebyshev_terms,
     evolve,
     unitarity_defect,
 )
@@ -177,6 +178,9 @@ class TestCost:
 
         monkeypatch.setattr(SecondOrderGenerator, "apply", counted)
         evolve(lap, t, Signal.single(vec))
+        # One application per term after the first, each through ``apply``:
+        # a product that bypassed it would read zero here.
+        assert len(calls) == chebyshev_terms(lap, t) - 1
         # A Taylor-like cost of 15 applications per unit of |t| b is 750 here.
         assert len(calls) <= math.ceil(abs(t) * lap.norm_bound / 2) + 40
 

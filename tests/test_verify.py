@@ -12,7 +12,7 @@ import pytest
 
 from schro_gsp import propagate
 from schro_gsp.graph_core import Signal
-from schro_gsp.operators import schrodinger_laplacian
+from schro_gsp.operators import SecondOrderGenerator, schrodinger_laplacian
 from schro_gsp.propagate import DensePropagator, evolve, unitarity_defect
 from schro_gsp.verify import _propagation_family, run_suites, select_suites
 
@@ -40,10 +40,12 @@ SUITE_NAMES = [
 SERIES_SUITES = (
     "unitarity-taylor", "taylor-dense-agreement", "evolution-inversion-taylor")
 
-# Work of one full battery: Chebyshev propagations and eigendecompositions.
-# Machine-independent, so duplicated work fails here on any host.
+# Work of one full battery: Chebyshev propagations, eigendecompositions and
+# generator applications.  Machine-independent, so duplicated work fails
+# here on any host, and so does a product that bypasses ``apply``.
 BATTERY_CHEBYSHEV_RUNS = 567
 BATTERY_FACTORIZATIONS = 427
+BATTERY_GENERATOR_APPLICATIONS = 27_344
 
 
 def _unitarity_dense():
@@ -104,10 +106,12 @@ SEPARATE_SUITES = {
 
 @pytest.fixture(scope="module")
 def battery():
-    """One full run, with its Chebyshev runs and factorizations counted."""
-    counts = {"chebyshev": 0, "factorizations": 0}
+    """One full run, with its Chebyshev runs, factorizations and generator
+    applications counted."""
+    counts = {"chebyshev": 0, "factorizations": 0, "applications": 0}
     chebyshev = propagate._chebyshev
     factorize = DensePropagator.__init__
+    apply = SecondOrderGenerator.apply
 
     def counted_chebyshev(*args):
         counts["chebyshev"] += 1
@@ -117,9 +121,14 @@ def battery():
         counts["factorizations"] += 1
         factorize(self, *args)
 
+    def counted_apply(self, values):
+        counts["applications"] += 1
+        return apply(self, values)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(propagate, "_chebyshev", counted_chebyshev)
         mp.setattr(DensePropagator, "__init__", counted_factorize)
+        mp.setattr(SecondOrderGenerator, "apply", counted_apply)
         results = run_suites()
     return {r.name: r for r in results}, counts
 
@@ -140,7 +149,8 @@ def test_pass_matches_the_suite_computed_on_its_own(battery, name):
 def test_battery_work_is_counted(battery):
     _, counts = battery
     assert counts == {"chebyshev": BATTERY_CHEBYSHEV_RUNS,
-                      "factorizations": BATTERY_FACTORIZATIONS}
+                      "factorizations": BATTERY_FACTORIZATIONS,
+                      "applications": BATTERY_GENERATOR_APPLICATIONS}
 
 
 def test_one_suite_alone_reads_the_same_pass(battery):
