@@ -279,14 +279,9 @@ def cmd_ring(args) -> int:
     except DivergedError as exc:
         dump = {"error": str(exc)}
         if exc.last_good is not None:
-            params = exc.last_good.get("params")
-            trace = exc.last_good.get("trace", [])
-            if params is not None:
-                dump["last_good_params"] = params.as_dict()
-            dump["trace"] = [
-                {"iteration": it, "train_mse": tr, "val_mse": va}
-                for it, tr, va in trace
-            ]
+            dump["last_good_params"] = exc.last_good.as_dict()
+        dump["trace"] = [{"iteration": it, "train_mse": tr, "val_mse": va}
+                         for it, tr, va in exc.trace]
         _write_json(os.path.join(args.out, "divergence.json"), dump)
         print(f"error: {exc}", file=sys.stderr)
         print(f"trace dump written to {os.path.join(args.out, 'divergence.json')}",

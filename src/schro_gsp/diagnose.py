@@ -8,10 +8,10 @@ partition of unity by construction.
 
 The relative-shift diagnostic windows a signal, pushes the windowed pieces
 through a signal map, and compares per-node energy centroids of input and
-output along each windowed coordinate, normalized by the coordinate's
-spread.  A map that only reweights phases cannot move the centroid; a map
-that transports mass shows up as a nonzero shift in units of the feature's
-standard deviation.  The map receives every windowed piece at once, as a
+output along the windowed coordinate, normalized by its spread.  A map
+that only reweights phases cannot move the centroid; a map that transports
+mass shows up as a nonzero shift in units of the feature's standard
+deviation.  The map receives every windowed piece at once, as a
 stack ``(N, J, B)`` of ``B`` signals, and must act on each one alone.
 """
 
@@ -27,24 +27,19 @@ from .graph_core import NORM_FLOOR, FeatureLocations, Signal
 
 @dataclass(frozen=True)
 class WindowSet:
-    """Nonnegative node weights per window over the windowed coordinates."""
+    """Nonnegative node weights per window along one feature coordinate.
 
-    coordinates: tuple[int, ...]
+    A window's id is its row of ``weights``."""
+
+    coordinate: int
     weights: np.ndarray        # (B, N)
-    window_ids: tuple[tuple[int, ...], ...]
-    centers: tuple[np.ndarray, ...]
+    centers: np.ndarray        # (B,)
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "coordinates", tuple(self.coordinates))
-        object.__setattr__(self, "window_ids", tuple(
-            tuple(wid) for wid in self.window_ids
-        ))
-        object.__setattr__(self, "centers", tuple(
-            np.asarray(c, dtype=np.float64) for c in self.centers
-        ))
+        for name in ("weights", "centers"):
+            arr = np.asarray(getattr(self, name), dtype=np.float64)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def n_windows(self) -> int:
@@ -87,20 +82,15 @@ def build_windows(f: FeatureLocations, k: int, n_bins: int) -> WindowSet:
     lam = (col[nodes] - left) / (right - left)
     weights[i - 1, nodes] = 1.0 - lam
     weights[i, nodes] = lam
-    return WindowSet(
-        coordinates=(k,),
-        weights=weights,
-        window_ids=tuple((b,) for b in range(n_bins)),
-        centers=(centers,),
-    )
+    return WindowSet(coordinate=k, weights=weights, centers=centers)
 
 
 @dataclass(frozen=True)
 class WindowShift:
-    """Shift record for one window and coordinate; missing when the window
-    carried no usable mass before or after the map."""
+    """Shift record for one window; missing when the window carried no
+    usable mass before or after the map."""
 
-    window_id: tuple[int, ...]
+    window_id: int
     coordinate: int
     missing: bool
     shift: float | None
@@ -119,12 +109,11 @@ class ShiftReport:
         """Rows of (window_id, coordinate, shift, pre/post mean, pre/post var)."""
         rows = []
         for e in self.entries:
-            wid = "|".join(str(b) for b in e.window_id)
             if e.missing:
-                rows.append([wid, e.coordinate, "missing", "", "", "", ""])
+                rows.append([e.window_id, e.coordinate, "missing", "", "", "", ""])
             else:
                 rows.append([
-                    wid, e.coordinate, e.shift,
+                    e.window_id, e.coordinate, e.shift,
                     e.pre_mean, e.post_mean, e.pre_variance, e.post_variance,
                 ])
         return rows
@@ -153,7 +142,7 @@ def relative_shift(
     one complex array ``(N, J, B)`` and ``layer_fn`` is called once on it;
     it must return an ``(N, D, B)`` array whose slice ``[:, :, b]`` is the
     map applied to window ``b`` alone, as ``schrodinger_filter`` does.  The
-    map's output localization is compared to the input's along every
+    map's output localization is compared to the input's along the
     windowed coordinate.  Windows with no usable input or output mass are
     reported missing rather than as zero shifts.  Rescaling ``layer_fn`` by
     a positive constant leaves all shifts unchanged.
@@ -183,31 +172,30 @@ def relative_shift(
                 f"{out.shape}, expected ({g.n_nodes}, D, {len(slot)})")
         if not np.all(np.isfinite(out)):
             raise ContractError("layer_fn output must be finite")
+    k = windows.coordinate
+    col = f.column(k)
+    spread = float(col.std())
     entries = []
     shifts = []
-    for b, wid in enumerate(windows.window_ids):
+    for b in range(windows.n_windows):
         p_pre = p_post = None
         if b in slot:
             p_pre = _energy_profile(batch[:, :, slot[b]])
             p_post = _energy_profile(out[:, :, slot[b]])
         if p_pre is None or p_post is None:
-            for k in windows.coordinates:
-                entries.append(WindowShift(wid, k, True, None, None, None, None, None))
+            entries.append(WindowShift(b, k, True, None, None, None, None, None))
             continue
-        for k in windows.coordinates:
-            col = f.column(k)
-            spread = float(col.std())
-            if spread == 0.0:
-                raise DegenerateFeatureError(
-                    f"feature column {k} is constant; shifts are undefined")
-            pre_mean = float(np.dot(col, p_pre))
-            post_mean = float(np.dot(col, p_post))
-            pre_var = float(np.dot((col - pre_mean) ** 2, p_pre))
-            post_var = float(np.dot((col - post_mean) ** 2, p_post))
-            shift = (post_mean - pre_mean) / spread
-            shifts.append(shift)
-            entries.append(WindowShift(
-                wid, k, False, shift, pre_mean, post_mean, pre_var, post_var,
-            ))
+        if spread == 0.0:
+            raise DegenerateFeatureError(
+                f"feature column {k} is constant; shifts are undefined")
+        pre_mean = float(np.dot(col, p_pre))
+        post_mean = float(np.dot(col, p_post))
+        pre_var = float(np.dot((col - pre_mean) ** 2, p_pre))
+        post_var = float(np.dot((col - post_mean) ** 2, p_post))
+        shift = (post_mean - pre_mean) / spread
+        shifts.append(shift)
+        entries.append(WindowShift(
+            b, k, False, shift, pre_mean, post_mean, pre_var, post_var,
+        ))
     mean_shift = float(np.mean(shifts)) if shifts else None
     return ShiftReport(tuple(entries), mean_shift)

@@ -9,6 +9,12 @@ operators built in :mod:`schro_gsp.operators`.
 All three containers are immutable: their arrays are defensively copied and
 marked read-only, so instances can be shared freely between operators and
 cached decompositions.
+
+This module alone lays out a graph's directed edges in CSR: ``edge_pattern``
+orders every ``(u, v)`` then every ``(v, u)`` by one stable argsort of the
+keys ``row * n + col``, and ``csr_index`` gives index arrays in the dtype
+scipy picks, so scipy wraps them without a scan or a cast.  ``relabel``
+renames the nodes by an order.
 """
 
 from __future__ import annotations
@@ -66,8 +72,8 @@ class Graph:
     def __post_init__(self):
         if self.n_nodes <= 0:
             raise ContractError("graph needs at least one node")
-        # The edge keys below (and in ``_oriented_graph``) are u * n + v,
-        # which fits int64 only for n below 2**31.
+        # The edge keys here, in ``_oriented_graph`` and in ``edge_pattern``
+        # are u * n + v, which fits int64 only for n below 2**31.
         if self.n_nodes >= 2 ** 31:
             raise ContractError(
                 f"graph has {self.n_nodes} nodes; at most 2**31 - 1 are supported")
@@ -110,7 +116,10 @@ class Graph:
 
     @cached_property
     def adjacency(self) -> sparse.csr_matrix:
-        """Symmetric weighted adjacency matrix (CSR)."""
+        """Symmetric weighted adjacency matrix (CSR).
+
+        Built by scipy from COO, not on ``edge_pattern``, whose argsort takes
+        twice as long on a graph of half a million edges."""
         n = self.n_nodes
         rows = np.concatenate([self.edge_u, self.edge_v])
         cols = np.concatenate([self.edge_v, self.edge_u])
@@ -223,11 +232,39 @@ def bandwidth_order(
     from scipy.sparse.csgraph import reverse_cuthill_mckee
 
     order = reverse_cuthill_mckee(graph.adjacency, symmetric_mode=True)
+    return (relabel(graph, order), FeatureLocations(f.values[order]),
+            Signal(g.values[order]))
+
+
+def relabel(graph: Graph, order: np.ndarray) -> Graph:
+    """The graph whose node ``i`` is node ``order[i]`` of ``graph``."""
     label = np.empty(graph.n_nodes, dtype=np.int64)
     label[order] = np.arange(graph.n_nodes)
-    relabeled = _oriented_graph(graph.n_nodes, label[graph.edge_u],
-                                label[graph.edge_v], graph.edge_w)
-    return relabeled, FeatureLocations(f.values[order]), Signal(g.values[order])
+    return _oriented_graph(graph.n_nodes, label[graph.edge_u],
+                           label[graph.edge_v], graph.edge_w)
+
+
+def edge_pattern(graph: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR ``order`` of the directed edges (rows ascending, then columns),
+    and the full pattern's ``indices`` and ``indptr``."""
+    n = graph.n_nodes
+    rows = np.concatenate([graph.edge_u, graph.edge_v])
+    cols = np.concatenate([graph.edge_v, graph.edge_u])
+    # row * n + col is unique per directed edge and below 2**62.
+    order = np.argsort(rows * n + cols, kind="stable")
+    return (order, *csr_index(rows, cols[order], n))
+
+
+def csr_index(rows: np.ndarray, cols: np.ndarray,
+              n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``indices`` and ``indptr`` of an ``n``-row CSR matrix whose entries,
+    in CSR order, have columns ``cols``; ``rows`` holds their rows in any
+    order.  Both are in the dtype scipy picks for this size, int32 unless
+    ``n`` or the entry count exceeds its range."""
+    idx = np.int32 if max(cols.size, n) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(n + 1, dtype=idx)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return cols.astype(idx), indptr
 
 
 def normalize_channel(g: Signal, j: int) -> Signal:

@@ -44,6 +44,9 @@ IMAG_RESIDUE_TOL = 1e-10
 
 _NORMALIZATION_TOL = 1e-9
 
+# Relative input step of ``sensitivity_probe``.
+PROBE_STEP = 2.0 ** -10
+
 
 def _as_channel(g) -> np.ndarray:
     if isinstance(g, Signal):
@@ -289,12 +292,12 @@ def mixed_derivative_rhs(
     return (first - 4.0 * target * second) / v0
 
 
-def sensitivity_probe(filter_fn, g, probe_step: float = 2.0 ** -10) -> float:
+def sensitivity_probe(filter_fn, g) -> float:
     """Normalized response of a linear signal map to scaling its input.
 
     Checks linearity on fixed pseudo-random probes, then measures
-    ``Re <F(g + d g) - F(g), F(g)> / (d * norm(F(g))**2)``, which is exactly 1
-    for every linear map with ``F(g) != 0``.
+    ``Re <F(g + d g) - F(g), F(g)> / (d * norm(F(g))**2)``, ``d = PROBE_STEP``,
+    which is exactly 1 for every linear map with ``F(g) != 0``.
     """
     vec = _as_channel(g)
     _require_normalized(vec)
@@ -311,6 +314,6 @@ def sensitivity_probe(filter_fn, g, probe_step: float = 2.0 ** -10) -> float:
     scale = max(1.0, float(np.linalg.norm(parts)))
     if float(np.linalg.norm(combined - parts)) > 1e-9 * scale:
         raise ContractError("filter_fn is not linear on random probes")
-    shifted = np.asarray(filter_fn(vec + probe_step * vec), dtype=np.complex128)
+    shifted = np.asarray(filter_fn(vec + PROBE_STEP * vec), dtype=np.complex128)
     resp = np.vdot(base, shifted - base)
-    return float(np.real(resp)) / (probe_step * base_norm ** 2)
+    return float(np.real(resp)) / (PROBE_STEP * base_norm ** 2)

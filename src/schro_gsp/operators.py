@@ -14,15 +14,13 @@ whose result is exactly symmetric.  ``DiagonalOperator`` holds a real
 diagonal (location observables) or a unit-modulus one (modulations).
 
 Edge operators (derivatives, momenta, smoothing operators) are gathered
-straight into CSR.  One stable argsort of the directed keys
-``row * n + col`` over both directions of every edge gives the CSR order;
-a generator makes it once for all its derivatives and frees it before its
-product.  An operator's data is its per-edge values gathered in that
-order, less the stored zeros, and one ``csr_matrix((data, indices,
-indptr))`` call wraps the arrays, whose index dtype is the one scipy would
-pick.  The result equals scipy's COO build byte for byte, without the COO
-object, ``sum_duplicates`` or ``eliminate_zeros``.  A complex block applied
-to a real matrix is multiplied as its float view: one product per
+straight into CSR on ``graph_core.edge_pattern``; a generator makes the
+pattern once for all its derivatives and frees it before its product.  An
+operator's data is its per-edge values gathered in that order, less the
+stored zeros, and one ``csr_matrix((data, indices, indptr))`` call wraps
+the arrays.  The result equals scipy's COO build byte for byte, without the
+COO object, ``sum_duplicates`` or ``eliminate_zeros``.  A complex block
+applied to a real matrix is multiplied as its float view: one product per
 generator application.
 
 There is one spectral norm, ``operator_norm``, exact to machine precision.
@@ -42,7 +40,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import ContractError, NumericalError
-from .graph_core import FeatureLocations, Graph
+from .graph_core import FeatureLocations, Graph, edge_pattern
 
 # Largest operator given a dense factorization: the propagation oracle's
 # eigendecomposition and the spectral norm's fallback when Lanczos stalls.
@@ -235,28 +233,9 @@ def _real_matmul(mat, arr: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _edge_pattern(graph: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """CSR order of the directed edges, and the pattern's index arrays.
-
-    The directed edges are every ``(u, v)`` then every ``(v, u)``.  Returns
-    ``order``, which lists them in CSR order (rows ascending, columns
-    ascending within a row), and the full pattern's ``indices`` and
-    ``indptr`` in the index dtype scipy picks for this size.
-    """
-    n = graph.n_nodes
-    rows = np.concatenate([graph.edge_u, graph.edge_v])
-    cols = np.concatenate([graph.edge_v, graph.edge_u])
-    # row * n + col is unique per directed edge and below 2**62.
-    order = np.argsort(rows * n + cols, kind="stable")
-    idx = np.int32 if max(rows.size, n) <= np.iinfo(np.int32).max else np.int64
-    indptr = np.zeros(n + 1, dtype=idx)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return order, cols[order].astype(idx), indptr
-
-
 def _edge_csr(pattern, forward, backward) -> sparse.csr_matrix:
     """CSR matrix holding ``forward`` at each edge (u, v), ``backward`` at
-    (v, u), with stored zeros dropped; ``pattern`` is ``_edge_pattern``'s."""
+    (v, u), with stored zeros dropped; ``pattern`` is ``edge_pattern``'s."""
     order, indices, indptr = pattern
     data = np.concatenate([forward, backward])[order]
     keep = data != 0
@@ -286,7 +265,7 @@ def feature_derivative(graph: Graph, f: FeatureLocations, k: int) -> SparseOpera
     adjacency pattern.
     """
     col = _check_feature_args(graph, f, k)
-    return SparseOperator(_derivative_csr(graph, col, _edge_pattern(graph)))
+    return SparseOperator(_derivative_csr(graph, col, edge_pattern(graph)))
 
 
 def momentum_observable(graph: Graph, f: FeatureLocations, k: int) -> SparseOperator:
@@ -295,7 +274,7 @@ def momentum_observable(graph: Graph, f: FeatureLocations, k: int) -> SparseOper
     # Each entry is x * 1j, formed before the gather: the same products as
     # the derivative's data cast to complex and multiplied by 1j.
     duv = graph.edge_w * (col[graph.edge_u] - col[graph.edge_v])
-    return SparseOperator(_edge_csr(_edge_pattern(graph), duv * 1j, -duv * 1j))
+    return SparseOperator(_edge_csr(edge_pattern(graph), duv * 1j, -duv * 1j))
 
 
 def schrodinger_laplacian(graph: Graph, f: FeatureLocations) -> SecondOrderGenerator:
@@ -310,7 +289,7 @@ def _derivative_mats(graph: Graph, f: FeatureLocations):
 
     A generator: the pattern is freed once the last matrix is taken, before
     ``SecondOrderGenerator`` forms its product."""
-    pattern = _edge_pattern(graph)
+    pattern = edge_pattern(graph)
     for k in range(f.n_features):
         yield _derivative_csr(graph, f.column(k), pattern)
 
@@ -328,7 +307,7 @@ def smoothing_operator(graph: Graph, f: FeatureLocations, k: int) -> SparseOpera
     """
     col = _check_feature_args(graph, f, k)
     s = graph.edge_w * (col[graph.edge_u] - col[graph.edge_v]) ** 2
-    return SparseOperator(_edge_csr(_edge_pattern(graph), s, s))
+    return SparseOperator(_edge_csr(edge_pattern(graph), s, s))
 
 
 def modulation(h: np.ndarray, theta: float) -> DiagonalOperator:
@@ -485,11 +464,12 @@ def infinity_norm(op: LinearNodeOperator) -> float:
     mat = op.tosparse()
     if mat.nnz == 0:
         return 0.0
-    return float(np.max(_abs_row_sums(mat)))
+    return float(np.max(_abs_row_sums(mat.data, mat.indptr)))
 
 
-def _abs_row_sums(mat: sparse.csr_matrix) -> np.ndarray:
-    """Row sums of ``|mat|`` without an absolute-valued copy of the matrix.
+def _abs_row_sums(data: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """Row sums of ``|data|`` over the CSR row pointers ``indptr``, without
+    an absolute-valued copy of a matrix.
 
     Sums ``|data|`` over each non-empty row's ``indptr`` segment in stored
     order; an empty row sums to 0.  scipy's ``np.abs(mat).sum(axis=1)`` does
@@ -497,7 +477,7 @@ def _abs_row_sums(mat: sparse.csr_matrix) -> np.ndarray:
     indices the two are bit-identical.  Unsorted rows (a sparse product's)
     are summed as stored instead of being sorted first.
     """
-    sums = np.zeros(mat.shape[0])
-    rows = np.flatnonzero(np.diff(mat.indptr))
-    sums[rows] = np.add.reduceat(np.abs(mat.data), mat.indptr[rows])
+    sums = np.zeros(indptr.size - 1)
+    rows = np.flatnonzero(np.diff(indptr))
+    sums[rows] = np.add.reduceat(np.abs(data), indptr[rows])
     return sums

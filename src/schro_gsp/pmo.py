@@ -37,8 +37,8 @@ import numpy as np
 from scipy import sparse
 
 from .errors import ContractError, NumericalError, check_config_fields
-from .graph_core import FeatureLocations, Graph
-from .operators import SparseOperator, operator_norm
+from .graph_core import FeatureLocations, Graph, csr_index, edge_pattern, relabel
+from .operators import SparseOperator, _abs_row_sums, operator_norm
 from .optim import bfgs
 
 
@@ -133,26 +133,23 @@ class _Workspace:
             raise ContractError(
                 f"{q.n_nodes} feature rows for a {graph.n_nodes}-node graph")
         n = self.n = graph.n_nodes
-        u = np.concatenate([graph.edge_u, graph.edge_v])
-        v = np.concatenate([graph.edge_v, graph.edge_u])
-        pattern = sparse.csr_matrix((np.ones(u.size), (u, v)), shape=(n, n))
+        # Unit values on the adjacency's structure: weights could cancel in
+        # the two-hop product.
+        adj = graph.adjacency
+        pattern = sparse.csr_matrix((np.ones(adj.nnz), adj.indices, adj.indptr),
+                                    shape=adj.shape)
         _, labels = connected_components(pattern @ pattern, directed=False)
         order = np.argsort(labels, kind="stable")
-        # ``position`` maps a node of the caller's order to its place here.
-        position = np.empty(n, dtype=np.int64)
-        position[order] = np.arange(n)
+        graph = relabel(graph, order)
 
-        rows, cols = position[u], position[v]
-        slots = np.lexsort((cols, rows))
-        rows, cols = rows[slots], cols[slots]
+        slots, cols, self.slot_ptr = edge_pattern(graph)
+        rows = np.concatenate([graph.edge_u, graph.edge_v])[slots]
         weights = np.concatenate([graph.edge_w, graph.edge_w])[slots]
         values = q.values[order]
         self.raw = np.ascontiguousarray((values[rows] - values[cols]).T * weights)
-        degree = np.bincount(rows, minlength=n)
-        self.slot_ptr = np.concatenate([[0], np.cumsum(degree)])
 
         # Path r -> l -> c: slot e1 = (r, l), then each slot e2 leaving l.
-        fan = degree[cols]
+        fan = np.diff(self.slot_ptr)[cols]
         e1 = np.repeat(np.arange(rows.size), fan)
         offset = np.arange(e1.size) - np.repeat(np.cumsum(fan) - fan, fan)
         e2 = np.repeat(self.slot_ptr[cols], fan) + offset
@@ -161,12 +158,7 @@ class _Workspace:
         entries, self.path_entry = np.unique(
             rows[self.e1] * n + cols[self.e2], return_inverse=True)
         self.entry_row, entry_col = np.divmod(entries, n)
-        ptr = np.concatenate([[0], np.cumsum(np.bincount(self.entry_row, minlength=n))])
-        # Kept in the index dtype scipy picks, so a commutator built on them
-        # neither scans nor casts them.
-        template = sparse.csr_matrix(
-            (np.zeros(entries.size), entry_col, ptr), shape=(n, n))
-        self.entry_col, self.entry_ptr = template.indices, template.indptr
+        self.entry_col, self.entry_ptr = csr_index(self.entry_row, entry_col, n)
         self.delta = np.ascontiguousarray(
             (values[self.entry_col] - values[self.entry_row]).T)
 
@@ -228,10 +220,8 @@ def _evaluate(
         grad[:, i] += 2.0 * (ws.delta @ (w * squares[j]))
 
     penalty = 0.0
-    rows = np.flatnonzero(np.diff(ws.slot_ptr))
     for k in range(k_out):
-        sums = np.zeros(ws.n)
-        sums[rows] = np.add.reduceat(np.abs(g[k]), ws.slot_ptr[rows])
+        sums = _abs_row_sums(g[k], ws.slot_ptr)
         row = int(np.argmax(sums))
         inf = float(sums[row])
         penalty += (inf - 1.0) ** 2

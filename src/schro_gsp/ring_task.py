@@ -53,6 +53,9 @@ __all__ = [
 
 _KINDS = ("modulated", "plain", "diffusion")
 
+# Alternations of weight fit and phase in ``_phase_weights``.
+_PHASE_ITERS = 60
+
 
 @dataclass(frozen=True)
 class RingTaskConfig:
@@ -346,7 +349,7 @@ def predict_model(
     return _Pass(_RingWorkspace(cfg), params, batch).pred
 
 
-def _phase_weights(atoms: np.ndarray, target: np.ndarray, iters: int = 60) -> np.ndarray:
+def _phase_weights(atoms: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Least-squares weights for |atoms @ w| ~ target, alternating between
     the weight fit and the phase the current output implies.
 
@@ -357,7 +360,7 @@ def _phase_weights(atoms: np.ndarray, target: np.ndarray, iters: int = 60) -> np
     q, r = np.linalg.qr(atoms)
     qh = q.conj().T
     z = qh @ target
-    for _ in range(iters):
+    for _ in range(_PHASE_ITERS):
         pred = q @ z
         mag = np.maximum(np.abs(pred), 1e-12)
         z = qh @ (target * (pred / mag))
@@ -443,8 +446,8 @@ def fit_ring_model(
         run = bfgs(evaluate, start.pack(), ws.cfg.max_iters)
     except DivergedError as exc:
         params = None if exc.last_good is None else start.unpack(exc.last_good)
-        raise DivergedError(f"{kind} ring fit: {exc}",
-                            last_good={"params": params, "trace": scored(exc.trace)}) from exc
+        raise DivergedError(f"{kind} ring fit: {exc}", last_good=params,
+                            trace=scored(exc.trace)) from exc
     return run, scored(run.trace)
 
 

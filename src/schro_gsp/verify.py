@@ -85,19 +85,19 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+# Edge weights of ``random_connected_graph`` are uniform on this range.
+_WEIGHT_RANGE = (0.1, 2.0)
+
+
 def random_connected_graph(
-    rng: np.random.Generator,
-    n_min: int = 4,
-    n_max: int = 32,
-    w_lo: float = 0.1,
-    w_hi: float = 2.0,
+    rng: np.random.Generator, n_min: int = 4, n_max: int = 32
 ) -> Graph:
     """Random spanning tree plus extra edges; connected by construction."""
     n = int(rng.integers(n_min, n_max + 1))
     edges: dict[tuple[int, int], float] = {}
     for v in range(1, n):
         u = int(rng.integers(0, v))
-        edges[(u, v)] = float(rng.uniform(w_lo, w_hi))
+        edges[(u, v)] = float(rng.uniform(*_WEIGHT_RANGE))
     for _ in range(int(rng.integers(0, n))):
         u = int(rng.integers(0, n))
         v = int(rng.integers(0, n))
@@ -105,7 +105,7 @@ def random_connected_graph(
             continue
         if u > v:
             u, v = v, u
-        edges.setdefault((u, v), float(rng.uniform(w_lo, w_hi)))
+        edges.setdefault((u, v), float(rng.uniform(*_WEIGHT_RANGE)))
     return Graph.from_edges(n, [(u, v, w) for (u, v), w in sorted(edges.items())])
 
 
@@ -920,12 +920,8 @@ def _shift_full_window():
     f = random_features(rng, g.n_nodes, 1)
     prop = DensePropagator(schrodinger_laplacian(g, f))
     vec = random_unit(rng, g.n_nodes)
-    full = WindowSet(
-        coordinates=(0,),
-        weights=np.ones((1, g.n_nodes)),
-        window_ids=((0,),),
-        centers=(np.array([float(np.median(f.column(0)))]),),
-    )
+    full = WindowSet(coordinate=0, weights=np.ones((1, g.n_nodes)),
+                     centers=[float(np.median(f.column(0)))])
 
     def layer(stack):
         return prop.apply(0.7, stack.reshape(len(stack), -1)).reshape(stack.shape)

@@ -32,14 +32,14 @@ class TestBuildWindows:
         assert ws.weights.min() >= 0.0
         assert ws.weights.max() <= 1.0
         assert np.abs(ws.weights.sum(axis=0) - 1.0).max() <= 1e-10
-        assert ws.window_ids == tuple((b,) for b in range(n_bins))
-        assert ws.coordinates == (0,)
+        assert ws.coordinate == 0
+        assert ws.centers.shape == (n_bins,)
 
     def test_two_bins_make_complementary_ramps(self):
         col = np.linspace(0.0, 1.0, 9)
         ws = build_windows(FeatureLocations.single(col), 0, 2)
         # quantile centers 0.25 and 0.75 land on grid values
-        assert np.allclose(ws.centers[0], [0.25, 0.75])
+        assert np.allclose(ws.centers, [0.25, 0.75])
         assert np.array_equal(ws.weights[0], 1.0 - ws.weights[1])
         # apex nodes carry full weight; the far side carries none
         assert ws.weights[0][col == 0.25] == 1.0
@@ -52,7 +52,7 @@ class TestBuildWindows:
         # ties and values beyond both end centers included
         col = np.round(rng.normal(size=200), 1)
         ws = build_windows(FeatureLocations.single(col), 0, n_bins)
-        centers = ws.centers[0]
+        centers = ws.centers
         expected = np.zeros((n_bins, col.size))
         for v, x in enumerate(col):
             i = int(np.searchsorted(centers, x, side="right"))
@@ -115,12 +115,8 @@ def _columnwise(fn):
 
 def _full_window(col: np.ndarray) -> WindowSet:
     n = col.size
-    return WindowSet(
-        coordinates=(0,),
-        weights=np.ones((1, n)),
-        window_ids=((0,),),
-        centers=(np.array([float(np.median(col))]),),
-    )
+    return WindowSet(coordinate=0, weights=np.ones((1, n)),
+                     centers=[float(np.median(col))])
 
 
 class TestRelativeShift:
@@ -211,10 +207,9 @@ class TestRelativeShift:
         hats = build_windows(f, 0, 3)
         # A fourth window with no weight anywhere carries no mass.
         ws = WindowSet(
-            coordinates=(0,),
+            coordinate=0,
             weights=np.vstack([hats.weights[:1], np.zeros((1, n)), hats.weights[1:]]),
-            window_ids=((0,), (9,), (1,), (2,)),
-            centers=hats.centers,
+            centers=np.insert(hats.centers, 1, hats.centers[0]),
         )
         calls = []
 
@@ -229,7 +224,7 @@ class TestRelativeShift:
             windowed = np.sqrt(w)[:, None] * g.values
             mass = np.linalg.norm(windowed)
             if mass <= NORM_FLOOR:
-                assert e.missing and e.window_id == (9,)
+                assert e.missing and e.window_id == 1
                 continue
             windowed = windowed / mass
             out = schrodinger_filter(lap, f, params, Signal(windowed)).values
@@ -252,8 +247,8 @@ class TestRelativeShift:
         # Windows without mass first, in the middle and last.
         zero = np.zeros((1, n))
         weights = np.vstack([zero, hats.weights[:2], zero, hats.weights[2:], zero])
-        ws = WindowSet(coordinates=(0,), weights=weights,
-                       window_ids=tuple((b,) for b in range(6)), centers=hats.centers)
+        ws = WindowSet(coordinate=0, weights=weights,
+                       centers=np.pad(hats.centers, (1, 2), mode="edge"))
         seen = []
 
         def layer(stack):
@@ -284,12 +279,7 @@ class TestRelativeShift:
         n = graph.n_nodes
         f = FeatureLocations(np.ones((n, 1)))
         g = Signal(rng.normal(size=n) + 1j * rng.normal(size=n))
-        ws = WindowSet(
-            coordinates=(0,),
-            weights=np.ones((1, n)),
-            window_ids=((0,),),
-            centers=(np.array([1.0]),),
-        )
+        ws = WindowSet(coordinate=0, weights=np.ones((1, n)), centers=[1.0])
         with pytest.raises(DegenerateFeatureError):
             relative_shift(lambda s: s, g, f, ws)
 

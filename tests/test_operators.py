@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from schro_gsp import operators
+from schro_gsp import operators, pmo
 from schro_gsp.errors import ContractError, NumericalError
 from schro_gsp.experiments import grid_graph
-from schro_gsp.graph_core import FeatureLocations, Graph, ring_graph
+from schro_gsp.graph_core import FeatureLocations, Graph, edge_pattern, ring_graph
 from schro_gsp.operators import (
     DENSE_MAX_NODES,
     DiagonalOperator,
@@ -26,6 +26,7 @@ from schro_gsp.operators import (
     schrodinger_laplacian,
     smoothing_operator,
 )
+from schro_gsp.verify import random_connected_graph, random_features
 
 from conftest import log_weight_instance, make_instance
 
@@ -459,16 +460,27 @@ def _row_sum_cases():
     # scipy's abs sorts a matrix's indices before it sums; these are sorted.
     for case in cases.values():
         case.sort_indices()
+    cases = {name: (mat.data, mat.indptr, mat) for name, mat in cases.items()}
+    # The PMO penalty's sums: one derivative's values on a workspace's edge
+    # slots.  The graph has a triangle, so its two-hop pattern is one block
+    # and the workspace keeps the node order.
+    graph = random_connected_graph(np.random.default_rng(3), n_min=12, n_max=16)
+    ws = pmo._Workspace(graph, random_features(rng, graph.n_nodes, 2))
+    data = np.array([0.6, -1.3]) @ ws.raw
+    _, indices, indptr = edge_pattern(graph)
+    assert np.array_equal(ws.slot_ptr, indptr)
+    cases["pmo-penalty"] = (data, ws.slot_ptr, sparse.csr_matrix(
+        (data, indices, indptr), shape=(graph.n_nodes, graph.n_nodes)))
     return cases
 
 
 class TestAbsRowSums:
     @pytest.mark.parametrize("name", sorted(_row_sum_cases()))
     def test_bit_identical_to_scipy(self, name):
-        mat = _row_sum_cases()[name]
+        data, indptr, mat = _row_sum_cases()[name]
         assert mat.format == "csr" and mat.has_sorted_indices
-        assert np.diff(mat.indptr).min() == 0
-        got = operators._abs_row_sums(mat)
+        assert name == "pmo-penalty" or np.diff(mat.indptr).min() == 0
+        got = operators._abs_row_sums(data, indptr)
         ref = np.asarray(np.abs(mat).sum(axis=1)).ravel()
         assert got.dtype == ref.dtype == np.float64
         assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
@@ -620,7 +632,7 @@ class TestGatheredAssembly:
         # by then the shared CSR order must be gone.
         graph, f, _ = make_instance(5, n_features=2, n_max=32)
         orders, alive_at_stack = [], []
-        pattern, vstack = operators._edge_pattern, sparse.vstack
+        pattern, vstack = operators.edge_pattern, sparse.vstack
 
         def recorded_pattern(g):
             out = pattern(g)
@@ -631,7 +643,7 @@ class TestGatheredAssembly:
             alive_at_stack.extend(ref() is not None for ref in orders)
             return vstack(*args, **kwargs)
 
-        monkeypatch.setattr(operators, "_edge_pattern", recorded_pattern)
+        monkeypatch.setattr(operators, "edge_pattern", recorded_pattern)
         monkeypatch.setattr(sparse, "vstack", recorded_vstack)
         schrodinger_laplacian(graph, f)
         assert alive_at_stack == [False]

@@ -219,6 +219,85 @@ class TestEvaluateAgainstDenseOracle:
         assert np.linalg.norm(grad - fd) <= 1e-7 * np.linalg.norm(fd)
 
 
+def _reference_workspace(graph, q):
+    """The workspace's arrays from the construction it had before it took
+    its layout from ``graph_core``: a COO ones-pattern, an inverse
+    permutation, lexsort slots and a CSR matrix read for its index dtype."""
+    from scipy import sparse
+    from scipy.sparse.csgraph import connected_components
+
+    n = graph.n_nodes
+    u = np.concatenate([graph.edge_u, graph.edge_v])
+    v = np.concatenate([graph.edge_v, graph.edge_u])
+    pattern = sparse.csr_matrix((np.ones(u.size), (u, v)), shape=(n, n))
+    _, labels = connected_components(pattern @ pattern, directed=False)
+    order = np.argsort(labels, kind="stable")
+    position = np.empty(n, dtype=np.int64)
+    position[order] = np.arange(n)
+    rows, cols = position[u], position[v]
+    slots = np.lexsort((cols, rows))
+    rows, cols = rows[slots], cols[slots]
+    weights = np.concatenate([graph.edge_w, graph.edge_w])[slots]
+    values = q.values[order]
+    out = {"raw": np.ascontiguousarray((values[rows] - values[cols]).T * weights)}
+    degree = np.bincount(rows, minlength=n)
+    out["slot_ptr"] = np.concatenate([[0], np.cumsum(degree)])
+    fan = degree[cols]
+    e1 = np.repeat(np.arange(rows.size), fan)
+    offset = np.arange(e1.size) - np.repeat(np.cumsum(fan) - fan, fan)
+    e2 = np.repeat(out["slot_ptr"][cols], fan) + offset
+    keep = rows[e1] != cols[e2]
+    out["e1"], out["e2"] = e1[keep], e2[keep]
+    entries, out["path_entry"] = np.unique(
+        rows[out["e1"]] * n + cols[out["e2"]], return_inverse=True)
+    out["entry_row"], entry_col = np.divmod(entries, n)
+    ptr = np.concatenate([[0], np.cumsum(np.bincount(out["entry_row"], minlength=n))])
+    template = sparse.csr_matrix(
+        (np.zeros(entries.size), entry_col, ptr), shape=(n, n))
+    out["entry_col"], out["entry_ptr"] = template.indices, template.indptr
+    out["delta"] = np.ascontiguousarray(
+        (values[out["entry_col"]] - values[out["entry_row"]]).T)
+    return out
+
+
+def _layout_cases():
+    cases = {f"{family}-{m_in}": _oracle_case(family, m_in)
+             for family in _FAMILIES for m_in in (2, 3)}
+    cases["grid-6"] = grid_graph(6)
+    rng = np.random.default_rng(17)
+    graph = random_connected_graph(rng, n_min=20, n_max=24)
+    shuffle = rng.permutation(graph.n_edges)
+    cases["out-of-order"] = (
+        Graph(graph.n_nodes, graph.edge_u[shuffle], graph.edge_v[shuffle],
+              graph.edge_w[shuffle]),
+        random_features(rng, graph.n_nodes, 3))
+    weights = rng.uniform(-2.0, 2.0, size=graph.n_edges)
+    weights[::4] = 0.0
+    cases["zero-and-negative-weights"] = (
+        Graph(graph.n_nodes, graph.edge_u, graph.edge_v, weights),
+        random_features(rng, graph.n_nodes, 2))
+    return cases
+
+
+class TestWorkspaceLayout:
+    @pytest.mark.parametrize("name", sorted(_layout_cases()))
+    def test_arrays_match_the_reference_construction(self, name):
+        graph, q = _layout_cases()[name]
+        if name == "out-of-order":
+            keys = graph.edge_u * graph.n_nodes + graph.edge_v
+            assert np.any(keys[1:] < keys[:-1])
+        ws = _Workspace(graph, q)
+        want = _reference_workspace(graph, q)
+        for key, ref in want.items():
+            got = getattr(ws, key)
+            # Only the slot pointers changed dtype, to scipy's index dtype.
+            if key == "slot_ptr":
+                assert np.array_equal(got, ref)
+                assert got.dtype == ws.entry_ptr.dtype
+            else:
+                assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), key
+
+
 class TestFit:
     def test_near_stationary_start_stays_put(self):
         # two-node graph: the identity transform already has unit

@@ -337,10 +337,10 @@ class TestFit:
         ws = _RingWorkspace(cfg)
         with pytest.raises(DivergedError, match="not finite at iteration") as exc:
             fit_ring_model(ws, "plain", make_dataset(cfg))
-        info = exc.value.last_good
-        assert isinstance(info["params"], RingModelParams)
-        assert info["trace"][0][0] == 0
-        assert all(np.isfinite(row[1]) and np.isfinite(row[2]) for row in info["trace"])
+        assert isinstance(exc.value.last_good, RingModelParams)
+        trace = exc.value.trace
+        assert trace[0][0] == 0
+        assert all(np.isfinite(row[1]) and np.isfinite(row[2]) for row in trace)
 
 
 class TestPhaseWeights:
