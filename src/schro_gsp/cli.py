@@ -192,35 +192,21 @@ def cmd_verify(args) -> int:
         print(
             f"[{status}] {result.name}: worst {result.worst!r} vs bound "
             f"{result.bound!r} ({result.seconds:.2f}s) - {result.detail}")
-    rows = [(r.name, r.passed, r.worst, r.bound, r.detail) for r in results]
-    _write_csv(
-        os.path.join(args.out, "suites.csv"),
-        ("name", "passed", "worst", "bound", "detail"),
-        rows,
-    )
-    failures = [r for r in results if not r.passed]
+    # One record per suite, for suites.csv, failures.json and summary.json.
+    fields = ("name", "passed", "worst", "bound", "detail")
+    rows = [{key: getattr(r, key) for key in fields} for r in results]
+    _write_csv(os.path.join(args.out, "suites.csv"), fields,
+               [row.values() for row in rows])
+    failures = [row for row in rows if not row["passed"]]
     if failures:
-        _write_json(os.path.join(args.out, "failures.json"), {
-            "command": "verify",
-            "failures": [
-                {"name": r.name, "worst": r.worst, "bound": r.bound,
-                 "detail": r.detail}
-                for r in failures
-            ],
-        })
+        _write_json(os.path.join(args.out, "failures.json"),
+                    {"command": "verify", "failures": failures})
     checks = [(
         "all_suites_pass",
         not failures,
-        f"{len(results) - len(failures)} of {len(results)} suites passed",
+        f"{len(rows) - len(failures)} of {len(rows)} suites passed",
     )]
-    metrics = {
-        "suites": [
-            {"name": r.name, "passed": r.passed, "worst": r.worst,
-             "bound": r.bound, "detail": r.detail}
-            for r in results
-        ],
-    }
-    return _report(args.out, "verify", cfg, metrics, checks)
+    return _report(args.out, "verify", cfg, {"suites": rows}, checks)
 
 
 def cmd_clusters(args) -> int:
@@ -228,8 +214,8 @@ def cmd_clusters(args) -> int:
     result = run_cluster_sweep(cfg)
     _write_csv(
         os.path.join(args.out, "sweep.csv"),
-        ClusterSweepRow.FIELDS,
-        [row.astuple() for row in result.rows],
+        [field.name for field in dataclasses.fields(ClusterSweepRow)],
+        [dataclasses.astuple(row) for row in result.rows],
     )
     zero_gap = abs(result.e_zero - result.e_free)
     both = any(

@@ -37,7 +37,7 @@ class WindowSet:
 
     def __post_init__(self):
         for name in ("weights", "centers"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
+            arr = np.array(getattr(self, name), dtype=np.float64)  # a copy
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 

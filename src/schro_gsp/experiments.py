@@ -79,14 +79,6 @@ class ClusterSweepRow:
     v_final: float
     p_final: float
 
-    FIELDS = (
-        "theta", "norm_pre", "e_single", "v_single", "p_single",
-        "e_final", "v_final", "p_final",
-    )
-
-    def astuple(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.FIELDS)
-
 
 @dataclass(frozen=True)
 class ClusterSweepResult:

@@ -27,11 +27,13 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy import sparse
 
 from .diagnose import ShiftReport, WindowSet, build_windows, relative_shift
 from .errors import ContractError, DivergedError, check_config_fields
 from .graph_core import FeatureLocations, Signal, ring_graph
 from .operators import (
+    SparseOperator,
     _real_matmul,
     feature_derivative,
     infinity_norm,
@@ -238,9 +240,9 @@ class _RingWorkspace:
         self.propagator = DensePropagator(schrodinger_laplacian(
             self.graph, FeatureLocations(pair.values * self.feature_scale)
         ))
-        adj = self.graph.adjacency.toarray()
-        self.heat_vals, self.heat_vecs = np.linalg.eigh(
-            np.diag(adj.sum(axis=1)) - adj)
+        adj = self.graph.adjacency
+        self.heat = DensePropagator(SparseOperator(
+            sparse.diags(np.ravel(adj.sum(axis=1))) - adj))
 
 
 class _Pass:
@@ -271,7 +273,7 @@ class _Pass:
         self.rows = x
         self.features = ws.features.values
         if params.kind == "diffusion":
-            vals, self.vecs = ws.heat_vals, ws.heat_vecs
+            vals, self.vecs = ws.heat.eigenvalues, ws.heat.eigenvectors
             lifted = x.real.T
             self.factor = np.exp(-np.abs(times) * vals)
             self.dfactor = -np.sign(times) * vals * self.factor

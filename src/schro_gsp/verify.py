@@ -6,6 +6,14 @@ registry drives the ``verify`` command; a green run is the library's primary
 evidence that the operators, the propagation, and the closed-form dynamics
 agree with their independent oracles.
 
+Most suites are registered by ``_worst_over(name, seed, count, bound,
+detail)``: their body draws one instance from the generator it is given and
+returns one residual, and the registry calls it ``count`` times on one
+``np.random.default_rng(seed)`` and reports the largest value.  The few
+suites whose family is not a plain seeded draw (no draw, a rejection loop,
+a timing, an extra fixed case) are registered by ``_suite`` and compute
+their own ``(worst, bound, detail)``.
+
 Residual conventions: identity suites report a worst absolute deviation and
 the bound is in the same units; finite-difference suites report the worst
 deviation scaled by its per-instance allowance, so their bound is 1.
@@ -136,25 +144,37 @@ class SuiteResult:
     seconds: float
     detail: str
 
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "worst": self.worst,
-            "bound": self.bound,
-            "seconds": round(self.seconds, 3),
-            "detail": self.detail,
-        }
 
-
-# Suite name -> function of the run's shared dict (see ``run_suite``).
+# Suite name -> function of the run's shared dict (see ``run_suite``) that
+# returns ``(worst, bound, detail)``.
 _REGISTRY: dict = {}
 
 
 def _suite(name: str):
+    """Register a suite that returns its own ``(worst, bound, detail)``."""
+
     def deco(fn):
         _REGISTRY[name] = lambda shared: fn()
         return fn
+
+    return deco
+
+
+def _worst_over(name: str, seed: int, count: int, bound: float, detail: str):
+    """Register a one-instance check as a suite over ``count`` instances.
+
+    The check draws its instance from the generator it is given and returns
+    one residual; the suite's worst is the largest of ``count`` calls in
+    turn on one ``np.random.default_rng(seed)``.
+    """
+
+    def deco(check):
+        def run(shared):
+            rng = np.random.default_rng(seed)
+            return max(check(rng) for _ in range(count)), bound, detail
+
+        _REGISTRY[name] = run
+        return check
 
     return deco
 
@@ -221,17 +241,14 @@ def _graph_roundtrip():
     return worst, 0.0, "save/load compared bit-exactly on 11 graphs"
 
 
-@_suite("normalize-idempotent")
-def _normalize_idempotent():
-    rng = np.random.default_rng(102)
-    worst = 0.0
-    for _ in range(25):
-        n = int(rng.integers(3, 40))
-        sig = Signal(rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2)))
-        once = normalize_channel(sig, 0)
-        twice = normalize_channel(once, 0)
-        worst = max(worst, float(np.abs(twice.values - once.values).max()))
-    return worst, 1e-12, "double normalization vs single, 25 random signals"
+@_worst_over("normalize-idempotent", 102, 25, 1e-12,
+             "double normalization vs single, 25 random signals")
+def _normalize_idempotent(rng):
+    n = int(rng.integers(3, 40))
+    sig = Signal(rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2)))
+    once = normalize_channel(sig, 0)
+    twice = normalize_channel(once, 0)
+    return float(np.abs(twice.values - once.values).max())
 
 
 @_suite("signal-finiteness")
@@ -251,76 +268,63 @@ def _signal_finiteness():
 # ---------------------------------------------------------------------------
 
 
-@_suite("derivative-skew-symmetry")
-def _derivative_skew():
-    rng = np.random.default_rng(103)
-    worst = 0.0
-    for _ in range(50):
-        g = random_connected_graph(rng)
-        f = random_features(rng, g.n_nodes, int(rng.integers(1, 4)))
-        m = feature_derivative(g, f, 0).tosparse()
-        worst = max(worst, float(np.abs((m + m.T).toarray()).max()))
-    return worst, 0.0, "derivative plus its transpose, entrywise, 50 instances"
+@_worst_over("derivative-skew-symmetry", 103, 50, 0.0,
+             "derivative plus its transpose, entrywise, 50 instances")
+def _derivative_skew(rng):
+    g = random_connected_graph(rng)
+    f = random_features(rng, g.n_nodes, int(rng.integers(1, 4)))
+    m = feature_derivative(g, f, 0).tosparse()
+    return float(np.abs((m + m.T).toarray()).max())
 
 
-@_suite("laplacian-self-adjoint")
-def _laplacian_self_adjoint():
-    rng = np.random.default_rng(104)
-    worst = 0.0
-    for _ in range(50):
-        g = random_connected_graph(rng)
-        f = random_features(rng, g.n_nodes, int(rng.integers(1, 4)))
-        m = schrodinger_laplacian(g, f).tosparse()
-        worst = max(worst, float(np.abs((m - m.conjugate().T).toarray()).max()))
-    return worst, 1e-12, "generator minus its adjoint, entrywise, 50 instances"
+@_worst_over("laplacian-self-adjoint", 104, 50, 1e-12,
+             "generator minus its adjoint, entrywise, 50 instances")
+def _laplacian_self_adjoint(rng):
+    g = random_connected_graph(rng)
+    f = random_features(rng, g.n_nodes, int(rng.integers(1, 4)))
+    m = schrodinger_laplacian(g, f).tosparse()
+    return float(np.abs((m - m.conjugate().T).toarray()).max())
 
 
-@_suite("smoothing-equals-commutator")
-def _smoothing_commutator():
-    rng = np.random.default_rng(105)
-    worst = 0.0
-    for _ in range(50):
-        g = random_connected_graph(rng, n_max=32)
-        f = random_features(rng, g.n_nodes, 1)
-        w = smoothing_operator(g, f, 0).tosparse()
-        comm = commutator(location_observable(f, 0), feature_derivative(g, f, 0))
-        worst = max(worst, float(np.abs((w - comm.tosparse()).toarray()).max()))
-    return worst, 1e-12, "smoothing vs location/derivative commutator, 50 instances"
+@_worst_over("smoothing-equals-commutator", 105, 50, 1e-12,
+             "smoothing vs location/derivative commutator, 50 instances")
+def _smoothing_commutator(rng):
+    g = random_connected_graph(rng, n_max=32)
+    f = random_features(rng, g.n_nodes, 1)
+    w = smoothing_operator(g, f, 0).tosparse()
+    comm = commutator(location_observable(f, 0), feature_derivative(g, f, 0))
+    return float(np.abs((w - comm.tosparse()).toarray()).max())
 
 
-@_suite("generator-location-commutator")
-def _generator_location_commutator():
-    rng = np.random.default_rng(106)
-    worst = 0.0
-    for _ in range(50):
-        g = random_connected_graph(rng, n_max=32)
-        f = random_features(rng, g.n_nodes, 1)
-        lap = schrodinger_laplacian(g, f)
-        loc = location_observable(f, 0)
-        grad = feature_derivative(g, f, 0).tosparse()
-        w = smoothing_operator(g, f, 0).tosparse()
-        lhs = commutator(lap, loc).tosparse().toarray()
-        rhs = (grad @ w + w @ grad).toarray()
-        worst = max(worst, float(np.abs(lhs - rhs).max()))
-    return worst, 1e-10, "[generator, location] vs anticommutator form, 50 instances"
+@_worst_over("generator-location-commutator", 106, 50, 1e-10,
+             "[generator, location] vs anticommutator form, 50 instances")
+def _generator_location_commutator(rng):
+    g = random_connected_graph(rng, n_max=32)
+    f = random_features(rng, g.n_nodes, 1)
+    lap = schrodinger_laplacian(g, f)
+    loc = location_observable(f, 0)
+    grad = feature_derivative(g, f, 0).tosparse()
+    w = smoothing_operator(g, f, 0).tosparse()
+    lhs = commutator(lap, loc).tosparse().toarray()
+    rhs = (grad @ w + w @ grad).toarray()
+    return float(np.abs(lhs - rhs).max())
 
 
-@_suite("operator-norm-bracket")
-def _operator_norm_bracket():
-    rng = np.random.default_rng(107)
-    worst = 0.0
-    for _ in range(25):
-        g = random_connected_graph(rng)
-        f = random_features(rng, g.n_nodes, 2)
-        for op in (feature_derivative(g, f, 0), schrodinger_laplacian(g, f)):
-            dense = op.tosparse().toarray()
-            est = float(operator_norm(op))
-            fro = float(np.linalg.norm(dense))
-            upper = float(np.sqrt(op.dim)) * infinity_norm(op)
-            lower = fro / float(np.sqrt(op.dim))
-            scale = max(1.0, est)
-            worst = max(worst, (lower - est) / scale, (est - upper) / scale)
-    return worst, 1e-8, "norm estimate inside [Frobenius/sqrt(N), sqrt(N)*row-sum]"
+@_worst_over("operator-norm-bracket", 107, 25, 1e-8,
+             "norm estimate inside [Frobenius/sqrt(N), sqrt(N)*row-sum]")
+def _operator_norm_bracket(rng):
+    g = random_connected_graph(rng)
+    f = random_features(rng, g.n_nodes, 2)
+    outside = 0.0  # distance outside the bracket, scaled
+    for op in (feature_derivative(g, f, 0), schrodinger_laplacian(g, f)):
+        dense = op.tosparse().toarray()
+        est = float(operator_norm(op))
+        fro = float(np.linalg.norm(dense))
+        upper = float(np.sqrt(op.dim)) * infinity_norm(op)
+        lower = fro / float(np.sqrt(op.dim))
+        scale = max(1.0, est)
+        outside = max(outside, (lower - est) / scale, (est - upper) / scale)
+    return outside
 
 
 # ---------------------------------------------------------------------------
@@ -392,36 +396,29 @@ _pass_suite("unitarity-taylor")
 _pass_suite("taylor-dense-agreement")
 
 
-@_suite("momentum-conservation")
-def _momentum_conservation():
-    rng = np.random.default_rng(109)
-    worst = 0.0
-    for _ in range(50):
-        g = random_connected_graph(rng, n_max=48)
-        f = random_features(rng, g.n_nodes, 1)
-        vec = random_unit(rng, g.n_nodes)
-        mom = momentum_observable(g, f, 0)
-        prop = DensePropagator(schrodinger_laplacian(g, f))
-        base = mean(mom, vec)
-        for t in (0.1, 0.5, 1.0, 2.0):
-            worst = max(worst, abs(mean(mom, prop.apply(t, vec)) - base))
-    return worst, 1e-8, "momentum mean drift over four horizons, 50 instances"
+@_worst_over("momentum-conservation", 109, 50, 1e-8,
+             "momentum mean drift over four horizons, 50 instances")
+def _momentum_conservation(rng):
+    g = random_connected_graph(rng, n_max=48)
+    f = random_features(rng, g.n_nodes, 1)
+    vec = random_unit(rng, g.n_nodes)
+    mom = momentum_observable(g, f, 0)
+    prop = DensePropagator(schrodinger_laplacian(g, f))
+    base = mean(mom, vec)
+    return max(abs(mean(mom, prop.apply(t, vec)) - base) for t in (0.1, 0.5, 1.0, 2.0))
 
 
-@_suite("derivative-evolution-commute")
-def _derivative_evolution_commute():
-    rng = np.random.default_rng(110)
-    worst = 0.0
-    for _ in range(50):
-        g = random_connected_graph(rng, n_max=48)
-        f = random_features(rng, g.n_nodes, 1)
-        vec = random_unit(rng, g.n_nodes)
-        grad = feature_derivative(g, f, 0)
-        prop = DensePropagator(schrodinger_laplacian(g, f))
-        t = float(rng.uniform(-2.0, 2.0))
-        gap = grad.apply(prop.apply(t, vec)) - prop.apply(t, grad.apply(vec))
-        worst = max(worst, float(np.linalg.norm(gap)))
-    return worst, 1e-9, "derivative applied before vs after propagation"
+@_worst_over("derivative-evolution-commute", 110, 50, 1e-9,
+             "derivative applied before vs after propagation")
+def _derivative_evolution_commute(rng):
+    g = random_connected_graph(rng, n_max=48)
+    f = random_features(rng, g.n_nodes, 1)
+    vec = random_unit(rng, g.n_nodes)
+    grad = feature_derivative(g, f, 0)
+    prop = DensePropagator(schrodinger_laplacian(g, f))
+    t = float(rng.uniform(-2.0, 2.0))
+    gap = grad.apply(prop.apply(t, vec)) - prop.apply(t, grad.apply(vec))
+    return float(np.linalg.norm(gap))
 
 
 _pass_suite("evolution-inversion-taylor")
@@ -433,172 +430,142 @@ _pass_suite("evolution-inversion-dense")
 # ---------------------------------------------------------------------------
 
 
-@_suite("routing-decomposition")
-def _routing_decomposition():
-    rng = np.random.default_rng(111)
-    worst = 0.0
-    for _ in range(50):
-        g = random_connected_graph(rng)
-        f = random_features(rng, g.n_nodes, 1)
-        loc = location_observable(f, 0)
-        start = random_unit(rng, g.n_nodes)
-        prop = DensePropagator(schrodinger_laplacian(g, f))
-        final = prop.apply(float(rng.uniform(0.1, 1.0)), start)
-        target = float(rng.uniform(-2.0, 2.0))
-        report = routing_measure(loc, start, final, target)
-        recombined = (
-            report.final_variance + (target - report.final_mean) ** 2
-        ) / report.initial_variance
-        worst = max(worst, abs(report.measure - recombined))
-    return worst, 1e-10, "direct quadratic form vs mean/variance split"
+@_worst_over("routing-decomposition", 111, 50, 1e-10,
+             "direct quadratic form vs mean/variance split")
+def _routing_decomposition(rng):
+    g = random_connected_graph(rng)
+    f = random_features(rng, g.n_nodes, 1)
+    loc = location_observable(f, 0)
+    start = random_unit(rng, g.n_nodes)
+    prop = DensePropagator(schrodinger_laplacian(g, f))
+    final = prop.apply(float(rng.uniform(0.1, 1.0)), start)
+    target = float(rng.uniform(-2.0, 2.0))
+    report = routing_measure(loc, start, final, target)
+    recombined = (
+        report.final_variance + (target - report.final_mean) ** 2
+    ) / report.initial_variance
+    return abs(report.measure - recombined)
 
 
-@_suite("modulated-momentum")
-def _modulated_momentum():
-    rng = np.random.default_rng(112)
-    worst = 0.0
-    for _ in range(100):
-        g = random_connected_graph(rng)
-        f = random_features(rng, g.n_nodes, 1)
-        h = rng.uniform(-2.0, 2.0, size=g.n_nodes)
-        theta = float(rng.uniform(-5.0, 5.0))
-        vec = random_unit(rng, g.n_nodes, real=True)
-        mom = momentum_observable(g, f, 0)
-        direct = mean(mom, modulation(h, theta).apply(vec))
-        closed = momentum_mean_modulated_closed_form(
-            g, f.column(0), h, theta, vec
-        )
-        worst = max(worst, abs(direct - closed))
-    return worst, 1e-10, "edge-sum closed form vs direct expectation, 100 instances"
+@_worst_over("modulated-momentum", 112, 100, 1e-10,
+             "edge-sum closed form vs direct expectation, 100 instances")
+def _modulated_momentum(rng):
+    g = random_connected_graph(rng)
+    f = random_features(rng, g.n_nodes, 1)
+    h = rng.uniform(-2.0, 2.0, size=g.n_nodes)
+    theta = float(rng.uniform(-5.0, 5.0))
+    vec = random_unit(rng, g.n_nodes, real=True)
+    mom = momentum_observable(g, f, 0)
+    direct = mean(mom, modulation(h, theta).apply(vec))
+    closed = momentum_mean_modulated_closed_form(g, f.column(0), h, theta, vec)
+    return abs(direct - closed)
 
 
-@_suite("real-signal-momentum")
-def _real_signal_momentum():
-    rng = np.random.default_rng(113)
-    worst = 0.0
-    for _ in range(100):
-        g = random_connected_graph(rng)
-        f = random_features(rng, g.n_nodes, 1)
-        vec = random_unit(rng, g.n_nodes, real=True)
-        worst = max(worst, abs(mean(momentum_observable(g, f, 0), vec)))
-    return worst, 1e-12, "momentum mean of real states, 100 instances"
+@_worst_over("real-signal-momentum", 113, 100, 1e-12,
+             "momentum mean of real states, 100 instances")
+def _real_signal_momentum(rng):
+    g = random_connected_graph(rng)
+    f = random_features(rng, g.n_nodes, 1)
+    vec = random_unit(rng, g.n_nodes, real=True)
+    return abs(mean(momentum_observable(g, f, 0), vec))
 
 
 def _fd_allowance(reference: float) -> float:
     return max(1e-8, 1e-4 * abs(reference))
 
 
-@_suite("location-dynamics-vs-fd")
-def _location_dynamics_fd():
-    rng = np.random.default_rng(114)
+@_worst_over("location-dynamics-vs-fd", 114, 50, 1.0,
+             "location-mean rate vs centered difference (scaled residual)")
+def _location_dynamics_fd(rng):
     step = 1e-5
-    worst = 0.0
-    for _ in range(50):
-        g = random_connected_graph(rng)
-        f = random_features(rng, g.n_nodes, 1)
-        vec = random_unit(rng, g.n_nodes)
-        loc = location_observable(f, 0)
-        prop = DensePropagator(schrodinger_laplacian(g, f))
-        fd = (mean(loc, prop.apply(step, vec)) - mean(loc, prop.apply(-step, vec))) / (
-            2.0 * step
-        )
-        closed = dynamics_rhs_single(g, f.column(0), vec)
-        worst = max(worst, abs(closed - fd) / _fd_allowance(closed))
-    return worst, 1.0, "location-mean rate vs centered difference (scaled residual)"
+    g = random_connected_graph(rng)
+    f = random_features(rng, g.n_nodes, 1)
+    vec = random_unit(rng, g.n_nodes)
+    loc = location_observable(f, 0)
+    prop = DensePropagator(schrodinger_laplacian(g, f))
+    fd = (mean(loc, prop.apply(step, vec)) - mean(loc, prop.apply(-step, vec))) / (
+        2.0 * step
+    )
+    closed = dynamics_rhs_single(g, f.column(0), vec)
+    return abs(closed - fd) / _fd_allowance(closed)
 
 
-@_suite("multi-feature-dynamics-vs-fd")
-def _multi_feature_dynamics_fd():
-    rng = np.random.default_rng(115)
+@_worst_over("multi-feature-dynamics-vs-fd", 115, 50, 1.0,
+             "joint-evolution location rate vs centered difference")
+def _multi_feature_dynamics_fd(rng):
     step = 1e-5
-    worst = 0.0
-    for _ in range(50):
-        g = random_connected_graph(rng)
-        f = random_features(rng, g.n_nodes, int(rng.integers(2, 4)))
-        k = int(rng.integers(0, f.n_features))
-        vec = random_unit(rng, g.n_nodes)
-        loc = location_observable(f, k)
-        prop = DensePropagator(schrodinger_laplacian(g, f))
-        fd = (mean(loc, prop.apply(step, vec)) - mean(loc, prop.apply(-step, vec))) / (
-            2.0 * step
-        )
-        closed = dynamics_rhs_multi(g, f, k, vec)
-        worst = max(worst, abs(closed - fd) / _fd_allowance(closed))
-    return worst, 1.0, "joint-evolution location rate vs centered difference"
+    g = random_connected_graph(rng)
+    f = random_features(rng, g.n_nodes, int(rng.integers(2, 4)))
+    k = int(rng.integers(0, f.n_features))
+    vec = random_unit(rng, g.n_nodes)
+    loc = location_observable(f, k)
+    prop = DensePropagator(schrodinger_laplacian(g, f))
+    fd = (mean(loc, prop.apply(step, vec)) - mean(loc, prop.apply(-step, vec))) / (
+        2.0 * step
+    )
+    closed = dynamics_rhs_multi(g, f, k, vec)
+    return abs(closed - fd) / _fd_allowance(closed)
 
 
-@_suite("variance-dynamics-vs-fd")
-def _variance_dynamics_fd():
-    rng = np.random.default_rng(116)
+@_worst_over("variance-dynamics-vs-fd", 116, 50, 1.0,
+             "location-variance rate vs centered difference")
+def _variance_dynamics_fd(rng):
     step = 1e-5
-    worst = 0.0
-    for _ in range(50):
-        g = random_connected_graph(rng)
-        f = random_features(rng, g.n_nodes, 1)
-        vec = random_unit(rng, g.n_nodes)
-        loc = location_observable(f, 0)
-        prop = DensePropagator(schrodinger_laplacian(g, f))
-        fd = (
-            variance(loc, prop.apply(step, vec))
-            - variance(loc, prop.apply(-step, vec))
-        ) / (2.0 * step)
-        closed = variance_rhs(g, f.column(0), vec)
-        worst = max(worst, abs(closed - fd) / _fd_allowance(closed))
-    return worst, 1.0, "location-variance rate vs centered difference"
+    g = random_connected_graph(rng)
+    f = random_features(rng, g.n_nodes, 1)
+    vec = random_unit(rng, g.n_nodes)
+    loc = location_observable(f, 0)
+    prop = DensePropagator(schrodinger_laplacian(g, f))
+    fd = (
+        variance(loc, prop.apply(step, vec))
+        - variance(loc, prop.apply(-step, vec))
+    ) / (2.0 * step)
+    closed = variance_rhs(g, f.column(0), vec)
+    return abs(closed - fd) / _fd_allowance(closed)
 
 
 def _dense_operator_norm(op) -> float:
     return float(np.linalg.norm(op.tosparse().toarray(), ord=2))
 
 
-@_suite("regularity-transport-bound")
-def _regularity_bound():
-    rng = np.random.default_rng(117)
-    worst = -np.inf
-    for _ in range(50):
-        g = random_connected_graph(rng)
-        f = random_features(rng, g.n_nodes, 1)
-        vec = random_unit(rng, g.n_nodes)
-        grad = feature_derivative(g, f, 0)
-        eps = epsilon_regularity(g, f.column(0), vec)
-        lhs = abs(
-            dynamics_rhs_single(g, f.column(0), vec)
-            - 2.0 * mean(momentum_observable(g, f, 0), vec)
-        )
-        rhs = 2.0 * eps * _dense_operator_norm(grad)
-        worst = max(worst, lhs - rhs)
-    return worst, 1e-9, "transport-rate deviation minus its regularity bound"
+@_worst_over("regularity-transport-bound", 117, 50, 1e-9,
+             "transport-rate deviation minus its regularity bound")
+def _regularity_bound(rng):
+    g = random_connected_graph(rng)
+    f = random_features(rng, g.n_nodes, 1)
+    vec = random_unit(rng, g.n_nodes)
+    grad = feature_derivative(g, f, 0)
+    eps = epsilon_regularity(g, f.column(0), vec)
+    lhs = abs(
+        dynamics_rhs_single(g, f.column(0), vec)
+        - 2.0 * mean(momentum_observable(g, f, 0), vec)
+    )
+    return lhs - 2.0 * eps * _dense_operator_norm(grad)
 
 
-@_suite("multi-regularity-transport-bound")
-def _multi_regularity_bound():
-    rng = np.random.default_rng(118)
-    worst = -np.inf
-    for _ in range(50):
-        g = random_connected_graph(rng)
-        f = random_features(rng, g.n_nodes, int(rng.integers(2, 4)))
-        k = int(rng.integers(0, f.n_features))
-        vec = random_unit(rng, g.n_nodes)
-        grad = feature_derivative(g, f, k)
-        eps = epsilon_regularity(g, f.column(k), vec)
-        delta = 0.0
-        for i in range(f.n_features):
-            x_i = np.diag(f.column(i))
-            for j in range(f.n_features):
-                if i == j:
-                    continue
-                gj = feature_derivative(g, f, j).tosparse()
-                sq = (gj @ gj).toarray()
-                delta = max(
-                    delta, float(np.linalg.norm(sq @ x_i - x_i @ sq, ord=2))
-                )
-        lhs = abs(
-            dynamics_rhs_multi(g, f, k, vec)
-            - 2.0 * mean(momentum_observable(g, f, k), vec)
-        )
-        rhs = 2.0 * eps * _dense_operator_norm(grad) + (f.n_features - 1) * delta
-        worst = max(worst, lhs - rhs)
-    return worst, 1e-9, "joint transport-rate deviation minus its combined bound"
+@_worst_over("multi-regularity-transport-bound", 118, 50, 1e-9,
+             "joint transport-rate deviation minus its combined bound")
+def _multi_regularity_bound(rng):
+    g = random_connected_graph(rng)
+    f = random_features(rng, g.n_nodes, int(rng.integers(2, 4)))
+    k = int(rng.integers(0, f.n_features))
+    vec = random_unit(rng, g.n_nodes)
+    grad = feature_derivative(g, f, k)
+    eps = epsilon_regularity(g, f.column(k), vec)
+    delta = 0.0
+    for i in range(f.n_features):
+        x_i = np.diag(f.column(i))
+        for j in range(f.n_features):
+            if i == j:
+                continue
+            gj = feature_derivative(g, f, j).tosparse()
+            sq = (gj @ gj).toarray()
+            delta = max(delta, float(np.linalg.norm(sq @ x_i - x_i @ sq, ord=2)))
+    lhs = abs(
+        dynamics_rhs_multi(g, f, k, vec)
+        - 2.0 * mean(momentum_observable(g, f, k), vec)
+    )
+    return lhs - (2.0 * eps * _dense_operator_norm(grad) + (f.n_features - 1) * delta)
 
 
 @_suite("mixed-derivative-vs-fd")
@@ -652,26 +619,23 @@ def _mixed_derivative_fd():
     return worst, 1.0, "mixed rate vs nested differences; constant direction is 0"
 
 
-@_suite("sensitivity-probe-linear")
-def _sensitivity_probe_linear():
-    rng = np.random.default_rng(121)
-    worst = 0.0
-    for _ in range(25):
-        g = random_connected_graph(rng)
-        f = random_features(rng, g.n_nodes, int(rng.integers(1, 3)))
-        h = rng.uniform(-1.0, 1.0, size=g.n_nodes)
-        theta = float(rng.uniform(-2.0, 2.0))
-        t = float(rng.uniform(-1.0, 1.0))
-        scale = complex(rng.normal(), rng.normal())
-        lap = schrodinger_laplacian(g, f)
-        mod = modulation(h, theta)
+@_worst_over("sensitivity-probe-linear", 121, 25, 1e-10,
+             "probe response of modulate-evolve-mix maps, 25 instances")
+def _sensitivity_probe_linear(rng):
+    g = random_connected_graph(rng)
+    f = random_features(rng, g.n_nodes, int(rng.integers(1, 3)))
+    h = rng.uniform(-1.0, 1.0, size=g.n_nodes)
+    theta = float(rng.uniform(-2.0, 2.0))
+    t = float(rng.uniform(-1.0, 1.0))
+    scale = complex(rng.normal(), rng.normal())
+    lap = schrodinger_laplacian(g, f)
+    mod = modulation(h, theta)
 
-        def layer(x, lap=lap, mod=mod, t=t, scale=scale):
-            return scale * evolve_array(lap, t, mod.apply(np.asarray(x)))
+    def layer(x):
+        return scale * evolve_array(lap, t, mod.apply(np.asarray(x)))
 
-        vec = random_unit(rng, g.n_nodes)
-        worst = max(worst, abs(sensitivity_probe(layer, vec) - 1.0))
-    return worst, 1e-10, "probe response of modulate-evolve-mix maps, 25 instances"
+    vec = random_unit(rng, g.n_nodes)
+    return abs(sensitivity_probe(layer, vec) - 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -679,23 +643,20 @@ def _sensitivity_probe_linear():
 # ---------------------------------------------------------------------------
 
 
-@_suite("pmo-permutation-symmetry")
-def _pmo_permutation():
-    rng = np.random.default_rng(122)
-    worst = 0.0
-    for _ in range(5):
-        g = random_connected_graph(rng, n_max=12)
-        q = random_features(rng, g.n_nodes, 3)
-        t = rng.normal(size=(3, 2))
-        a = pmo_objective(g, q, t, 1.0)
-        b = pmo_objective(g, q, t[:, ::-1], 1.0)
-        worst = max(worst, abs(a - b) / max(1.0, abs(a)))
-    return worst, 1e-9, "objective under output-column permutation, 5 instances"
+@_worst_over("pmo-permutation-symmetry", 122, 5, 1e-9,
+             "objective under output-column permutation, 5 instances")
+def _pmo_permutation(rng):
+    g = random_connected_graph(rng, n_max=12)
+    q = random_features(rng, g.n_nodes, 3)
+    t = rng.normal(size=(3, 2))
+    a = pmo_objective(g, q, t, 1.0)
+    b = pmo_objective(g, q, t[:, ::-1], 1.0)
+    return abs(a - b) / max(1.0, abs(a))
 
 
-@_suite("pmo-monotone-fit")
-def _pmo_monotone():
-    rng = np.random.default_rng(123)
+@_worst_over("pmo-monotone-fit", 123, 1, 1e-12,
+             "fit objective vs init, and trace monotonicity")
+def _pmo_monotone(rng):
     g = random_connected_graph(rng, n_min=8, n_max=12)
     q = random_features(rng, g.n_nodes, 2)
     cfg = PMOConfig(out_features=2, max_iters=40, seed=3)
@@ -706,13 +667,12 @@ def _pmo_monotone():
     values = [value for _, value in result.objective_trace]
     for prev, cur in zip(values, values[1:]):
         trace_jump = max(trace_jump, cur - prev)
-    worst = max(final - init_objective, trace_jump)
-    return worst, 1e-12, "fit objective vs init, and trace monotonicity"
+    return max(final - init_objective, trace_jump)
 
 
-@_suite("pmo-gradient-step-consistency")
-def _pmo_gradient_consistency():
-    rng = np.random.default_rng(124)
+@_worst_over("pmo-gradient-step-consistency", 124, 1, 1e-3,
+             "finite-difference gradient at full vs half step")
+def _pmo_gradient_consistency(rng):
     g = random_connected_graph(rng, n_min=6, n_max=10)
     q = random_features(rng, g.n_nodes, 2)
     t = rng.normal(size=(2, 2)) * 0.5 + np.eye(2)
@@ -730,8 +690,7 @@ def _pmo_gradient_consistency():
 
     g1 = fd_gradient(1e-5)
     g2 = fd_gradient(5e-6)
-    worst = float(np.linalg.norm(g1 - g2) / max(np.linalg.norm(g2), 1e-12))
-    return worst, 1e-3, "finite-difference gradient at full vs half step"
+    return float(np.linalg.norm(g1 - g2) / max(np.linalg.norm(g2), 1e-12))
 
 
 # ---------------------------------------------------------------------------
@@ -753,64 +712,56 @@ def _random_filter_params(rng: np.random.Generator, n_features: int, j: int, d: 
     return FilterParams(terms=tuple(terms))
 
 
-@_suite("filter-linearity")
-def _filter_linearity():
-    rng = np.random.default_rng(125)
-    worst = 0.0
-    for _ in range(10):
-        g = random_connected_graph(rng, n_max=24)
-        f = random_features(rng, g.n_nodes, 2)
-        params = _random_filter_params(rng, 2, 2, 2)
-        x1 = Signal(rng.normal(size=(g.n_nodes, 2)) + 1j * rng.normal(size=(g.n_nodes, 2)))
-        x2 = Signal(rng.normal(size=(g.n_nodes, 2)) + 1j * rng.normal(size=(g.n_nodes, 2)))
-        a, b = 0.8 - 0.3j, -0.2 + 1.1j
-        lap = schrodinger_laplacian(g, f)
-        joint = schrodinger_filter(
-            lap, f, params, Signal(a * x1.values + b * x2.values))
-        split = (
-            a * schrodinger_filter(lap, f, params, x1).values
-            + b * schrodinger_filter(lap, f, params, x2).values
+@_worst_over("filter-linearity", 125, 10, 1e-9,
+             "filter on a combination vs combined filter outputs")
+def _filter_linearity(rng):
+    g = random_connected_graph(rng, n_max=24)
+    f = random_features(rng, g.n_nodes, 2)
+    params = _random_filter_params(rng, 2, 2, 2)
+    x1 = Signal(rng.normal(size=(g.n_nodes, 2)) + 1j * rng.normal(size=(g.n_nodes, 2)))
+    x2 = Signal(rng.normal(size=(g.n_nodes, 2)) + 1j * rng.normal(size=(g.n_nodes, 2)))
+    a, b = 0.8 - 0.3j, -0.2 + 1.1j
+    lap = schrodinger_laplacian(g, f)
+    joint = schrodinger_filter(lap, f, params, Signal(a * x1.values + b * x2.values))
+    split = (
+        a * schrodinger_filter(lap, f, params, x1).values
+        + b * schrodinger_filter(lap, f, params, x2).values
+    )
+    return float(np.abs(joint.values - split).max())
+
+
+@_worst_over("filter-unitary-norm", 126, 10, 1e-6,
+             "norm drift of a single-term filter with unitary mixing")
+def _filter_unitary_norm(rng):
+    g = random_connected_graph(rng, n_max=24)
+    f = random_features(rng, g.n_nodes, 2)
+    raw = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    unitary, _ = np.linalg.qr(raw)
+    params = FilterParams(
+        terms=(
+            FilterTerm(
+                time=float(rng.uniform(0.0, 1.0)),
+                phase=float(rng.uniform(-2.0, 2.0)),
+                direction=rng.normal(size=2),
+                mix=unitary,
+            ),
         )
-        worst = max(worst, float(np.abs(joint.values - split).max()))
-    return worst, 1e-9, "filter on a combination vs combined filter outputs"
+    )
+    x = Signal(rng.normal(size=(g.n_nodes, 2)) + 1j * rng.normal(size=(g.n_nodes, 2)))
+    out = schrodinger_filter(schrodinger_laplacian(g, f), f, params, x)
+    return abs(out.norm() - x.norm()) / x.norm()
 
 
-@_suite("filter-unitary-norm")
-def _filter_unitary_norm():
-    rng = np.random.default_rng(126)
-    worst = 0.0
-    for _ in range(10):
-        g = random_connected_graph(rng, n_max=24)
-        f = random_features(rng, g.n_nodes, 2)
-        raw = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        unitary, _ = np.linalg.qr(raw)
-        params = FilterParams(
-            terms=(
-                FilterTerm(
-                    time=float(rng.uniform(0.0, 1.0)),
-                    phase=float(rng.uniform(-2.0, 2.0)),
-                    direction=rng.normal(size=2),
-                    mix=unitary,
-                ),
-            )
-        )
-        x = Signal(rng.normal(size=(g.n_nodes, 2)) + 1j * rng.normal(size=(g.n_nodes, 2)))
-        out = schrodinger_filter(schrodinger_laplacian(g, f), f, params, x)
-        worst = max(worst, abs(out.norm() - x.norm()) / x.norm())
-    return worst, 1e-6, "norm drift of a single-term filter with unitary mixing"
+@_worst_over("activation-idempotent", 127, 20, 0.0,
+             "activation applied twice vs once, every kind")
+def _activation_idempotent(rng):
+    x = Signal(rng.normal(size=(12, 3)) + 1j * rng.normal(size=(12, 3)))
 
+    def twice_vs_once(kind: str) -> float:
+        once = activation(x, kind)
+        return float(np.abs(activation(once, kind).values - once.values).max())
 
-@_suite("activation-idempotent")
-def _activation_idempotent():
-    rng = np.random.default_rng(127)
-    worst = 0.0
-    for _ in range(20):
-        x = Signal(rng.normal(size=(12, 3)) + 1j * rng.normal(size=(12, 3)))
-        for kind in ("split-relu", "modulus", "none"):
-            once = activation(x, kind)
-            twice = activation(once, kind)
-            worst = max(worst, float(np.abs(twice.values - once.values).max()))
-    return worst, 0.0, "activation applied twice vs once, every kind"
+    return max(twice_vs_once(kind) for kind in ("split-relu", "modulus", "none"))
 
 
 @_suite("filter-complexity-scaling")
@@ -886,13 +837,12 @@ def _window_partition():
     return worst, 1e-10, "window weights summed over bins at every node"
 
 
-@_suite("shift-scale-invariance")
-def _shift_scale_invariance():
-    rng = np.random.default_rng(130)
+@_worst_over("shift-scale-invariance", 130, 1, 1e-12,
+             "per-window shifts under positive output rescaling")
+def _shift_scale_invariance(rng):
     g = random_connected_graph(rng, n_min=16, n_max=24)
     f = random_features(rng, g.n_nodes, 1)
-    lap = schrodinger_laplacian(g, f)
-    prop = DensePropagator(lap)
+    prop = DensePropagator(schrodinger_laplacian(g, f))
     windows = build_windows(f, 0, 3)
     sig = Signal(random_unit(rng, g.n_nodes))
 
@@ -910,12 +860,12 @@ def _shift_scale_invariance():
             worst = max(worst, 1.0)
         elif not ea.missing:
             worst = max(worst, abs(ea.shift - eb.shift))
-    return worst, 1e-12, "per-window shifts under positive output rescaling"
+    return worst
 
 
-@_suite("shift-full-window-consistency")
-def _shift_full_window():
-    rng = np.random.default_rng(131)
+@_worst_over("shift-full-window-consistency", 131, 1, 1e-12,
+             "single full window vs direct mean displacement")
+def _shift_full_window(rng):
     g = random_connected_graph(rng, n_min=16, n_max=24)
     f = random_features(rng, g.n_nodes, 1)
     prop = DensePropagator(schrodinger_laplacian(g, f))
@@ -930,5 +880,4 @@ def _shift_full_window():
     loc = location_observable(f, 0)
     out = prop.apply(0.7, vec)
     expected = (mean(loc, out) - mean(loc, vec)) / float(f.column(0).std())
-    worst = abs(report.mean_shift - expected)
-    return worst, 1e-12, "single full window vs direct mean displacement"
+    return abs(report.mean_shift - expected)

@@ -3,8 +3,9 @@
 Each test covers one headline guarantee of the package and prints a single
 pass/fail line with the measured quantities, so a plain ``pytest -v`` run of
 this file reads as a checklist.  The verification suites are executed once
-per session and shared across criteria; the three full experiments run at
-their default configurations.
+per session (the ``battery`` fixture in ``conftest.py``, which
+``test_verify.py`` reads too) and shared across criteria; the three full
+experiments run at their default configurations.
 """
 
 import time
@@ -13,7 +14,6 @@ import pytest
 
 from schro_gsp.experiments import run_cluster_sweep, run_grid_pmo
 from schro_gsp.ring_task import run_ring_task
-from schro_gsp.verify import run_suites
 
 
 def _line(criterion: str, passed: bool, detail: str) -> None:
@@ -21,12 +21,9 @@ def _line(criterion: str, passed: bool, detail: str) -> None:
     print(f"[{tag}] {criterion}: {detail}")
 
 
-@pytest.fixture(scope="module")
-def suites():
-    start = time.perf_counter()
-    results = run_suites()
-    elapsed = time.perf_counter() - start
-    return {r.name: r for r in results}, elapsed
+@pytest.fixture
+def suites(battery):
+    return battery.results, battery.seconds
 
 
 def _check_suites(criterion, suites, names):

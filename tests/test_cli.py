@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import schro_gsp
-from schro_gsp import operators, ring_task
+from schro_gsp import operators, ring_task, verify
 from schro_gsp.cli import main
 from schro_gsp.filters import FilterParams, FilterTerm, save_filter_params
 from schro_gsp.graph_core import (
@@ -223,6 +223,29 @@ class TestVerifyCommand:
         assert not (out / "failures.json").exists()
         summary = _read_summary(out)
         assert summary["assertions"]["all_suites_pass"]["passed"] is True
+
+    def test_failed_suite_is_recorded_alike_in_all_three_files(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setattr(verify, "_REGISTRY", {
+            "fine": lambda shared: (0.5, 1.0, "inside"),
+            "broken": lambda shared: (2.0, 1.0, "outside"),
+        })
+        out = tmp_path / "out"
+        assert main(["verify", "--out", str(out)]) == 1
+        records = [
+            {"name": "fine", "passed": True, "worst": 0.5, "bound": 1.0,
+             "detail": "inside"},
+            {"name": "broken", "passed": False, "worst": 2.0, "bound": 1.0,
+             "detail": "outside"},
+        ]
+        assert _read_csv(out / "suites.csv") == [
+            ["name", "passed", "worst", "bound", "detail"],
+            ["fine", "true", "0.5", "1.0", "inside"],
+            ["broken", "false", "2.0", "1.0", "outside"],
+        ]
+        assert _read_summary(out)["metrics"]["suites"] == records
+        failures = json.loads((out / "failures.json").read_text(encoding="ascii"))
+        assert failures == {"command": "verify", "failures": records[1:]}
 
 
 class TestRingCommand:

@@ -96,6 +96,17 @@ class TestBuildWindows:
             build_windows(f, k, 4)
 
 
+def test_window_set_copies_the_callers_arrays():
+    weights, centers = np.ones((2, 5)), np.array([0.0, 1.0])
+    ws = WindowSet(coordinate=0, weights=weights, centers=centers)
+    assert weights.flags.writeable and centers.flags.writeable
+    assert not np.shares_memory(ws.weights, weights)
+    assert not np.shares_memory(ws.centers, centers)
+    assert not ws.weights.flags.writeable and not ws.centers.flags.writeable
+    weights[0, 0] = 7.0
+    assert ws.weights[0, 0] == 1.0
+
+
 class TestWindowSignal:
     def test_energy_splits_across_partition(self, rng):
         f = FeatureLocations(rng.normal(size=(30, 1)))

@@ -1,5 +1,7 @@
 """Cluster routing sweep and grid feature-recovery experiments."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -46,8 +48,8 @@ class TestClusterSweep:
     def test_row_count_and_fields(self):
         result = run_cluster_sweep(self.CFG)
         assert len(result.rows) == 5
-        assert len(ClusterSweepRow.FIELDS) == 8
-        assert len(result.rows[0].astuple()) == 8
+        assert len(dataclasses.fields(ClusterSweepRow)) == 8
+        assert len(dataclasses.astuple(result.rows[0])) == 8
 
     def test_zero_angle_row_matches_free_evolution(self):
         # the sweep grid contains exact zero, where modulation is a no-op

@@ -10,9 +10,9 @@ the run that made it.
 import numpy as np
 import pytest
 
-from schro_gsp import propagate
+from schro_gsp import propagate, verify
 from schro_gsp.graph_core import Signal
-from schro_gsp.operators import SecondOrderGenerator, schrodinger_laplacian
+from schro_gsp.operators import schrodinger_laplacian
 from schro_gsp.propagate import DensePropagator, evolve, unitarity_defect
 from schro_gsp.verify import _propagation_family, run_suites, select_suites
 
@@ -104,42 +104,35 @@ SEPARATE_SUITES = {
 }
 
 
-@pytest.fixture(scope="module")
-def battery():
-    """One full run, with its Chebyshev runs, factorizations and generator
-    applications counted."""
-    counts = {"chebyshev": 0, "factorizations": 0, "applications": 0}
-    chebyshev = propagate._chebyshev
-    factorize = DensePropagator.__init__
-    apply = SecondOrderGenerator.apply
-
-    def counted_chebyshev(*args):
-        counts["chebyshev"] += 1
-        return chebyshev(*args)
-
-    def counted_factorize(self, *args):
-        counts["factorizations"] += 1
-        factorize(self, *args)
-
-    def counted_apply(self, values):
-        counts["applications"] += 1
-        return apply(self, values)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(propagate, "_chebyshev", counted_chebyshev)
-        mp.setattr(DensePropagator, "__init__", counted_factorize)
-        mp.setattr(SecondOrderGenerator, "apply", counted_apply)
-        results = run_suites()
-    return {r.name: r for r in results}, counts
-
-
 def test_registry_keeps_its_names_and_order():
     assert select_suites() == SUITE_NAMES
 
 
+@pytest.mark.parametrize("count, offset", [(9, 0.0), (9, -10.0), (1, 0.0)])
+def test_worst_over_takes_the_largest_of_count_draws(monkeypatch, count, offset):
+    # Each instance takes a varying number of draws, so only instances drawn
+    # in turn from one generator give the hand-written loop's values; the
+    # negative offset makes every residual negative, as in the regularity
+    # suites.
+    def check(rng):
+        return float(rng.uniform(size=int(rng.integers(1, 4))).max()) + offset
+
+    monkeypatch.setattr(verify, "_REGISTRY", {})
+    verify._worst_over("throwaway", 5, count, -9.5, "a throwaway check")(check)
+    got = verify.run_suite("throwaway")
+    rng = np.random.default_rng(5)
+    drawn = []
+    for _ in range(count):
+        drawn.append(check(rng))
+    assert offset == 0.0 or max(drawn) < 0.0
+    assert got.worst == max(drawn)
+    assert (got.bound, got.detail) == (-9.5, "a throwaway check")
+    assert got.passed == (max(drawn) <= -9.5)
+
+
 @pytest.mark.parametrize("name", SEPARATE_SUITES)
 def test_pass_matches_the_suite_computed_on_its_own(battery, name):
-    results, _ = battery
+    results = battery.results
     worst, bound, detail = SEPARATE_SUITES[name]()
     got = results[name]
     assert (got.worst, got.bound, got.detail) == (worst, bound, detail)
@@ -147,14 +140,13 @@ def test_pass_matches_the_suite_computed_on_its_own(battery, name):
 
 
 def test_battery_work_is_counted(battery):
-    _, counts = battery
-    assert counts == {"chebyshev": BATTERY_CHEBYSHEV_RUNS,
+    assert battery.counts == {"chebyshev": BATTERY_CHEBYSHEV_RUNS,
                       "factorizations": BATTERY_FACTORIZATIONS,
                       "applications": BATTERY_GENERATOR_APPLICATIONS}
 
 
 def test_one_suite_alone_reads_the_same_pass(battery):
-    results, _ = battery
+    results = battery.results
     (alone,) = run_suites("taylor-dense")
     assert alone.name == "taylor-dense-agreement"
     assert alone.worst == results[alone.name].worst
@@ -163,7 +155,7 @@ def test_one_suite_alone_reads_the_same_pass(battery):
 def test_pass_is_not_kept_between_runs(battery, monkeypatch):
     # "taylor" selects exactly the series suites, each run making its pass.
     assert select_suites("taylor") == list(SERIES_SUITES)
-    results, _ = battery
+    results = battery.results
     monkeypatch.setattr(propagate, "CHEB_TAIL_TOL", 1e-7)
     for r in run_suites("taylor"):
         assert r.worst > 1e-9, r.name
@@ -173,7 +165,7 @@ def test_pass_is_not_kept_between_runs(battery, monkeypatch):
 
 
 def test_complexity_suite_records_its_work(battery):
-    results, _ = battery
+    results = battery.results
     detail = results["filter-complexity-scaling"].detail
     assert "; Chebyshev terms 1000:" in detail
     assert "; generator entries 1000:3000, 8000:24000, 64000:192000" in detail
