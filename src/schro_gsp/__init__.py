@@ -38,8 +38,6 @@ from .graph_core import (
 )
 from .operators import (
     DENSE_MAX_NODES,
-    DiagonalOperator,
-    LinearNodeOperator,
     NormEstimate,
     SecondOrderGenerator,
     SparseOperator,

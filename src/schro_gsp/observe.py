@@ -28,8 +28,8 @@ from .errors import (
 )
 from .graph_core import FeatureLocations, Graph, Signal
 from .operators import (
-    LinearNodeOperator,
     SecondOrderGenerator,
+    SparseOperator,
     feature_derivative,
     location_observable,
     schrodinger_laplacian,
@@ -81,7 +81,7 @@ def _real_expectation(applied: np.ndarray, vec: np.ndarray, what: str) -> float:
     return float(val.real)
 
 
-def mean(obs: LinearNodeOperator, g) -> float:
+def mean(obs: SparseOperator, g) -> float:
     """Expectation of a self-adjoint observable against a unit-norm channel."""
     vec = _as_channel(g)
     _require_normalized(vec)
@@ -90,7 +90,7 @@ def mean(obs: LinearNodeOperator, g) -> float:
     return _real_expectation(obs.apply(vec), vec, "observable mean")
 
 
-def variance(obs: LinearNodeOperator, g) -> float:
+def variance(obs: SparseOperator, g) -> float:
     """Spread of an observable; cross-checked against its moment form.
 
     Computed as ``norm((M - E I) g)**2`` and verified against
@@ -126,7 +126,7 @@ class RoutingReport:
 
 
 def routing_measure(
-    obs: LinearNodeOperator, g_initial, g_final, target: float
+    obs: SparseOperator, g_initial, g_final, target: float
 ) -> RoutingReport:
     """Quadratic deviation of the final state from a target coordinate,
     normalized by the initial spread.

@@ -6,12 +6,15 @@ skew-symmetric, so ``i`` times it is a self-adjoint momentum observable, and
 the negated sum of its squares over feature columns is a self-adjoint
 second-order generator that drives unitary propagation.
 
-``SparseOperator`` holds a square CSR matrix: derivatives, momenta,
-smoothing operators, commutators, and the second-order generator, which
-composes its matrix once when it is built, as ``D D^T`` with the
-derivatives side by side in ``D = [G_0 ... G_{K-1}]``: one sparse product
-whose result is exactly symmetric.  ``DiagonalOperator`` holds a real
-diagonal (location observables) or a unit-modulus one (modulations).
+``SparseOperator``, the one operator class, holds a square CSR matrix:
+derivatives, momenta, smoothing operators, commutators, location
+observables and modulations (diagonal matrices), and the second-order
+generator, which composes its matrix once when it is built, as ``D D^T``
+with the derivatives side by side in ``D = [G_0 ... G_{K-1}]``: one sparse
+product whose result is exactly symmetric.  A constructor whose result is
+exactly Hermitian by construction (the generator, location and momentum
+observables) records that answer, so ``is_self_adjoint`` tests only the
+other operators.
 
 Edge operators (derivatives, momenta, smoothing operators) are gathered
 straight into CSR on ``graph_core.edge_pattern``; a generator makes the
@@ -53,33 +56,40 @@ DENSE_MAX_NODES = 1024
 # wins: it cannot stall on clustered singular values.
 DENSE_NORM_MAX_NODES = 256
 
-# Relative asymmetry ``max |A - A*| / max |A|``, or the largest imaginary
-# part of a complex (unit-modulus) diagonal, that still counts as
+# Relative asymmetry ``max |A - A*| / max |A|`` that still counts as
 # self-adjoint.
 SELF_ADJOINT_TOL = 1e-12
 
 
-class LinearNodeOperator:
-    """Linear map on node signals; concrete classes fix storage and apply."""
+class SparseOperator:
+    """Linear map on node signals, backed by a square CSR matrix."""
 
-    # Set by the first ``is_self_adjoint`` test; operators are immutable.
+    # Set by the first ``is_self_adjoint`` test, or by a constructor whose
+    # result is exactly Hermitian; operators are immutable.
     _self_adjoint: bool | None = None
+
+    def __init__(self, mat):
+        if not isinstance(mat, sparse.csr_matrix):
+            mat = sparse.csr_matrix(mat)
+        if mat.shape[0] != mat.shape[1]:
+            raise ContractError("operator matrix must be square")
+        self._mat = mat
 
     @property
     def dim(self) -> int:
-        raise NotImplementedError
+        return self._mat.shape[0]
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Apply to a vector (N,) or channel stack (N, J)."""
-        raise NotImplementedError
+        return _real_matmul(self._mat, self._check_operand(values))
 
     def tosparse(self) -> sparse.csr_matrix:
-        raise NotImplementedError
+        return self._mat
 
     def is_self_adjoint(self) -> bool:
         """Whether ``max |A - A*| <= SELF_ADJOINT_TOL max |A|``, a scale-free test.
 
-        Computed at the first call and kept."""
+        Computed at the first call and kept, unless a constructor recorded it."""
         if self._self_adjoint is None:
             mat = self.tosparse()
             diff = mat - mat.conjugate().T
@@ -95,69 +105,6 @@ class LinearNodeOperator:
                 f"operand shape {arr.shape} does not match operator dim {self.dim}"
             )
         return arr
-
-
-class SparseOperator(LinearNodeOperator):
-    """General operator backed by a square CSR matrix."""
-
-    def __init__(self, mat):
-        if not isinstance(mat, sparse.csr_matrix):
-            mat = sparse.csr_matrix(mat)
-        if mat.shape[0] != mat.shape[1]:
-            raise ContractError("operator matrix must be square")
-        self._mat = mat
-
-    @property
-    def dim(self) -> int:
-        return self._mat.shape[0]
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        return _real_matmul(self._mat, self._check_operand(values))
-
-    def tosparse(self) -> sparse.csr_matrix:
-        return self._mat
-
-
-class DiagonalOperator(LinearNodeOperator):
-    """Diagonal operator; real (observable) or unit-modulus (modulation)."""
-
-    def __init__(self, diag, unit_modulus: bool = False):
-        diag = np.asarray(diag)
-        if diag.ndim != 1 or diag.size == 0:
-            raise ContractError("diagonal must be a non-empty 1-D array")
-        if unit_modulus:
-            diag = diag.astype(np.complex128)
-            if np.abs(np.abs(diag) - 1.0).max() > 1e-12:
-                raise ContractError("unit-modulus diagonal has off-circle entries")
-        else:
-            if np.iscomplexobj(diag):
-                raise ContractError("real diagonal required")
-            diag = diag.astype(np.float64)
-        if not np.all(np.isfinite(diag.real)) or not np.all(np.isfinite(diag.imag)):
-            raise ContractError("diagonal entries must be finite")
-        diag.setflags(write=False)
-        self._diag = diag
-
-    @property
-    def dim(self) -> int:
-        return self._diag.size
-
-    @property
-    def diagonal(self) -> np.ndarray:
-        return self._diag
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        arr = self._check_operand(values)
-        d = self._diag if arr.ndim == 1 else self._diag[:, None]
-        return d * arr
-
-    def tosparse(self) -> sparse.csr_matrix:
-        return sparse.diags(self._diag, format="csr")
-
-    def is_self_adjoint(self) -> bool:
-        if not np.iscomplexobj(self._diag):
-            return True
-        return bool(np.abs(self._diag.imag).max() <= SELF_ADJOINT_TOL)
 
 
 class SecondOrderGenerator(SparseOperator):
@@ -195,10 +142,8 @@ class SecondOrderGenerator(SparseOperator):
             stack_t = stack.T.tocsr()
         del mats
         super().__init__(stack_t @ stack)
+        self._self_adjoint = _finite(self._mat)  # exactly symmetric, as above
         self._norm_bound: float | None = None
-
-    def is_self_adjoint(self) -> bool:
-        return True
 
     @property
     def norm_bound(self) -> float:
@@ -247,6 +192,30 @@ def _edge_csr(pattern, forward, backward) -> sparse.csr_matrix:
     return sparse.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
+def _diagonal_csr(diag: np.ndarray) -> sparse.csr_matrix:
+    """CSR matrix with ``diag`` on its diagonal, zeros stored.  Built from its
+    arrays directly: on a 32-node diagonal a quarter of ``sparse.diags``'s
+    time."""
+    n = diag.size
+    idx = np.int32 if n < np.iinfo(np.int32).max else np.int64
+    return sparse.csr_matrix(
+        (diag, np.arange(n, dtype=idx), np.arange(n + 1, dtype=idx)), shape=(n, n))
+
+
+def _hermitian(mat: sparse.csr_matrix) -> SparseOperator:
+    """Operator of a matrix that is exactly Hermitian by construction, its
+    answer recorded so ``is_self_adjoint`` does not test it."""
+    op = SparseOperator(mat)
+    op._self_adjoint = _finite(mat)
+    return op
+
+
+def _finite(mat: sparse.csr_matrix) -> bool:
+    """Whether a matrix built Hermitian still is: an overflowed entry breaks
+    the construction, and fails the generic test too (``inf - inf``)."""
+    return bool(np.isfinite(mat.data).all())
+
+
 def _derivative_csr(graph: Graph, col: np.ndarray, pattern) -> sparse.csr_matrix:
     duv = graph.edge_w * (col[graph.edge_u] - col[graph.edge_v])
     return _edge_csr(pattern, duv, -duv)
@@ -269,12 +238,15 @@ def feature_derivative(graph: Graph, f: FeatureLocations, k: int) -> SparseOpera
 
 
 def momentum_observable(graph: Graph, f: FeatureLocations, k: int) -> SparseOperator:
-    """Self-adjoint momentum observable: i times the feature derivative."""
+    """Self-adjoint momentum observable: i times the feature derivative.
+
+    Hermitian by construction: entry (v, u) is ``-x * 1j`` where (u, v) is
+    ``x * 1j``, the exact conjugate, and both are dropped where ``x`` is 0."""
     col = _check_feature_args(graph, f, k)
     # Each entry is x * 1j, formed before the gather: the same products as
     # the derivative's data cast to complex and multiplied by 1j.
     duv = graph.edge_w * (col[graph.edge_u] - col[graph.edge_v])
-    return SparseOperator(_edge_csr(edge_pattern(graph), duv * 1j, -duv * 1j))
+    return _hermitian(_edge_csr(edge_pattern(graph), duv * 1j, -duv * 1j))
 
 
 def schrodinger_laplacian(graph: Graph, f: FeatureLocations) -> SecondOrderGenerator:
@@ -294,9 +266,10 @@ def _derivative_mats(graph: Graph, f: FeatureLocations):
         yield _derivative_csr(graph, f.column(k), pattern)
 
 
-def location_observable(f: FeatureLocations, k: int) -> DiagonalOperator:
-    """Diagonal observable holding feature column ``k``."""
-    return DiagonalOperator(f.column(k))
+def location_observable(f: FeatureLocations, k: int) -> SparseOperator:
+    """Diagonal observable holding feature column ``k``: real, so self-adjoint."""
+    # A copy: the column is a strided, read-only view of the features.
+    return _hermitian(_diagonal_csr(np.array(f.column(k))))
 
 
 def smoothing_operator(graph: Graph, f: FeatureLocations, k: int) -> SparseOperator:
@@ -310,15 +283,21 @@ def smoothing_operator(graph: Graph, f: FeatureLocations, k: int) -> SparseOpera
     return SparseOperator(_edge_csr(edge_pattern(graph), s, s))
 
 
-def modulation(h: np.ndarray, theta: float) -> DiagonalOperator:
+def modulation(h: np.ndarray, theta: float) -> SparseOperator:
     """Unitary phase modulation diag(exp(i * theta * h)) for a real column."""
     h = np.asarray(h, dtype=np.float64)
-    if h.ndim != 1:
-        raise ContractError("modulation direction must be a 1-D real column")
-    return DiagonalOperator(np.exp(1j * theta * h), unit_modulus=True)
+    if h.ndim != 1 or h.size == 0:
+        raise ContractError("modulation direction must be a non-empty 1-D real column")
+    # A non-finite angle or an overflowing product surfaces as a
+    # non-finite phase, rejected below rather than warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        phases = np.exp(1j * theta * h)
+    if not np.all(np.isfinite(phases)):
+        raise ContractError("modulation phases must be finite")
+    return SparseOperator(_diagonal_csr(phases))
 
 
-def commutator(a: LinearNodeOperator, b: LinearNodeOperator) -> SparseOperator:
+def commutator(a: SparseOperator, b: SparseOperator) -> SparseOperator:
     """Commutator a b - b a as one sparse matrix (pattern may be two-hop)."""
     if a.dim != b.dim:
         raise ContractError("commutator operands disagree on size")
@@ -350,7 +329,7 @@ class NormEstimate(float):
         return obj
 
 
-def operator_norm(op: LinearNodeOperator) -> NormEstimate:
+def operator_norm(op: SparseOperator) -> NormEstimate:
     """Largest singular value and its right singular vector.
 
     Exact to machine precision and deterministic, so repeated calls agree
@@ -459,7 +438,7 @@ def _block_bounds(mat: sparse.csr_matrix) -> np.ndarray:
     return np.concatenate([[0], ends[cut], [n]])
 
 
-def infinity_norm(op: LinearNodeOperator) -> float:
+def infinity_norm(op: SparseOperator) -> float:
     """Induced infinity norm: maximum absolute row sum."""
     mat = op.tosparse()
     if mat.nnz == 0:

@@ -91,17 +91,6 @@ class PMOResult:
             (int(i), float(v)) for i, v in self.objective_trace
         ))
 
-    def as_dict(self) -> dict:
-        return {
-            "transform": [[float(x) for x in row] for row in self.transform],
-            "objective_trace": [[i, v] for i, v in self.objective_trace],
-            "final_deficiency": self.final_deficiency,
-            "initial_objective": self.initial_objective,
-            "initial_deficiency": self.initial_deficiency,
-            "evaluations": self.evaluations,
-            "stop_reason": self.stop_reason,
-        }
-
 
 class _Workspace:
     """Index arrays that fix an iterate's sparsity; only values depend on T.

@@ -27,8 +27,8 @@ from .errors import ContractError, NumericalError, SizeError
 from .graph_core import Signal
 from .operators import (
     DENSE_MAX_NODES,
-    LinearNodeOperator,
     SecondOrderGenerator,
+    SparseOperator,
     infinity_norm,
 )
 
@@ -46,7 +46,7 @@ _MINUS_I_POWERS = np.array([1.0, -1j, -1.0, 1j])
 _RESCALE = 1e250
 
 
-def _require_inputs(laplacian: LinearNodeOperator, t: float, n_nodes: int) -> None:
+def _require_inputs(laplacian: SparseOperator, t: float, n_nodes: int) -> None:
     if not math.isfinite(t):
         raise ContractError(f"propagation time must be finite, got {t}")
     if laplacian.dim != n_nodes:
@@ -55,7 +55,7 @@ def _require_inputs(laplacian: LinearNodeOperator, t: float, n_nodes: int) -> No
         raise ContractError("propagation requires a self-adjoint generator")
 
 
-def _spectral_interval(laplacian: LinearNodeOperator) -> tuple[float, float]:
+def _spectral_interval(laplacian: SparseOperator) -> tuple[float, float]:
     """Centre and half-width of an interval that holds the whole spectrum."""
     if isinstance(laplacian, SecondOrderGenerator):
         # Positive semidefinite by construction: [0, norm_bound].
@@ -120,7 +120,7 @@ def _chebyshev_coefficients(z: float) -> np.ndarray:
     return coef[: negligible[0]]
 
 
-def chebyshev_terms(laplacian: LinearNodeOperator, t: float) -> int:
+def chebyshev_terms(laplacian: SparseOperator, t: float) -> int:
     """Terms of the series that propagates for time ``t``.
 
     Every term after the first costs one generator application."""
@@ -130,7 +130,7 @@ def chebyshev_terms(laplacian: LinearNodeOperator, t: float) -> int:
 
 
 def _chebyshev(
-    laplacian: LinearNodeOperator, t: float, values: np.ndarray
+    laplacian: SparseOperator, t: float, values: np.ndarray
 ) -> np.ndarray:
     x = np.asarray(values, dtype=np.complex128)
     centre, half = _spectral_interval(laplacian)
@@ -167,14 +167,14 @@ def _chebyshev(
 
 
 def evolve_array(
-    laplacian: LinearNodeOperator, t: float, values: np.ndarray
+    laplacian: SparseOperator, t: float, values: np.ndarray
 ) -> np.ndarray:
     """Propagate a raw (N,) or (N, J) array for time ``t``."""
     _require_inputs(laplacian, t, np.shape(values)[0])
     return _chebyshev(laplacian, t, values)
 
 
-def evolve(laplacian: LinearNodeOperator, t: float, g: Signal) -> Signal:
+def evolve(laplacian: SparseOperator, t: float, g: Signal) -> Signal:
     """Propagate every channel of ``g`` for time ``t`` under the generator."""
     return Signal(evolve_array(laplacian, t, g.values))
 
@@ -186,7 +186,7 @@ class DensePropagator:
     sweeps over many times reuse the same factorization.
     """
 
-    def __init__(self, laplacian: LinearNodeOperator):
+    def __init__(self, laplacian: SparseOperator):
         n = laplacian.dim
         if n > DENSE_MAX_NODES:
             raise SizeError(
@@ -217,7 +217,7 @@ class DensePropagator:
         return self._eigvecs @ coeff
 
 
-def unitarity_defect(laplacian: LinearNodeOperator, t: float, g: Signal) -> float:
+def unitarity_defect(laplacian: SparseOperator, t: float, g: Signal) -> float:
     """Relative norm drift of one propagation: |(out norm) - (in norm)| / (in norm)."""
     before = g.norm()
     if before == 0.0:

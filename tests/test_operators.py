@@ -14,7 +14,6 @@ from schro_gsp.experiments import grid_graph
 from schro_gsp.graph_core import FeatureLocations, Graph, edge_pattern, ring_graph
 from schro_gsp.operators import (
     DENSE_MAX_NODES,
-    DiagonalOperator,
     SparseOperator,
     commutator,
     feature_derivative,
@@ -156,7 +155,19 @@ class TestDiagonals:
         vec = rng.normal(size=8) + 1j * rng.normal(size=8)
         out = modulation(h, 1.7).apply(vec)
         assert abs(np.linalg.norm(out) - np.linalg.norm(vec)) <= 1e-12
-        assert np.max(np.abs(np.abs(modulation(h, 1.7).diagonal) - 1.0)) <= 1e-12
+        phases = modulation(h, 1.7).tosparse().diagonal()
+        assert np.max(np.abs(np.abs(phases) - 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("h, theta", [
+        (np.ones(3), np.nan),
+        (np.ones(3), np.inf),
+        (np.array([0.0, 1.0]), -np.inf),
+        (np.ones((3, 2)), 0.5),
+        (np.ones(0), 0.5),
+    ])
+    def test_modulation_rejects_bad_input(self, h, theta):
+        with pytest.raises(ContractError, match="modulation"):
+            modulation(h, theta)
 
     def test_constant_profile_is_global_phase(self, rng):
         vec = rng.normal(size=4) + 1j * rng.normal(size=4)
@@ -200,8 +211,11 @@ class TestSmoothingAndCommutators:
         assert np.max(np.abs(lhs - rhs)) <= 1e-10
 
     def test_momentum_observable_is_self_adjoint(self):
+        # The matrix itself: the constructor records its flag untested.
         graph, f, _ = make_instance(3)
-        assert momentum_observable(graph, f, 0).is_self_adjoint()
+        m = momentum_observable(graph, f, 0).tosparse()
+        assert m.nnz > 0
+        assert (m - m.conj().T).nnz == 0
 
 
 class TestSelfAdjointness:
@@ -229,18 +243,52 @@ class TestSelfAdjointness:
         assert len(built) == 1
 
 
+# Constructors of operators whose self-adjointness is known: three record
+# it, modulation leaves it to the generic test.
+_KNOWN_ADJOINTNESS = {
+    "schrodinger_laplacian": lambda g, f, theta: schrodinger_laplacian(g, f),
+    "location_observable": lambda g, f, theta: location_observable(f, 0),
+    "momentum_observable": lambda g, f, theta: momentum_observable(g, f, 0),
+    "modulation": lambda g, f, theta: modulation(f.column(0), theta),
+}
+
+
+@pytest.mark.parametrize("name", _KNOWN_ADJOINTNESS)
+def test_recorded_self_adjointness_matches_the_generic_test(name):
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        graph = random_connected_graph(rng)
+        f = random_features(rng, graph.n_nodes, int(rng.integers(1, 4)))
+        op = _KNOWN_ADJOINTNESS[name](graph, f, float(rng.uniform(0.5, 2.0)))
+        tested = SparseOperator(op.tosparse()).is_self_adjoint()
+        assert op.is_self_adjoint() == tested
+        assert tested == (name != "modulation")
+
+
+@pytest.mark.parametrize("name", ["schrodinger_laplacian", "momentum_observable"])
+def test_overflowed_entries_are_not_recorded_self_adjoint(name):
+    # 1e8 * (1e300 + 1e300) overflows: the built matrix is not Hermitian.
+    graph = Graph.from_edges(3, [(0, 1, 1e8), (1, 2, 1.0)])
+    f = FeatureLocations(np.array([[1e300], [-1e300], [0.0]]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        op = _KNOWN_ADJOINTNESS[name](graph, f, 1.0)
+        tested = SparseOperator(op.tosparse()).is_self_adjoint()
+    assert not tested
+    assert op.is_self_adjoint() is False
+
+
 class TestNorms:
     def test_identity_norms(self):
-        ident = DiagonalOperator(np.ones(4))
+        ident = SparseOperator(sparse.diags(np.ones(4)))
         assert operator_norm(ident) == pytest.approx(1.0, abs=1e-8)
         assert infinity_norm(ident) == 1.0
 
     def test_diagonal_spectral_norm(self):
-        diag = DiagonalOperator(np.array([3.0, -5.0, 2.0]))
+        diag = SparseOperator(sparse.diags([3.0, -5.0, 2.0]))
         assert operator_norm(diag) == pytest.approx(5.0, abs=1e-8)
 
     def test_zero_operator(self):
-        z = DiagonalOperator(np.zeros(3))
+        z = SparseOperator(sparse.diags(np.zeros(3)))
         assert infinity_norm(z) == 0.0
         assert float(operator_norm(z)) == 0.0
 
@@ -295,7 +343,7 @@ class TestNorms:
             float(est), rel=1e-14)
 
     def test_estimate_reports_convergence(self):
-        est = operator_norm(DiagonalOperator(np.array([2.0, 1.0])))
+        est = operator_norm(SparseOperator(sparse.diags([2.0, 1.0])))
         assert est.converged and est.iterations >= 1
 
     def test_single_node_operator(self):
@@ -314,7 +362,7 @@ class TestNorms:
         monkeypatch.setattr(operators, "DENSE_NORM_MAX_NODES", 2)
         monkeypatch.setattr(operators, "DENSE_MAX_NODES", 2)
         with pytest.raises(NumericalError, match="3-node"):
-            operator_norm(DiagonalOperator(np.array([2.0, 1.0, 0.5])))
+            operator_norm(SparseOperator(sparse.diags([2.0, 1.0, 0.5])))
 
     def test_no_convergence_above_the_cap_raises(self, monkeypatch):
         from scipy.sparse import linalg
@@ -325,7 +373,7 @@ class TestNorms:
         monkeypatch.setattr(linalg, "svds", stalled)
         n = DENSE_MAX_NODES + 1
         with pytest.raises(NumericalError, match=f"{n}-node"):
-            operator_norm(DiagonalOperator(np.linspace(1.0, 2.0, n)))
+            operator_norm(SparseOperator(sparse.diags(np.linspace(1.0, 2.0, n))))
 
     def test_no_convergence_within_the_cap_takes_dense_svd(self, monkeypatch):
         from scipy.sparse import linalg
@@ -336,14 +384,14 @@ class TestNorms:
         monkeypatch.setattr(linalg, "svds", stalled)
         # Lanczos runs first, then stalls into the dense fallback.
         monkeypatch.setattr(operators, "DENSE_NORM_MAX_NODES", 2)
-        est = operator_norm(DiagonalOperator(np.array([2.0, -3.0, 0.5])))
+        est = operator_norm(SparseOperator(sparse.diags([2.0, -3.0, 0.5])))
         assert float(est) == 3.0
         assert np.abs(est.vector).tolist() == [0.0, 1.0, 0.0]
 
     @pytest.mark.parametrize("n", [50, 200])
     def test_clustered_top_singular_values(self, n):
         # Distinct top values packed within 1e-8, where ARPACK stalls.
-        op = DiagonalOperator(1.0 - np.geomspace(1e-8, 1.0, n))
+        op = SparseOperator(sparse.diags(1.0 - np.geomspace(1e-8, 1.0, n)))
         est = operator_norm(op)
         exact = np.linalg.svd(op.tosparse().toarray(), compute_uv=False)[0]
         assert float(est) == pytest.approx(exact, rel=1e-12)

@@ -1,6 +1,5 @@
 """Feature-alignment objective and its optimizer."""
 
-import json
 import os
 import subprocess
 import sys
@@ -477,18 +476,6 @@ class TestFit:
         done = subprocess.run([sys.executable, "-I", "-c", code],
                               capture_output=True, text=True, check=True)
         assert done.stdout.split() == ["False", "False"]
-
-    def test_result_serializes(self):
-        rng = np.random.default_rng(24)
-        graph = random_connected_graph(rng, n_min=6, n_max=8)
-        q = random_features(rng, graph.n_nodes, 2)
-        result = pmo_fit(graph, q, PMOConfig(out_features=1, max_iters=5))
-        data = result.as_dict()
-        assert set(data) == {"transform", "objective_trace", "final_deficiency",
-                             "initial_objective", "initial_deficiency",
-                             "evaluations", "stop_reason"}
-        assert data["objective_trace"][0][0] == 0
-        assert json.loads(json.dumps(data)) == data
 
 
 class TestFeatureRows:

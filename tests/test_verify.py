@@ -130,6 +130,19 @@ def test_worst_over_takes_the_largest_of_count_draws(monkeypatch, count, offset)
     assert got.passed == (max(drawn) <= -9.5)
 
 
+@pytest.mark.parametrize("residuals", [[0.1, np.nan, 0.2], [np.nan, 0.1, 0.2],
+                                       [0.1, 0.2, np.nan]])
+def test_worst_over_fails_on_a_nan_residual(monkeypatch, residuals):
+    # Python's max keeps its running value when the next one is NaN.
+    values = iter(residuals)
+    monkeypatch.setattr(verify, "_REGISTRY", {})
+    verify._worst_over("throwaway", 5, 3, 1.0, "a throwaway check")(
+        lambda rng: next(values))
+    got = verify.run_suite("throwaway")
+    assert np.isnan(got.worst)
+    assert not got.passed
+
+
 @pytest.mark.parametrize("name", SEPARATE_SUITES)
 def test_pass_matches_the_suite_computed_on_its_own(battery, name):
     results = battery.results
