@@ -8,9 +8,13 @@ complex matrix:
     out = sum_m  propagate(t_m, modulate(theta_m * (f @ dir_m)) @ g) @ W_m
 
 applied in ascending term order so evaluation is deterministic.  The map is
-linear in the signal; per-term cost is one diagonal scaling, one
-Chebyshev-series propagation, and one channel mix, so work grows linearly in
-the edge count.
+linear in the signal; per-term cost is one Chebyshev-series propagation and
+one channel mix, so work grows linearly in the edge count.  The modulation
+is not formed as a block: its phase column goes to ``evolve_array``, which
+re-scales the input by it in each step of the series (one broadcast
+multiply per generator application).  Beyond the input, a call then holds
+at most the series' three working blocks and the accumulator, which starts
+from the first term's mix rather than from zeros.
 
 The filter also takes a stack ``(N, J, B)`` of ``B`` signals and filters
 each one on its own: modulation acts per node, propagation acts column by
@@ -188,12 +192,23 @@ def schrodinger_filter(
         raise ContractError(
             f"filter mix expects {params.in_channels} input channels, "
             f"got {j}")
-    out = np.zeros((n, params.out_channels, b), dtype=np.complex128)
+    # The modulation rides inside the propagation, and a term's evolved and
+    # mixed blocks are dropped before the next term, so a term holds three
+    # (N, J*B) blocks besides the input and ``out``.  A batch that is a
+    # strided view is copied once here.
+    columns = stack.reshape(n, j * b)
+    out = None
     for term in params.terms:
-        direction = f.values @ term.direction
-        modulated = np.exp(1j * term.phase * direction)[:, None, None] * stack
-        evolved = evolve_array(lap, term.time, modulated.reshape(n, j * b))
-        out += term.mix.T @ evolved.reshape(n, j, b)
+        phase = np.exp(1j * term.phase * (f.values @ term.direction))
+        mixed = term.mix.T @ evolve_array(
+            lap, term.time, columns, phase).reshape(n, j, b)
+        if out is None:
+            # The sum starts from zero: 0 + x turns -0.0 into +0.0, and
+            # adding it in place keeps those bytes without a zeroed block.
+            out = np.add(mixed, 0.0, out=mixed)
+        else:
+            out += mixed
+        del mixed
     return Signal(out[:, :, 0]) if isinstance(g, Signal) else out
 
 

@@ -22,7 +22,9 @@ pattern once for all its derivatives and frees it before its product.  An
 operator's data is its per-edge values gathered in that order, less the
 stored zeros, and one ``csr_matrix((data, indices, indptr))`` call wraps
 the arrays.  The result equals scipy's COO build byte for byte, without the
-COO object, ``sum_duplicates`` or ``eliminate_zeros``.  A complex block
+COO object, ``sum_duplicates`` or ``eliminate_zeros``.  A per-edge value or
+a generator entry that overflows raises :class:`NumericalError` where it is
+formed, so no constructor returns non-finite data.  A complex block
 applied to a real matrix is multiplied as its float view: one product per
 generator application.
 
@@ -142,7 +144,12 @@ class SecondOrderGenerator(SparseOperator):
             stack_t = stack.T.tocsr()
         del mats
         super().__init__(stack_t @ stack)
-        self._self_adjoint = _finite(self._mat)  # exactly symmetric, as above
+        # scipy's product raises no floating-point error on overflow.
+        if not _all_finite(self._mat.data):
+            raise NumericalError(
+                "the generator's product of feature derivatives overflows; "
+                f"largest derivative entry {np.abs(stack.data).max():.6g}")
+        self._self_adjoint = True  # exactly symmetric, as above
         self._norm_bound: float | None = None
 
     @property
@@ -206,18 +213,34 @@ def _hermitian(mat: sparse.csr_matrix) -> SparseOperator:
     """Operator of a matrix that is exactly Hermitian by construction, its
     answer recorded so ``is_self_adjoint`` does not test it."""
     op = SparseOperator(mat)
-    op._self_adjoint = _finite(mat)
+    op._self_adjoint = True
     return op
 
 
-def _finite(mat: sparse.csr_matrix) -> bool:
-    """Whether a matrix built Hermitian still is: an overflowed entry breaks
-    the construction, and fails the generic test too (``inf - inf``)."""
-    return bool(np.isfinite(mat.data).all())
+def _all_finite(data: np.ndarray) -> bool:
+    """Whether a real array is finite throughout, without a mask of its
+    size: its min and max propagate NaN."""
+    return data.size == 0 or bool(np.isfinite(data.min()) and np.isfinite(data.max()))
+
+
+def _edge_values(graph: Graph, col: np.ndarray, squared: bool = False) -> np.ndarray:
+    """Per-edge ``a(u, v) * (f(u) - f(v))``, or its gap squared, refusing
+    overflow: the first edge whose value is not finite raises
+    :class:`NumericalError` naming its weight and feature gap."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = col[graph.edge_u] - col[graph.edge_v]
+        vals = graph.edge_w * (gap ** 2 if squared else gap)
+    if not _all_finite(vals):
+        e = int(np.flatnonzero(~np.isfinite(vals))[0])
+        raise NumericalError(
+            f"edge ({graph.edge_u[e]}, {graph.edge_v[e]}) overflows: weight "
+            f"{graph.edge_w[e]:.6g} times feature gap {gap[e]:.6g}"
+            + (" squared" if squared else ""))
+    return vals
 
 
 def _derivative_csr(graph: Graph, col: np.ndarray, pattern) -> sparse.csr_matrix:
-    duv = graph.edge_w * (col[graph.edge_u] - col[graph.edge_v])
+    duv = _edge_values(graph, col)
     return _edge_csr(pattern, duv, -duv)
 
 
@@ -245,7 +268,7 @@ def momentum_observable(graph: Graph, f: FeatureLocations, k: int) -> SparseOper
     col = _check_feature_args(graph, f, k)
     # Each entry is x * 1j, formed before the gather: the same products as
     # the derivative's data cast to complex and multiplied by 1j.
-    duv = graph.edge_w * (col[graph.edge_u] - col[graph.edge_v])
+    duv = _edge_values(graph, col)
     return _hermitian(_edge_csr(edge_pattern(graph), duv * 1j, -duv * 1j))
 
 
@@ -279,7 +302,7 @@ def smoothing_operator(graph: Graph, f: FeatureLocations, k: int) -> SparseOpera
     the commutator of the location observable with the feature derivative.
     """
     col = _check_feature_args(graph, f, k)
-    s = graph.edge_w * (col[graph.edge_u] - col[graph.edge_v]) ** 2
+    s = _edge_values(graph, col, squared=True)
     return SparseOperator(_edge_csr(edge_pattern(graph), s, s))
 
 

@@ -130,19 +130,35 @@ def chebyshev_terms(laplacian: SparseOperator, t: float) -> int:
 
 
 def _chebyshev(
-    laplacian: SparseOperator, t: float, values: np.ndarray
+    laplacian: SparseOperator,
+    t: float,
+    values: np.ndarray,
+    weights: np.ndarray | None,
 ) -> np.ndarray:
     x = np.asarray(values, dtype=np.complex128)
+    # The input is w * x, re-formed where each term needs it rather than
+    # kept as a block beside x.  The operands keep the order a caller that
+    # scaled first would use: complex products are not bitwise commutative.
+    w = None
+    if weights is not None:
+        w = np.asarray(weights)
+        w = w[:, None] if x.ndim == 2 else w
     centre, half = _spectral_interval(laplacian)
     z = t * half
     if abs(z) < CHEB_TAIL_TOL:
         # 2 sum_{k>0} |J_k(z)| ~ |z| is negligible: only J_0(z) = 1 is left.
-        return cmath.exp(-1j * t * centre) * x
+        return cmath.exp(-1j * t * centre) * (x if w is None else w * x)
     coef = cmath.exp(-1j * t * centre) * _chebyshev_coefficients(z)
-    # Clenshaw: b_k = c_k x + 2 S b_{k+1} - b_{k+2}, result c_0 x + S b_1 - b_2.
-    # Updated in place, so x, b_{k+1}, b_{k+2} and the new term are the only
-    # (N, J) buffers alive outside the generator application.
-    b1, b2 = coef[-1] * x, None
+    # Clenshaw: b_k = c_k u + 2 S b_{k+1} - b_{k+2}, result c_0 u + S b_1 - b_2,
+    # with u = weights * x.  Updated in place, so b_{k+1}, b_{k+2} and the
+    # new term are the only (N, J) buffers alive beside x outside the
+    # generator application.
+    if w is None:
+        b1 = coef[-1] * x
+    else:
+        b1 = np.multiply(w, x)
+        np.multiply(coef[-1], b1, out=b1)
+    b2 = None
     for k in range(coef.size - 2, -1, -1):
         scale = 1.0 / half if k == 0 else 2.0 / half
         new = laplacian.apply(b1)
@@ -153,10 +169,14 @@ def _chebyshev(
             b2 = np.empty_like(x)
         else:
             new -= b2
-        # b2 is spent; reuse it as scratch for the shift and the c_k x term.
+        # b2 is spent; reuse it as scratch for the shift and the c_k u term.
         np.multiply(b1, scale * centre, out=b2)
         new -= b2
-        np.multiply(x, coef[k], out=b2)
+        if w is None:
+            np.multiply(x, coef[k], out=b2)
+        else:
+            np.multiply(w, x, out=b2)
+            b2 *= coef[k]
         new += b2
         b1, b2 = new, b1
     if not np.all(np.isfinite(b1)):
@@ -167,11 +187,25 @@ def _chebyshev(
 
 
 def evolve_array(
-    laplacian: SparseOperator, t: float, values: np.ndarray
+    laplacian: SparseOperator,
+    t: float,
+    values: np.ndarray,
+    weights: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Propagate a raw (N,) or (N, J) array for time ``t``."""
+    """Propagate a raw (N,) or (N, J) array for time ``t``.
+
+    With ``weights``, an (N,) column, the input is ``weights * values``
+    (scaled row by row), the same bytes as scaling first, but the scaled
+    block is never held: each step of the series re-forms its term in a
+    buffer it already has.  A modulated propagation then keeps three
+    (N, J) blocks besides ``values`` instead of four.
+    """
     _require_inputs(laplacian, t, np.shape(values)[0])
-    return _chebyshev(laplacian, t, values)
+    if weights is not None and np.shape(weights) != np.shape(values)[:1]:
+        raise ContractError(
+            f"weights of shape {np.shape(weights)} do not match "
+            f"{np.shape(values)[0]} nodes")
+    return _chebyshev(laplacian, t, values, weights)
 
 
 def evolve(laplacian: SparseOperator, t: float, g: Signal) -> Signal:

@@ -1,5 +1,7 @@
 """Filter parameterization, application, activations, and persistence."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,9 @@ from schro_gsp.filters import (
     save_filter_params,
     schrodinger_filter,
 )
-from schro_gsp.graph_core import FeatureLocations, Signal
+from schro_gsp.graph_core import FeatureLocations, Signal, ring_graph
 from schro_gsp.operators import schrodinger_laplacian
+from schro_gsp.propagate import evolve_array
 
 from conftest import make_instance
 
@@ -211,6 +214,97 @@ class TestFilterAction:
         lap = schrodinger_laplacian(graph, f)
         with pytest.raises(ContractError):
             schrodinger_filter(lap, f, params, g)
+
+
+def _reference_filter(lap, f, params, g):
+    """The filter as a modulated block: each term modulates the whole input,
+    propagates it with ``evolve_array`` and mixes it into a zero-filled
+    accumulator."""
+    stack = g.values[:, :, None] if isinstance(g, Signal) else np.asarray(g)
+    n, j, b = stack.shape
+    out = np.zeros((n, params.out_channels, b), dtype=np.complex128)
+    for term in params.terms:
+        direction = f.values @ term.direction
+        modulated = np.exp(1j * term.phase * direction)[:, None, None] * stack
+        evolved = evolve_array(lap, term.time, modulated.reshape(n, j * b))
+        out += term.mix.T @ evolved.reshape(n, j, b)
+    return Signal(out[:, :, 0]) if isinstance(g, Signal) else out
+
+
+def _bytes(out):
+    return np.ascontiguousarray(out.values if isinstance(out, Signal) else out).tobytes()
+
+
+class TestModulatedPropagation:
+    @pytest.mark.parametrize("n_terms", [1, 2, 3])
+    @pytest.mark.parametrize("j,d,b", [(4, 4, 1), (1, 1, 4), (2, 3, 2)])
+    @pytest.mark.parametrize("kind", ["signal", "stack", "gapped"])
+    def test_filter_matches_the_modulated_block_bit_for_bit(
+            self, n_terms, j, d, b, kind):
+        rng = np.random.default_rng(100 * n_terms + 10 * j + b)
+        graph, f, _ = make_instance(71 + b, n_features=2)
+        n = graph.n_nodes
+        params = _random_params(rng, n_features=2, j=j, d=d, n_terms=n_terms)
+        if kind == "signal":
+            g = Signal(rng.normal(size=(n, j)) + 1j * rng.normal(size=(n, j)))
+        elif kind == "stack":
+            g = rng.normal(size=(n, j, b)) + 1j * rng.normal(size=(n, j, b))
+        else:
+            # An empty window inside a batch that is a strided view of a
+            # wider buffer, as ``relative_shift`` hands over.
+            full = rng.normal(size=(n, j, b + 1)) + 1j * rng.normal(size=(n, j, b + 1))
+            full[:, :, b // 2] = 0.0
+            g = full[:, :, :b]
+        lap = schrodinger_laplacian(graph, f)
+        out = schrodinger_filter(lap, f, params, g)
+        assert _bytes(out) == _bytes(_reference_filter(lap, f, params, g))
+
+    @pytest.mark.parametrize("t", [0.0, 0.8, -1.3])
+    @pytest.mark.parametrize("shape", [(), (3,)])
+    @pytest.mark.parametrize("complex_weights", [True, False])
+    def test_weights_equal_a_scaled_input_bit_for_bit(self, t, shape, complex_weights):
+        rng = np.random.default_rng(83)
+        graph, f, _ = make_instance(89, n_features=2)
+        n = graph.n_nodes
+        lap = schrodinger_laplacian(graph, f)
+        v = rng.normal(size=(n, *shape)) + 1j * rng.normal(size=(n, *shape))
+        w = rng.normal(size=n)
+        if complex_weights:
+            w = np.exp(1j * w)
+        scaled = w * v if v.ndim == 1 else w[:, None] * v
+        got = evolve_array(lap, t, v, w)
+        assert got.tobytes() == evolve_array(lap, t, scaled).tobytes()
+
+    def test_weights_of_the_wrong_size_rejected(self):
+        graph, f, _ = make_instance(97)
+        lap = schrodinger_laplacian(graph, f)
+        v = np.ones((graph.n_nodes, 2), dtype=complex)
+        with pytest.raises(ContractError, match="weights"):
+            evolve_array(lap, 0.5, v, np.ones(graph.n_nodes + 1))
+
+    # Peak allocation beyond the input, in (N, J*B) complex blocks: three
+    # Chebyshev blocks, the accumulator from the second term on (1.5 blocks
+    # at D = 3), and the term's phase and direction columns (0.36 here).
+    # A modulated copy of the input and a zero-filled accumulator beside
+    # them would add about 1.77 (5.13, 6.13 and 6.63 blocks).
+    @pytest.mark.parametrize("n_terms,d,limit", [(1, 2, 3.6), (2, 2, 4.6), (3, 3, 5.1)])
+    def test_working_set_in_blocks(self, n_terms, d, limit):
+        rng = np.random.default_rng(101)
+        graph, f = ring_graph(20_000)
+        n, j, b = graph.n_nodes, 2, 2
+        params = _random_params(rng, n_features=3, j=j, d=d, n_terms=n_terms)
+        lap = schrodinger_laplacian(graph, f)
+        stack = rng.normal(size=(n, j, b)) + 1j * rng.normal(size=(n, j, b))
+        block = stack.nbytes
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = schrodinger_filter(lap, f, params, stack)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (n, d, b)
+        assert (peak - base) / block <= limit
 
 
 class TestActivation:

@@ -265,16 +265,36 @@ def test_recorded_self_adjointness_matches_the_generic_test(name):
         assert tested == (name != "modulation")
 
 
-@pytest.mark.parametrize("name", ["schrodinger_laplacian", "momentum_observable"])
-def test_overflowed_entries_are_not_recorded_self_adjoint(name):
-    # 1e8 * (1e300 + 1e300) overflows: the built matrix is not Hermitian.
+_EDGE_BUILDERS = {
+    "feature_derivative": lambda g, f: feature_derivative(g, f, 0),
+    "momentum_observable": lambda g, f: momentum_observable(g, f, 0),
+    "smoothing_operator": lambda g, f: smoothing_operator(g, f, 0),
+    "schrodinger_laplacian": schrodinger_laplacian,
+}
+
+
+@pytest.mark.parametrize("name", _EDGE_BUILDERS)
+def test_overflowing_edge_value_raises_where_it_is_formed(name):
+    # 1e8 * (1e300 + 1e300) overflows on edge (0, 1).
     graph = Graph.from_edges(3, [(0, 1, 1e8), (1, 2, 1.0)])
     f = FeatureLocations(np.array([[1e300], [-1e300], [0.0]]))
-    with np.errstate(over="ignore", invalid="ignore"):
-        op = _KNOWN_ADJOINTNESS[name](graph, f, 1.0)
-        tested = SparseOperator(op.tosparse()).is_self_adjoint()
-    assert not tested
-    assert op.is_self_adjoint() is False
+    with pytest.raises(NumericalError, match=r"edge \(0, 1\) overflows: "
+                       r"weight 1e\+08 times feature gap 2e\+300"):
+        _EDGE_BUILDERS[name](graph, f)
+
+
+def test_overflowing_generator_product_raises():
+    # Gaps of 1e160 on unit weights: every derivative entry is finite, and
+    # the squares the generator's product forms are not.
+    graph = Graph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)])
+    f = FeatureLocations(np.array([[1e160], [0.0], [-1e160]]))
+    assert np.all(np.isfinite(feature_derivative(graph, f, 0).tosparse().data))
+    assert np.all(np.isfinite(momentum_observable(graph, f, 0).tosparse().data))
+    with pytest.raises(NumericalError, match="feature gap 1e\\+160 squared"):
+        smoothing_operator(graph, f, 0)
+    with pytest.raises(NumericalError, match="product of feature derivatives "
+                       "overflows; largest derivative entry 1e\\+160"):
+        schrodinger_laplacian(graph, f)
 
 
 class TestNorms:
