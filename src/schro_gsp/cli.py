@@ -53,7 +53,7 @@ from .graph_core import (
     load_graph,
     load_signal,
 )
-from .operators import schrodinger_laplacian
+from .operators import SecondOrderGenerator, derivative_mats
 from .ring_task import RingTaskConfig, run_ring_task
 from .verify import run_suite, select_suites
 
@@ -387,17 +387,21 @@ def cmd_diagnose(args) -> int:
     # A file lists its nodes in any order, so a row of the generator can
     # read operand rows from anywhere in the block.  Relabeled by bandwidth,
     # neighbours sit at nearby rows and each sparse product stays in cache.
-    # The file-order objects are not kept: they would be alive at the
-    # generator's build peak.  Window statistics do not depend on the node
-    # order, so nothing is mapped back.
+    # Window statistics do not depend on the node order, so nothing is
+    # mapped back.  Nothing the generator's product does not need is alive
+    # at its peak: the file-order objects are not kept, the relabeled graph
+    # is handed over to the lazy derivatives, which free it (edge arrays and
+    # pattern with it) before the product, and the windows are built after.
     graph, feats, signal = bandwidth_order(
         load_graph(cfg.graph), load_features(cfg.features), load_signal(cfg.signal))
     if cfg.coordinate >= feats.n_features:
         raise ContractError(
             f"window coordinate {cfg.coordinate} out of range for "
             f"{feats.n_features} features")
+    mats = derivative_mats(graph, feats)
+    del graph
+    lap = SecondOrderGenerator(mats)
     windows = build_windows(feats, cfg.coordinate, cfg.n_windows)
-    lap = schrodinger_laplacian(graph, feats)
 
     def layer(stack):
         return schrodinger_filter(lap, feats, params, stack)

@@ -36,7 +36,8 @@ order; above that, a single Lanczos solve on an operand whose forward and
 adjoint products are plain CSR products.  When Lanczos does not converge, an
 operator of at most ``DENSE_MAX_NODES`` nodes takes the dense solve instead,
 and a larger one raises.  ``infinity_norm`` is the cheap row-sum upper
-bound; it sums ``|entries|`` per row without an absolute-valued copy.
+bound; it sums ``|entries|`` per row over one absolute-valued copy of the
+stored entries.
 """
 
 from __future__ import annotations
@@ -121,11 +122,15 @@ class SecondOrderGenerator(SparseOperator):
     exactly skew-symmetric, as ``feature_derivative`` makes them.
     ``norm_bound`` needs the composed matrix before any propagation, so
     every application multiplies by it too: one sparse pass instead of 2K.
+
+    The derivatives come as an iterable, so a caller can hand over the only
+    references: they are freed once stacked, before the product's peak.  A
+    caller that passes ``derivative_mats(graph, f)`` and keeps no reference
+    to the graph hands the graph over too: it is freed, with its edge
+    arrays and the edge pattern, once the last derivative is taken.
     """
 
     def __init__(self, derivative_mats):
-        # An iterable, so a caller can hand over the only references: the
-        # derivatives are then freed once stacked, before the product's peak.
         mats = list(derivative_mats)
         if not mats:
             raise ContractError("at least one feature derivative required")
@@ -274,16 +279,18 @@ def momentum_observable(graph: Graph, f: FeatureLocations, k: int) -> SparseOper
 
 def schrodinger_laplacian(graph: Graph, f: FeatureLocations) -> SecondOrderGenerator:
     """Self-adjoint generator: minus the sum of squared feature derivatives."""
-    if f.n_nodes != graph.n_nodes:
-        raise ContractError("feature locations do not match the graph size")
-    return SecondOrderGenerator(_derivative_mats(graph, f))
+    return SecondOrderGenerator(derivative_mats(graph, f))
 
 
-def _derivative_mats(graph: Graph, f: FeatureLocations):
+def derivative_mats(graph: Graph, f: FeatureLocations):
     """Every feature's derivative matrix, in order, from one shared pattern.
 
-    A generator: the pattern is freed once the last matrix is taken, before
-    ``SecondOrderGenerator`` forms its product."""
+    A generator, which ``SecondOrderGenerator`` exhausts before its product:
+    the pattern, and the graph when the caller handed over its only
+    reference, are freed once the last matrix is taken.  The sizes are
+    checked when the first matrix is taken."""
+    if f.n_nodes != graph.n_nodes:
+        raise ContractError("feature locations do not match the graph size")
     pattern = edge_pattern(graph)
     for k in range(f.n_features):
         yield _derivative_csr(graph, f.column(k), pattern)
@@ -470,8 +477,8 @@ def infinity_norm(op: SparseOperator) -> float:
 
 
 def _abs_row_sums(data: np.ndarray, indptr: np.ndarray) -> np.ndarray:
-    """Row sums of ``|data|`` over the CSR row pointers ``indptr``, without
-    an absolute-valued copy of a matrix.
+    """Row sums of ``|data|`` over the CSR row pointers ``indptr``, from one
+    absolute-valued copy of ``data``.
 
     Sums ``|data|`` over each non-empty row's ``indptr`` segment in stored
     order; an empty row sums to 0.  scipy's ``np.abs(mat).sum(axis=1)`` does

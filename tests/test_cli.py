@@ -5,12 +5,13 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
 
 import schro_gsp
-from schro_gsp import operators, ring_task, verify
+from schro_gsp import cli, operators, ring_task, verify
 from schro_gsp.cli import main
 from schro_gsp.filters import FilterParams, FilterTerm, save_filter_params
 from schro_gsp.graph_core import (
@@ -18,6 +19,7 @@ from schro_gsp.graph_core import (
     Graph,
     Signal,
     cluster_graph,
+    load_features,
     save_features,
     ring_graph,
     save_graph,
@@ -514,6 +516,49 @@ class TestDiagnoseCommand:
         assert rc == 2
         err = capsys.readouterr().err
         assert f"{path}: line {len(lines) + 1}: unparsable" in err, err
+
+    def test_graph_is_freed_before_the_generator_product(self, tmp_path, monkeypatch):
+        """The relabeled graph's edge arrays are gone when the derivatives are
+        stacked for the generator's product, and the windows come after it.
+
+        Only a build from two or more features stacks with ``vstack``."""
+        cfg = _geometric_inputs(tmp_path, "handover", np.arange(200))
+        refs, events = [], []
+        real_order, real_vstack = cli.bandwidth_order, operators.sparse.vstack
+        real_windows = cli.build_windows
+
+        def order(*args):
+            out = real_order(*args)
+            refs.extend(weakref.ref(getattr(out[0], name))
+                        for name in ("edge_u", "edge_v", "edge_w"))
+            return out
+
+        def vstack(*args, **kwargs):
+            events.append(("vstack", [ref() is None for ref in refs]))
+            return real_vstack(*args, **kwargs)
+
+        def windows(*args):
+            events.append(("windows", None))
+            return real_windows(*args)
+
+        monkeypatch.setattr(cli, "bandwidth_order", order)
+        monkeypatch.setattr(operators.sparse, "vstack", vstack)
+        monkeypatch.setattr(cli, "build_windows", windows)
+        assert main(["diagnose", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert len(refs) == 3
+        assert events == [("vstack", [True, True, True]), ("windows", None)]
+
+    @pytest.mark.parametrize("reason", ["is constant", "has tied quantile centers"])
+    def test_degenerate_coordinate_names_the_column(self, tmp_path, diagnose_inputs,
+                                                     capsys, reason):
+        # Refused by ``build_windows``, which runs after the generator's build.
+        n = load_features(diagnose_inputs["features"]).n_nodes
+        col = np.full(n, 3.0) if reason == "is constant" else np.r_[1.0, 2.0, np.zeros(n - 2)]
+        save_features(FeatureLocations(col[:, None]), diagnose_inputs["features"])
+        cfg = _write_cfg(tmp_path, dict(diagnose_inputs, n_windows=4))
+        rc = main(["diagnose", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert f"feature column 0 {reason}" in capsys.readouterr().err
 
     def test_coordinate_out_of_range_rejected(self, tmp_path, diagnose_inputs):
         cfg = _write_cfg(tmp_path, dict(diagnose_inputs, coordinate=5))
