@@ -51,7 +51,7 @@ from .operators import (
     schrodinger_laplacian,
     smoothing_operator,
 )
-from .propagate import DensePropagator, evolve, unitarity_defect
+from .propagate import DensePropagator, evolve
 from .observe import (
     VARIANCE_FLOOR,
     RoutingReport,

@@ -55,7 +55,7 @@ from .graph_core import (
 )
 from .operators import SecondOrderGenerator, derivative_mats
 from .ring_task import RingTaskConfig, run_ring_task
-from .verify import run_suite, select_suites
+from .verify import run_suites
 
 __all__ = ["main"]
 
@@ -182,11 +182,8 @@ def _report(out_dir: str, command: str, cfg, metrics: dict, checks) -> int:
 
 def cmd_verify(args) -> int:
     cfg = _load_config(args.config, VerifyConfig, {"filter": args.filter})
-    names = select_suites(cfg.filter)
     results = []
-    shared: dict = {}
-    for name in names:
-        result = run_suite(name, shared)
+    for result in run_suites(cfg.filter):
         results.append(result)
         status = "PASS" if result.passed else "FAIL"
         print(

@@ -147,7 +147,7 @@ def run_cluster_sweep(cfg: ClusterSweepConfig = ClusterSweepConfig()) -> Cluster
     thetas = np.linspace(cfg.theta_min, cfg.theta_max, cfg.n_theta)
     rows = []
     for theta in thetas:
-        state = modulation(fcol, float(theta)).apply(g0)
+        state = modulation(fcol, float(theta)) * g0
         state = prop.apply(cfg.time, state)
         _, e1, v1, p1 = _normalized_stats(loc, g0, state, cfg.target)
         for _ in range(cfg.repeats - 1):
@@ -251,15 +251,11 @@ class GridPMOResult:
     features: FeatureLocations      # recovered columns q T
     initial_cosine: float
     final_cosine: float
-    initial_deficiency: float
-    final_deficiency: float
-    initial_objective: float
-    final_objective: float
     derivative_norms: tuple[float, ...]
 
     @property
     def deficiency_reduction(self) -> float:
-        return 1.0 - self.final_deficiency / self.initial_deficiency
+        return 1.0 - self.fit.final_deficiency / self.fit.initial_deficiency
 
     def summary(self) -> dict:
         return {
@@ -267,11 +263,11 @@ class GridPMOResult:
             "seed": self.config.seed,
             "initial_cosine": self.initial_cosine,
             "final_cosine": self.final_cosine,
-            "initial_deficiency": self.initial_deficiency,
-            "final_deficiency": self.final_deficiency,
+            "initial_deficiency": self.fit.initial_deficiency,
+            "final_deficiency": self.fit.final_deficiency,
             "deficiency_reduction": self.deficiency_reduction,
-            "initial_objective": self.initial_objective,
-            "final_objective": self.final_objective,
+            "initial_objective": self.fit.initial_objective,
+            "final_objective": self.fit.objective_trace[-1][1],
             "derivative_norms": list(self.derivative_norms),
             "iterations": self.fit.objective_trace[-1][0],
             "evaluations": self.fit.evaluations,
@@ -296,9 +292,5 @@ def run_grid_pmo(cfg: GridPMOConfig = GridPMOConfig()) -> GridPMOResult:
         features=recovered,
         initial_cosine=initial_cosine,
         final_cosine=centered_cosine(recovered.column(0), recovered.column(1)),
-        initial_deficiency=fit.initial_deficiency,
-        final_deficiency=fit.final_deficiency,
-        initial_objective=fit.initial_objective,
-        final_objective=fit.objective_trace[-1][1],
         derivative_norms=norms,
     )

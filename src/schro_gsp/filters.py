@@ -10,11 +10,14 @@ complex matrix:
 applied in ascending term order so evaluation is deterministic.  The map is
 linear in the signal; per-term cost is one Chebyshev-series propagation and
 one channel mix, so work grows linearly in the edge count.  The modulation
-is not formed as a block: its phase column goes to ``evolve_array``, which
-re-scales the input by it in each step of the series (one broadcast
-multiply per generator application).  Beyond the input, a call then holds
-at most the series' three working blocks and the accumulator, which starts
-from the first term's mix rather than from zeros.
+is not formed as a block: its phase column, ``operators.modulation`` of the
+term's feature combination, goes to ``evolve_array``, which re-scales the
+input by it in each step of the series (one broadcast multiply per
+generator application).  Beyond the input, a call then holds at most the
+series' three working blocks and the accumulator, which starts from the
+first term's mix rather than from zeros.  A phase column that overflows is
+refused by ``modulation`` with a :class:`ContractError`, before the term
+propagates.
 
 The filter also takes a stack ``(N, J, B)`` of ``B`` signals and filters
 each one on its own: modulation acts per node, propagation acts column by
@@ -34,7 +37,7 @@ import numpy as np
 
 from .errors import ContractError, FormatError
 from .graph_core import FeatureLocations, Signal
-from .operators import SecondOrderGenerator
+from .operators import SecondOrderGenerator, modulation
 from .propagate import evolve_array
 
 _ACTIVATIONS = ("split-relu", "modulus", "none")
@@ -99,67 +102,47 @@ class FilterParams:
     def in_channels(self) -> int:
         return self.terms[0].mix.shape[0]
 
-    @property
-    def out_channels(self) -> int:
-        return self.terms[0].mix.shape[1]
-
-    def as_dict(self) -> dict:
-        out = []
-        for term in self.terms:
-            out.append({
-                "time": term.time,
-                "phase": term.phase,
-                "direction": [float(x) for x in term.direction],
-                "mix": [
-                    [[float(z.real), float(z.imag)] for z in row]
-                    for row in term.mix
-                ],
-            })
-        return {"terms": out}
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FilterParams":
-        try:
-            terms = []
-            for td in data["terms"]:
-                mix = np.array(
-                    [[complex(re, im) for re, im in row] for row in td["mix"]],
-                    dtype=np.complex128,
-                )
-                terms.append(FilterTerm(
-                    time=float(td["time"]),
-                    phase=float(td["phase"]),
-                    direction=np.asarray(td["direction"], dtype=np.float64),
-                    mix=mix,
-                ))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"malformed filter parameters: {exc}") from exc
-        return cls(tuple(terms))
-
-    @classmethod
-    def from_json(cls, text: str) -> "FilterParams":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"filter parameters are not valid JSON: {exc}") from exc
-        return cls.from_dict(data)
-
 
 def save_filter_params(params: FilterParams, path) -> None:
+    terms = []
+    for term in params.terms:
+        terms.append({
+            "time": term.time,
+            "phase": term.phase,
+            "direction": [float(x) for x in term.direction],
+            "mix": [
+                [[float(z.real), float(z.imag)] for z in row]
+                for row in term.mix
+            ],
+        })
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(params.to_json() + "\n")
+        fh.write(json.dumps({"terms": terms}, sort_keys=True) + "\n")
 
 
 def load_filter_params(path) -> FilterParams:
     try:
         with open(path, "r", encoding="ascii") as fh:
-            text = fh.read()
+            data = json.load(fh)
     except UnicodeDecodeError as exc:
         raise FormatError(f"filter parameters {path} are not ASCII text: {exc}") from exc
-    return FilterParams.from_json(text)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"filter parameters are not valid JSON: {exc}") from exc
+    try:
+        terms = []
+        for td in data["terms"]:
+            mix = np.array(
+                [[complex(re, im) for re, im in row] for row in td["mix"]],
+                dtype=np.complex128,
+            )
+            terms.append(FilterTerm(
+                time=float(td["time"]),
+                phase=float(td["phase"]),
+                direction=np.asarray(td["direction"], dtype=np.float64),
+                mix=mix,
+            ))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"malformed filter parameters: {exc}") from exc
+    return FilterParams(tuple(terms))
 
 
 def schrodinger_filter(
@@ -199,7 +182,7 @@ def schrodinger_filter(
     columns = stack.reshape(n, j * b)
     out = None
     for term in params.terms:
-        phase = np.exp(1j * term.phase * (f.values @ term.direction))
+        phase = modulation(f.values @ term.direction, term.phase)
         mixed = term.mix.T @ evolve_array(
             lap, term.time, columns, phase).reshape(n, j, b)
         if out is None:

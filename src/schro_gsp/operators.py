@@ -8,10 +8,10 @@ second-order generator that drives unitary propagation.
 
 ``SparseOperator``, the one operator class, holds a square CSR matrix:
 derivatives, momenta, smoothing operators, commutators, location
-observables and modulations (diagonal matrices), and the second-order
-generator, which composes its matrix once when it is built, as ``D D^T``
-with the derivatives side by side in ``D = [G_0 ... G_{K-1}]``: one sparse
-product whose result is exactly symmetric.  A constructor whose result is
+observables (diagonal matrices), and the second-order generator, which
+composes its matrix once when it is built, as ``D D^T`` with the
+derivatives side by side in ``D = [G_0 ... G_{K-1}]``: one sparse product
+whose result is exactly symmetric.  A constructor whose result is
 exactly Hermitian by construction (the generator, location and momentum
 observables) records that answer, so ``is_self_adjoint`` tests only the
 other operators.
@@ -27,6 +27,10 @@ a generator entry that overflows raises :class:`NumericalError` where it is
 formed, so no constructor returns non-finite data.  A complex block
 applied to a real matrix is multiplied as its float view: one product per
 generator application.
+
+Phase modulation is not an operator: ``modulation`` returns the
+unit-modulus column ``exp(i theta h)``, and a caller multiplies a signal by
+it row by row.  A phase that overflows raises :class:`ContractError` there.
 
 There is one spectral norm, ``operator_norm``, exact to machine precision.
 It picks its solver by size: up to ``DENSE_NORM_MAX_NODES`` nodes, the top
@@ -204,16 +208,6 @@ def _edge_csr(pattern, forward, backward) -> sparse.csr_matrix:
     return sparse.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
-def _diagonal_csr(diag: np.ndarray) -> sparse.csr_matrix:
-    """CSR matrix with ``diag`` on its diagonal, zeros stored.  Built from its
-    arrays directly: on a 32-node diagonal a quarter of ``sparse.diags``'s
-    time."""
-    n = diag.size
-    idx = np.int32 if n < np.iinfo(np.int32).max else np.int64
-    return sparse.csr_matrix(
-        (diag, np.arange(n, dtype=idx), np.arange(n + 1, dtype=idx)), shape=(n, n))
-
-
 def _hermitian(mat: sparse.csr_matrix) -> SparseOperator:
     """Operator of a matrix that is exactly Hermitian by construction, its
     answer recorded so ``is_self_adjoint`` does not test it."""
@@ -268,13 +262,11 @@ def feature_derivative(graph: Graph, f: FeatureLocations, k: int) -> SparseOpera
 def momentum_observable(graph: Graph, f: FeatureLocations, k: int) -> SparseOperator:
     """Self-adjoint momentum observable: i times the feature derivative.
 
-    Hermitian by construction: entry (v, u) is ``-x * 1j`` where (u, v) is
-    ``x * 1j``, the exact conjugate, and both are dropped where ``x`` is 0."""
+    Hermitian by construction: the derivative is real and skew-symmetric,
+    so entry (v, u) is ``-x * 1j`` where (u, v) is ``x * 1j``, the exact
+    conjugate."""
     col = _check_feature_args(graph, f, k)
-    # Each entry is x * 1j, formed before the gather: the same products as
-    # the derivative's data cast to complex and multiplied by 1j.
-    duv = _edge_values(graph, col)
-    return _hermitian(_edge_csr(edge_pattern(graph), duv * 1j, -duv * 1j))
+    return _hermitian(_derivative_csr(graph, col, edge_pattern(graph)) * 1j)
 
 
 def schrodinger_laplacian(graph: Graph, f: FeatureLocations) -> SecondOrderGenerator:
@@ -298,8 +290,14 @@ def derivative_mats(graph: Graph, f: FeatureLocations):
 
 def location_observable(f: FeatureLocations, k: int) -> SparseOperator:
     """Diagonal observable holding feature column ``k``: real, so self-adjoint."""
-    # A copy: the column is a strided, read-only view of the features.
-    return _hermitian(_diagonal_csr(np.array(f.column(k))))
+    # A copy: the column is a strided, read-only view of the features.  The
+    # CSR arrays are built directly, zeros stored: on 32 nodes a quarter of
+    # ``sparse.diags``'s time.
+    diag = np.array(f.column(k))
+    n = diag.size
+    idx = np.int32 if n < np.iinfo(np.int32).max else np.int64
+    return _hermitian(sparse.csr_matrix(
+        (diag, np.arange(n, dtype=idx), np.arange(n + 1, dtype=idx)), shape=(n, n)))
 
 
 def smoothing_operator(graph: Graph, f: FeatureLocations, k: int) -> SparseOperator:
@@ -313,8 +311,9 @@ def smoothing_operator(graph: Graph, f: FeatureLocations, k: int) -> SparseOpera
     return SparseOperator(_edge_csr(edge_pattern(graph), s, s))
 
 
-def modulation(h: np.ndarray, theta: float) -> SparseOperator:
-    """Unitary phase modulation diag(exp(i * theta * h)) for a real column."""
+def modulation(h: np.ndarray, theta: float) -> np.ndarray:
+    """Unit-modulus column ``exp(i * theta * h)`` for a real column ``h``: a
+    signal times it, row by row, is modulated by ``diag(exp(i theta h))``."""
     h = np.asarray(h, dtype=np.float64)
     if h.ndim != 1 or h.size == 0:
         raise ContractError("modulation direction must be a non-empty 1-D real column")
@@ -324,7 +323,7 @@ def modulation(h: np.ndarray, theta: float) -> SparseOperator:
         phases = np.exp(1j * theta * h)
     if not np.all(np.isfinite(phases)):
         raise ContractError("modulation phases must be finite")
-    return SparseOperator(_diagonal_csr(phases))
+    return phases
 
 
 def commutator(a: SparseOperator, b: SparseOperator) -> SparseOperator:

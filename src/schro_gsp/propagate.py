@@ -2,8 +2,9 @@
 
 Two routes are provided on purpose.  The production path never factorizes
 anything: it expands ``exp(-itL)`` in Chebyshev polynomials of the generator
-rescaled to ``[-1, 1]`` (Tal-Ezer & Kosloff, J. Chem. Phys. 1984).  With the
-spectrum inside ``[c - h, c + h]`` and ``S = (L - c) / h``,
+rescaled to ``[-1, 1]`` (Tal-Ezer & Kosloff, J. Chem. Phys. 1984).  It takes
+only a :class:`SecondOrderGenerator`, whose spectrum lies in ``[0, 2h]`` with
+``h`` half its ``norm_bound``; with ``c = h`` and ``S = (L - c) / h``,
 
     exp(-itL) x = exp(-itc) sum_k eps_k (-i)^k J_k(t h) T_k(S) x,
 
@@ -13,7 +14,8 @@ their tail is below double precision, costing one generator application per
 term, about ``|t h| + O(|t h|^(1/3))`` in all.  The oracle path diagonalizes
 the generator's dense matrix and applies exact eigenvalue phases; it is capped
 at moderate sizes and exists so the series path has something independent
-to be checked against.
+to be checked against.  It takes any operator that passes the generic
+self-adjointness test, such as the ring task's heat Laplacian.
 """
 
 from __future__ import annotations
@@ -25,12 +27,7 @@ import numpy as np
 
 from .errors import ContractError, NumericalError, SizeError
 from .graph_core import Signal
-from .operators import (
-    DENSE_MAX_NODES,
-    SecondOrderGenerator,
-    SparseOperator,
-    infinity_norm,
-)
+from .operators import DENSE_MAX_NODES, SecondOrderGenerator, SparseOperator
 
 # The series is cut where sum_{k > K} eps_k |J_k(t h)|, which bounds the
 # truncation error relative to the input norm, falls below this.
@@ -51,17 +48,13 @@ def _require_inputs(laplacian: SparseOperator, t: float, n_nodes: int) -> None:
         raise ContractError(f"propagation time must be finite, got {t}")
     if laplacian.dim != n_nodes:
         raise ContractError("generator size does not match the signal")
-    if not laplacian.is_self_adjoint():
-        raise ContractError("propagation requires a self-adjoint generator")
 
 
-def _spectral_interval(laplacian: SparseOperator) -> tuple[float, float]:
-    """Centre and half-width of an interval that holds the whole spectrum."""
-    if isinstance(laplacian, SecondOrderGenerator):
-        # Positive semidefinite by construction: [0, norm_bound].
-        half = 0.5 * laplacian.norm_bound
-        return half, half
-    return 0.0, infinity_norm(laplacian)
+def _require_generator(laplacian: SparseOperator) -> None:
+    if not isinstance(laplacian, SecondOrderGenerator):
+        raise ContractError(
+            "the Chebyshev series propagates only a SecondOrderGenerator, "
+            f"got {type(laplacian).__name__}")
 
 
 def _bessel_j(n: int, z: float) -> np.ndarray:
@@ -120,17 +113,17 @@ def _chebyshev_coefficients(z: float) -> np.ndarray:
     return coef[: negligible[0]]
 
 
-def chebyshev_terms(laplacian: SparseOperator, t: float) -> int:
+def chebyshev_terms(laplacian: SecondOrderGenerator, t: float) -> int:
     """Terms of the series that propagates for time ``t``.
 
     Every term after the first costs one generator application."""
-    _, half = _spectral_interval(laplacian)
-    z = t * half
+    _require_generator(laplacian)
+    z = t * (0.5 * laplacian.norm_bound)
     return 1 if abs(z) < CHEB_TAIL_TOL else _chebyshev_coefficients(z).size
 
 
 def _chebyshev(
-    laplacian: SparseOperator,
+    laplacian: SecondOrderGenerator,
     t: float,
     values: np.ndarray,
     weights: np.ndarray | None,
@@ -143,7 +136,7 @@ def _chebyshev(
     if weights is not None:
         w = np.asarray(weights)
         w = w[:, None] if x.ndim == 2 else w
-    centre, half = _spectral_interval(laplacian)
+    centre = half = 0.5 * laplacian.norm_bound
     z = t * half
     if abs(z) < CHEB_TAIL_TOL:
         # 2 sum_{k>0} |J_k(z)| ~ |z| is negligible: only J_0(z) = 1 is left.
@@ -187,7 +180,7 @@ def _chebyshev(
 
 
 def evolve_array(
-    laplacian: SparseOperator,
+    laplacian: SecondOrderGenerator,
     t: float,
     values: np.ndarray,
     weights: np.ndarray | None = None,
@@ -200,6 +193,7 @@ def evolve_array(
     buffer it already has.  A modulated propagation then keeps three
     (N, J) blocks besides ``values`` instead of four.
     """
+    _require_generator(laplacian)
     _require_inputs(laplacian, t, np.shape(values)[0])
     if weights is not None and np.shape(weights) != np.shape(values)[:1]:
         raise ContractError(
@@ -208,7 +202,7 @@ def evolve_array(
     return _chebyshev(laplacian, t, values, weights)
 
 
-def evolve(laplacian: SparseOperator, t: float, g: Signal) -> Signal:
+def evolve(laplacian: SecondOrderGenerator, t: float, g: Signal) -> Signal:
     """Propagate every channel of ``g`` for time ``t`` under the generator."""
     return Signal(evolve_array(laplacian, t, g.values))
 
@@ -250,11 +244,3 @@ class DensePropagator:
         coeff = coeff * (phases if arr.ndim == 1 else phases[:, None])
         return self._eigvecs @ coeff
 
-
-def unitarity_defect(laplacian: SparseOperator, t: float, g: Signal) -> float:
-    """Relative norm drift of one propagation: |(out norm) - (in norm)| / (in norm)."""
-    before = g.norm()
-    if before == 0.0:
-        raise ContractError("unitarity defect needs a nonzero signal")
-    after = evolve(laplacian, t, g).norm()
-    return abs(after - before) / before

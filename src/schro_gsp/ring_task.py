@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import sparse
 
-from .diagnose import ShiftReport, WindowSet, build_windows, relative_shift
+from .diagnose import build_windows, relative_shift
 from .errors import ContractError, DivergedError, check_config_fields
 from .graph_core import FeatureLocations, Signal, ring_graph
 from .operators import (
@@ -49,7 +49,6 @@ __all__ = [
     "RingTaskResult",
     "fit_ring_model",
     "make_dataset",
-    "predict_model",
     "run_ring_task",
 ]
 
@@ -343,14 +342,6 @@ class _Pass:
         return np.concatenate(blocks)
 
 
-def predict_model(
-    cfg: RingTaskConfig, params: RingModelParams, x: np.ndarray
-) -> np.ndarray:
-    """Model outputs for a batch of input rows, shaped like the batch."""
-    batch = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    return _Pass(_RingWorkspace(cfg), params, batch).pred
-
-
 def _phase_weights(atoms: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Least-squares weights for |atoms @ w| ~ target, alternating between
     the weight fit and the phase the current output implies.
@@ -463,7 +454,6 @@ class RingTaskResult:
     evaluations: dict       # kind -> objective evaluations of the fit
     stop_reason: dict       # kind -> why the fit stopped (see optim.bfgs)
     shift_reports: dict     # kind -> ShiftReport, for modulated and diffusion
-    windows: WindowSet
     dataset: RingDataset
     test_pred: dict         # kind -> model outputs on dataset.test_x
     angles: np.ndarray      # (N,) node angles around the ring
@@ -551,7 +541,6 @@ def run_ring_task(cfg: RingTaskConfig = RingTaskConfig()) -> RingTaskResult:
         evaluations=evaluations,
         stop_reason=stop_reason,
         shift_reports=shift_reports,
-        windows=windows,
         dataset=dataset,
         test_pred=test_pred,
         angles=ws.features.column(2),

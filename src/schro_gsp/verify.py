@@ -26,7 +26,7 @@ pass over it makes all five results: per instance one generator, one
 Chebyshev propagation and one eigendecomposition with its forward result,
 and the backward propagations for the first 50.  The first of those
 suites that runs pays for the pass.  Its results live in the dict that
-one ``run_suites`` call or one ``verify`` command hands to every
+one ``run_suites`` call (the ``verify`` command makes one) hands to every
 ``run_suite``, and die with it; nothing is cached for the process, so a
 run after the library changes measures the changed library.
 """
@@ -36,6 +36,7 @@ from __future__ import annotations
 import os
 import tempfile
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -212,9 +213,12 @@ def run_suite(name: str, shared: dict | None = None) -> SuiteResult:
     )
 
 
-def run_suites(pattern: str | None = None) -> list[SuiteResult]:
+def run_suites(pattern: str | None = None) -> Iterator[SuiteResult]:
+    """Run the suites ``select_suites(pattern)`` names, in registry order,
+    yielding each result as it finishes; one shared dict serves them all."""
     shared: dict = {}
-    return [run_suite(name, shared) for name in select_suites(pattern)]
+    for name in select_suites(pattern):
+        yield run_suite(name, shared)
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +466,7 @@ def _modulated_momentum(rng):
     theta = float(rng.uniform(-5.0, 5.0))
     vec = random_unit(rng, g.n_nodes, real=True)
     mom = momentum_observable(g, f, 0)
-    direct = mean(mom, modulation(h, theta).apply(vec))
+    direct = mean(mom, modulation(h, theta) * vec)
     closed = momentum_mean_modulated_closed_form(g, f.column(0), h, theta, vec)
     return abs(direct - closed)
 
@@ -596,7 +600,7 @@ def _mixed_derivative_fd():
         prop = DensePropagator(schrodinger_laplacian(g, f))
 
         def measure(t: float, theta: float) -> float:
-            state = prop.apply(t, modulation(h, theta).apply(vec))
+            state = prop.apply(t, modulation(h, theta) * vec)
             e_t = mean(loc, state)
             v_t = variance(loc, state)
             return (v_t + (target - e_t) ** 2) / v0
@@ -636,10 +640,10 @@ def _sensitivity_probe_linear(rng):
     t = float(rng.uniform(-1.0, 1.0))
     scale = complex(rng.normal(), rng.normal())
     lap = schrodinger_laplacian(g, f)
-    mod = modulation(h, theta)
+    phases = modulation(h, theta)
 
     def layer(x):
-        return scale * evolve_array(lap, t, mod.apply(np.asarray(x)))
+        return scale * evolve_array(lap, t, phases * np.asarray(x))
 
     vec = random_unit(rng, g.n_nodes)
     return abs(sensitivity_probe(layer, vec) - 1.0)

@@ -89,6 +89,6 @@ def battery():
         mp.setattr(DensePropagator, "__init__", counted_factorize)
         mp.setattr(SecondOrderGenerator, "apply", counted_apply)
         start = time.perf_counter()
-        results = run_suites()
+        results = list(run_suites())
         seconds = time.perf_counter() - start
     return Battery({r.name: r for r in results}, counts, seconds)

@@ -29,8 +29,8 @@ from schro_gsp.ring_task import (
     RingModelParams,
     RingTaskConfig,
     make_dataset,
-    predict_model,
 )
+from schro_gsp.ring_task import _Pass, _RingWorkspace
 
 CLUSTER_CFG = {"theta_min": -2.0, "theta_max": 2.0, "n_theta": 5, "repeats": 2}
 
@@ -319,7 +319,7 @@ class TestRingCommand:
             assert metrics["evaluations"][kind] >= len(its)
             assert metrics["stop_reason"][kind] in ("gradient", "line-search", "max-iters")
 
-    def test_predictions_match_predict_model_on_test_row_zero(self, tmp_path):
+    def test_predictions_match_the_model_on_test_row_zero(self, tmp_path):
         data = {"n_nodes": 30, "shift": 10, "n_samples": 20, "channels": 1,
                 "max_iters": 5, "n_windows": 2}
         out = tmp_path / "out"
@@ -341,7 +341,7 @@ class TestRingCommand:
                 mix=np.array(m["mix_re"]) + 1j * np.array(m["mix_im"]),
                 scale=m["scale"],
             )
-            expected = predict_model(cfg, params, ds.test_x[0])[0]
+            expected = _Pass(_RingWorkspace(cfg), params, ds.test_x[0]).pred[0]
             gap = np.linalg.norm(table[:, col] - expected)
             assert gap <= 1e-12 * np.linalg.norm(expected), kind
 
@@ -559,6 +559,20 @@ class TestDiagnoseCommand:
         rc = main(["diagnose", "--config", cfg, "--out", str(tmp_path / "o")])
         assert rc == 2
         assert f"feature column 0 {reason}" in capsys.readouterr().err
+
+    def test_overflowing_filter_phase_is_a_usage_error(self, tmp_path, diagnose_inputs,
+                                                       capsys):
+        # theta * h overflows: refused as the phase column is formed (exit 2),
+        # not found as non-finite output after the propagation (exit 3).
+        feats = load_features(diagnose_inputs["features"])
+        save_features(FeatureLocations(feats.values * 1e10), diagnose_inputs["features"])
+        save_filter_params(FilterParams(terms=(FilterTerm(
+            time=1e-22, phase=1e300, direction=np.ones(1),
+            mix=np.eye(1, dtype=complex)),)), diagnose_inputs["filter_params"])
+        cfg = _write_cfg(tmp_path, diagnose_inputs)
+        rc = main(["diagnose", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "modulation phases must be finite" in capsys.readouterr().err
 
     def test_coordinate_out_of_range_rejected(self, tmp_path, diagnose_inputs):
         cfg = _write_cfg(tmp_path, dict(diagnose_inputs, coordinate=5))

@@ -89,7 +89,7 @@ class TestClusterSweep:
 
         row = result.rows[0]
         state = prop.apply(self.CFG.time,
-                           modulation(feats.column(0), row.theta).apply(g0))
+                           modulation(feats.column(0), row.theta) * g0)
         state = state / np.linalg.norm(state)
         assert row.e_single == pytest.approx(mean(loc, state), abs=1e-10)
 

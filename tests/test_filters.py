@@ -1,6 +1,8 @@
 """Filter parameterization, application, activations, and persistence."""
 
+import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -74,15 +76,23 @@ class TestParamsValidation:
         assert params.n_terms == 2
         assert params.n_features == 3
         assert params.in_channels == 2
-        assert params.out_channels == 4
+        assert params.terms[0].mix.shape == (2, 4)
+
+
+def _load_text(tmp_path, text):
+    path = tmp_path / "params.json"
+    path.write_text(text, encoding="ascii")
+    return load_filter_params(path)
 
 
 class TestPersistence:
-    def test_json_round_trip_is_exact(self, rng):
+    def test_json_round_trip_is_exact(self, rng, tmp_path):
         params = _random_params(rng, n_features=2, j=2, d=3)
-        text = params.to_json()
-        back = FilterParams.from_json(text)
-        assert back.to_json() == text
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        save_filter_params(params, first)
+        back = load_filter_params(first)
+        save_filter_params(back, second)
+        assert second.read_bytes() == first.read_bytes()
         for orig, copy in zip(params.terms, back.terms):
             assert orig.time == copy.time
             assert orig.phase == copy.phase
@@ -93,22 +103,35 @@ class TestPersistence:
         params = _random_params(rng, n_features=1, j=1, d=2)
         path = tmp_path / "params.json"
         save_filter_params(params, path)
-        assert load_filter_params(path).to_json() == params.to_json()
+        text = path.read_text(encoding="ascii")
+        save_filter_params(load_filter_params(path), path)
+        assert path.read_text(encoding="ascii") == text
 
-    def test_invalid_json_rejected(self):
-        with pytest.raises(FormatError):
-            FilterParams.from_json("{not json")
+    def test_written_bytes_are_frozen(self, tmp_path):
+        # Sorted keys, complex entries as [re, im] pairs, one trailing newline.
+        params = FilterParams(terms=(FilterTerm(
+            time=0.5, phase=-1.25, direction=np.array([1.0, 0.0]),
+            mix=np.array([[1.0 + 2.0j]])),))
+        path = tmp_path / "params.json"
+        save_filter_params(params, path)
+        assert path.read_bytes() == (
+            b'{"terms": [{"direction": [1.0, 0.0], "mix": [[[1.0, 2.0]]], '
+            b'"phase": -1.25, "time": 0.5}]}\n')
 
-    def test_missing_key_rejected(self):
-        with pytest.raises(FormatError):
-            FilterParams.from_dict({"terms": [{"time": 0.1}]})
+    def test_invalid_json_rejected(self, tmp_path):
+        with pytest.raises(FormatError, match="filter parameters are not valid JSON"):
+            _load_text(tmp_path, "{not json")
 
-    def test_malformed_mix_rows_rejected(self):
-        with pytest.raises(FormatError):
-            FilterParams.from_dict({"terms": [{
+    def test_missing_key_rejected(self, tmp_path):
+        with pytest.raises(FormatError, match="malformed filter parameters"):
+            _load_text(tmp_path, '{"terms": [{"time": 0.1}]}')
+
+    def test_malformed_mix_rows_rejected(self, tmp_path):
+        with pytest.raises(FormatError, match="malformed filter parameters"):
+            _load_text(tmp_path, json.dumps({"terms": [{
                 "time": 0.1, "phase": 0.0, "direction": [1.0],
                 "mix": [[0.5]],  # entries must be [re, im] pairs
-            }]})
+            }]}))
 
 
 class TestFilterAction:
@@ -215,6 +238,22 @@ class TestFilterAction:
         with pytest.raises(ContractError):
             schrodinger_filter(lap, f, params, g)
 
+    def test_overflowing_phase_is_refused_where_it_is_formed(self):
+        # theta * h overflows to inf, and exp of it is NaN: refused by
+        # ``modulation`` before the term propagates, with no warning, rather
+        # than found as non-finite output after the series.
+        graph, feats = ring_graph(16)
+        f = FeatureLocations(feats.values * 1e10)
+        lap = schrodinger_laplacian(graph, f)
+        params = FilterParams(terms=(FilterTerm(
+            time=1e-22, phase=1e300, direction=np.array([1.0, 0.0, 0.0]),
+            mix=np.eye(1, dtype=complex)),))
+        g = Signal(np.ones(16, dtype=complex))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractError, match="modulation phases must be finite"):
+                schrodinger_filter(lap, f, params, g)
+
 
 def _reference_filter(lap, f, params, g):
     """The filter as a modulated block: each term modulates the whole input,
@@ -222,7 +261,7 @@ def _reference_filter(lap, f, params, g):
     accumulator."""
     stack = g.values[:, :, None] if isinstance(g, Signal) else np.asarray(g)
     n, j, b = stack.shape
-    out = np.zeros((n, params.out_channels, b), dtype=np.complex128)
+    out = np.zeros((n, params.terms[0].mix.shape[1], b), dtype=np.complex128)
     for term in params.terms:
         direction = f.values @ term.direction
         modulated = np.exp(1j * term.phase * direction)[:, None, None] * stack

@@ -148,14 +148,14 @@ class TestDiagonals:
     def test_modulation_zero_angle_is_identity(self, rng):
         h = rng.normal(size=5)
         vec = rng.normal(size=5) + 1j * rng.normal(size=5)
-        assert np.array_equal(modulation(h, 0.0).apply(vec), vec)
+        assert np.array_equal(modulation(h, 0.0) * vec, vec)
 
     def test_modulation_preserves_norm(self, rng):
         h = rng.normal(size=8)
         vec = rng.normal(size=8) + 1j * rng.normal(size=8)
-        out = modulation(h, 1.7).apply(vec)
+        out = modulation(h, 1.7) * vec
         assert abs(np.linalg.norm(out) - np.linalg.norm(vec)) <= 1e-12
-        phases = modulation(h, 1.7).tosparse().diagonal()
+        phases = modulation(h, 1.7)
         assert np.max(np.abs(np.abs(phases) - 1.0)) <= 1e-12
 
     @pytest.mark.parametrize("h, theta", [
@@ -171,7 +171,7 @@ class TestDiagonals:
 
     def test_constant_profile_is_global_phase(self, rng):
         vec = rng.normal(size=4) + 1j * rng.normal(size=4)
-        out = modulation(np.full(4, 2.0), 0.9).apply(vec)
+        out = modulation(np.full(4, 2.0), 0.9) * vec
         assert np.allclose(out, np.exp(1j * 0.9 * 2.0) * vec)
         assert np.allclose(np.abs(out), np.abs(vec))
 
@@ -243,13 +243,11 @@ class TestSelfAdjointness:
         assert len(built) == 1
 
 
-# Constructors of operators whose self-adjointness is known: three record
-# it, modulation leaves it to the generic test.
+# Constructors of operators that record their self-adjointness.
 _KNOWN_ADJOINTNESS = {
-    "schrodinger_laplacian": lambda g, f, theta: schrodinger_laplacian(g, f),
-    "location_observable": lambda g, f, theta: location_observable(f, 0),
-    "momentum_observable": lambda g, f, theta: momentum_observable(g, f, 0),
-    "modulation": lambda g, f, theta: modulation(f.column(0), theta),
+    "schrodinger_laplacian": lambda g, f: schrodinger_laplacian(g, f),
+    "location_observable": lambda g, f: location_observable(f, 0),
+    "momentum_observable": lambda g, f: momentum_observable(g, f, 0),
 }
 
 
@@ -259,10 +257,10 @@ def test_recorded_self_adjointness_matches_the_generic_test(name):
     for _ in range(20):
         graph = random_connected_graph(rng)
         f = random_features(rng, graph.n_nodes, int(rng.integers(1, 4)))
-        op = _KNOWN_ADJOINTNESS[name](graph, f, float(rng.uniform(0.5, 2.0)))
+        op = _KNOWN_ADJOINTNESS[name](graph, f)
         tested = SparseOperator(op.tosparse()).is_self_adjoint()
         assert op.is_self_adjoint() == tested
-        assert tested == (name != "modulation")
+        assert tested
 
 
 _EDGE_BUILDERS = {

@@ -21,7 +21,7 @@ from schro_gsp.propagate import (
     _chebyshev_coefficients,
     chebyshev_terms,
     evolve,
-    unitarity_defect,
+    evolve_array,
 )
 
 from conftest import log_weight_instance, make_instance
@@ -61,19 +61,16 @@ class TestUnitarity:
     def test_taylor_defect_within_budget(self):
         graph, f, vec = make_instance(47, n_max=64)
         lap = schrodinger_laplacian(graph, f)
-        defect = unitarity_defect(lap, 2.0, Signal.single(vec))
-        assert defect <= 1e-6
+        g = Signal.single(vec)
+        after = evolve(lap, 2.0, g).norm()
+        assert abs(after - g.norm()) / g.norm() <= 1e-6
 
     def test_zero_time_zero_defect(self):
         graph, f, vec = make_instance(3)
         lap = schrodinger_laplacian(graph, f)
-        assert unitarity_defect(lap, 0.0, Signal.single(vec)) == 0.0
-
-    def test_defect_requires_nonzero_signal(self, path3):
-        graph, f = path3
-        lap = schrodinger_laplacian(graph, f)
-        with pytest.raises(ContractError):
-            unitarity_defect(lap, 1.0, Signal(np.zeros(3)))
+        g = Signal.single(vec)
+        after = evolve(lap, 0.0, g).norm()
+        assert abs(after - g.norm()) / g.norm() == 0.0
 
 
 class TestComposition:
@@ -127,9 +124,25 @@ class TestFailureModes:
             propagate(lap, t, g)
 
     def test_tiny_non_self_adjoint_generator_rejected(self):
+        # The series refuses it by type (below); the dense oracle, which
+        # takes any operator, runs the scale-free self-adjointness test.
         op = SparseOperator(np.array([[0.0, 1e-13], [0.0, 0.0]]))
         with pytest.raises(ContractError, match="self-adjoint"):
-            evolve(op, 1.0, Signal(np.array([1.0, 0.0])))
+            DensePropagator(op)
+
+    @pytest.mark.parametrize("propagate", [
+        lambda op: evolve(op, 1.0, Signal(np.array([1.0, 0.0]))),
+        lambda op: evolve_array(op, 1.0, np.array([1.0, 0.0])),
+        lambda op: chebyshev_terms(op, 1.0),
+    ], ids=["evolve", "evolve_array", "chebyshev_terms"])
+    @pytest.mark.parametrize("mat", [
+        [[0.0, 1e-13], [0.0, 0.0]],
+        [[2.0, -1.0], [-1.0, 2.0]],
+    ], ids=["non-self-adjoint", "self-adjoint"])
+    def test_series_refuses_an_operator_that_is_not_a_generator(self, propagate, mat):
+        op = SparseOperator(np.array(mat))
+        with pytest.raises(ContractError, match="only a SecondOrderGenerator"):
+            propagate(op)
 
     def test_size_mismatch_rejected(self, path3):
         graph, f = path3

@@ -13,7 +13,6 @@ from schro_gsp.ring_task import (
     RingTaskConfig,
     fit_ring_model,
     make_dataset,
-    predict_model,
 )
 from schro_gsp.ring_task import (
     _grid_init,
@@ -170,15 +169,15 @@ class TestEvaluatePredict:
         cfg = RingTaskConfig(n_nodes=60, shift=0, n_samples=20, seed=2,
                              channels=2)
         ds = make_dataset(cfg)
-        pred = predict_model(cfg, _pass_through(2), ds.test_x)
+        pred = _Pass(_RingWorkspace(cfg), _pass_through(2), ds.test_x).pred
         assert float(np.mean((pred - ds.test_y) ** 2)) <= 1e-5
 
     def test_predict_shapes(self):
         cfg = RingTaskConfig(n_nodes=30, shift=3, n_samples=10, seed=4)
         params = _pass_through(1)
-        single = predict_model(cfg, params, np.ones(30))
+        single = _Pass(_RingWorkspace(cfg), params, np.ones(30)).pred
         assert single.shape == (1, 30)
-        batch = predict_model(cfg, params, np.ones((5, 30)))
+        batch = _Pass(_RingWorkspace(cfg), params, np.ones((5, 30))).pred
         assert batch.shape == (5, 30)
 
     def test_predictions_are_nonnegative_for_modulus_kinds(self):
@@ -192,14 +191,14 @@ class TestEvaluatePredict:
             mix=rng.normal(size=2) + 1j * rng.normal(size=2),
             scale=0.9,
         )
-        pred = predict_model(cfg, params, ds.train_x)
+        pred = _Pass(_RingWorkspace(cfg), params, ds.train_x).pred
         assert pred.min() >= 0.0
 
     def test_evaluate_matches_prediction_error(self):
         cfg = RingTaskConfig(n_nodes=30, shift=3, n_samples=10, seed=4)
         ds = make_dataset(cfg)
         params = _pass_through(1)
-        pred = predict_model(cfg, params, ds.test_x)
+        pred = _Pass(_RingWorkspace(cfg), params, ds.test_x).pred
         direct = float(np.mean((pred - ds.test_y) ** 2))
         mse = _Pass(_RingWorkspace(cfg), params, ds.test_x).loss(ds.test_y)
         assert mse == pytest.approx(direct, rel=1e-12)
@@ -286,7 +285,7 @@ class TestFit:
         train = [row[1] for row in trace]
         assert all(later <= earlier for earlier, later in zip(train, train[1:]))
         assert train[-1] == run.value
-        val = predict_model(self.SMALL, run.info, ds.val_x)
+        val = _Pass(ws, run.info, ds.val_x).pred
         assert trace[-1][2] == pytest.approx(float(np.mean((val - ds.val_y) ** 2)),
                                              rel=1e-10)
         assert run.evaluations >= len(trace)

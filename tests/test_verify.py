@@ -13,7 +13,7 @@ import pytest
 from schro_gsp import propagate, verify
 from schro_gsp.graph_core import Signal
 from schro_gsp.operators import schrodinger_laplacian
-from schro_gsp.propagate import DensePropagator, evolve, unitarity_defect
+from schro_gsp.propagate import DensePropagator, evolve
 from schro_gsp.verify import _propagation_family, run_suites, select_suites
 
 # The registry in its order; renaming or reordering a suite is a deliberate
@@ -63,7 +63,10 @@ def _unitarity_taylor():
     worst = 0.0
     for g, f, t, vec in _propagation_family():
         lap = schrodinger_laplacian(g, f)
-        worst = max(worst, unitarity_defect(lap, t, Signal(vec)))
+        start = Signal(vec)
+        before = start.norm()
+        after = evolve(lap, t, start).norm()
+        worst = max(worst, abs(after - before) / before)
     return worst, 1e-6, "norm drift, Chebyshev propagation, 100 instances"
 
 
@@ -141,6 +144,17 @@ def test_worst_over_fails_on_a_nan_residual(monkeypatch, residuals):
     got = verify.run_suite("throwaway")
     assert np.isnan(got.worst)
     assert not got.passed
+
+
+def test_run_suites_yields_each_result_before_the_next_suite_runs(monkeypatch):
+    ran = []
+    monkeypatch.setattr(verify, "_REGISTRY", {})
+    for name in ("first", "second"):
+        verify._suite(name)(lambda name=name: ran.append(name) or (0.0, 1.0, name))
+    results = run_suites()
+    assert ran == []
+    assert next(results).name == "first" and ran == ["first"]
+    assert next(results).name == "second" and ran == ["first", "second"]
 
 
 @pytest.mark.parametrize("name", SEPARATE_SUITES)
