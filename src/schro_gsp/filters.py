@@ -9,21 +9,20 @@ complex matrix:
 
 applied in ascending term order so evaluation is deterministic.  The map is
 linear in the signal; per-term cost is one Chebyshev-series propagation and
-one channel mix, so work grows linearly in the edge count.  The modulation
-is not formed as a block: its phase column, ``operators.modulation`` of the
-term's feature combination, goes to ``evolve_array``, which re-scales the
-input by it in each step of the series (one broadcast multiply per
-generator application).  Beyond the input, a call then holds at most the
-series' three working blocks and the accumulator, which starts from the
-first term's mix rather than from zeros.  A phase column that overflows is
-refused by ``modulation`` with a :class:`ContractError`, before the term
-propagates.
+one channel mix, so work grows linearly in the edge count.
 
-The filter also takes a stack ``(N, J, B)`` of ``B`` signals and filters
-each one on its own: modulation acts per node, propagation acts column by
-column on the ``(N, J*B)`` block, and the mix acts over ``J`` only.  One
-propagation then carries every signal of the stack, which is how the window
-diagnostic runs all its windows at once.
+The filter takes a stack ``(N, J, B)`` of ``B`` signals (one signal is
+``x[:, :, None]``) and filters each on its own into an array ``(N, D, B)``:
+modulation acts per node, propagation column by column on the ``(N, J*B)``
+block, and the mix over ``J`` only, so one propagation carries every signal,
+which is how the window diagnostic runs all its windows at once.  The
+modulation is not formed as a block: its phase column, from
+``operators.modulation``, goes to ``propagate.evolve`` as weights that
+re-scale the input in each step of the series.  Beyond the input, a call
+then holds at most the series' three working blocks and the accumulator,
+which starts from the first term's mix rather than from zeros.  A phase
+column that overflows is refused by ``modulation`` before the term
+propagates.
 
 There are no bias terms anywhere.
 """
@@ -36,9 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, FormatError
-from .graph_core import FeatureLocations, Signal
+from .graph_core import FeatureLocations
 from .operators import SecondOrderGenerator, modulation
-from .propagate import evolve_array
+from .propagate import evolve
 
 _ACTIVATIONS = ("split-relu", "modulus", "none")
 
@@ -149,22 +148,21 @@ def schrodinger_filter(
     lap: SecondOrderGenerator,
     f: FeatureLocations,
     params: FilterParams,
-    g: Signal | np.ndarray,
-) -> Signal | np.ndarray:
-    """Apply the filter; linear in ``g``, evaluated term by term in order.
+    stack: np.ndarray,
+) -> np.ndarray:
+    """Filter each signal of a stack ``(N, J, B)`` into an ``(N, D, B)``
+    array, term by term in order.
 
-    ``g`` is a :class:`Signal` ``(N, J)``, filtered into a ``Signal``
-    ``(N, D)``, or a complex stack ``(N, J, B)`` of ``B`` signals, filtered
-    independently into an array ``(N, D, B)``.  ``lap`` is the shared
-    generator ``schrodinger_laplacian(graph, f)``.  Callers that filter many
-    signals build it once, so its norm bound is computed once too.
+    ``lap`` is the shared generator ``schrodinger_laplacian(graph, f)``.
+    Callers that filter many signals build it once, so its norm bound is
+    computed once too.
     """
-    stack = g.values[:, :, None] if isinstance(g, Signal) else np.asarray(g)
-    if stack.ndim != 3:
+    shape = np.shape(stack)
+    if len(shape) != 3:
         raise ContractError(
-            f"filter input must be a Signal or an (N, J, B) stack, got shape "
-            f"{stack.shape}")
-    n, j, b = stack.shape
+            f"filter input must be an (N, J, B) stack, got "
+            f"{type(stack).__name__} of shape {shape}")
+    n, j, b = shape
     if f.n_nodes != lap.dim or n != lap.dim:
         raise ContractError("generator, features, and signal disagree on size")
     if params.n_features != f.n_features:
@@ -179,12 +177,11 @@ def schrodinger_filter(
     # mixed blocks are dropped before the next term, so a term holds three
     # (N, J*B) blocks besides the input and ``out``.  A batch that is a
     # strided view is copied once here.
-    columns = stack.reshape(n, j * b)
+    columns = np.reshape(stack, (n, j * b))
     out = None
     for term in params.terms:
         phase = modulation(f.values @ term.direction, term.phase)
-        mixed = term.mix.T @ evolve_array(
-            lap, term.time, columns, phase).reshape(n, j, b)
+        mixed = term.mix.T @ evolve(lap, term.time, columns, phase).reshape(n, j, b)
         if out is None:
             # The sum starts from zero: 0 + x turns -0.0 into +0.0, and
             # adding it in place keeps those bytes without a zeroed block.
@@ -192,17 +189,20 @@ def schrodinger_filter(
         else:
             out += mixed
         del mixed
-    return Signal(out[:, :, 0]) if isinstance(g, Signal) else out
+    return out
 
 
-def activation(g: Signal, kind: str) -> Signal:
-    """Pointwise nonlinearity; idempotent for every supported kind."""
+def activation(values: np.ndarray, kind: str) -> np.ndarray:
+    """Pointwise nonlinearity on an array of any shape; idempotent for
+    every supported kind."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "biufc":
+        raise ContractError(
+            f"activation takes a numeric array, got {type(values).__name__}")
     if kind == "none":
-        return g
+        return arr
     if kind == "split-relu":
-        vals = np.maximum(g.values.real, 0.0) + 1j * np.maximum(g.values.imag, 0.0)
-        return Signal(vals)
+        return np.maximum(arr.real, 0.0) + 1j * np.maximum(arr.imag, 0.0)
     if kind == "modulus":
-        return Signal(np.abs(g.values).astype(np.complex128))
+        return np.abs(arr).astype(np.complex128)
     raise ContractError(f"activation must be one of {_ACTIVATIONS}")
-

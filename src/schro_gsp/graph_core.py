@@ -137,7 +137,8 @@ class Graph:
 
 @dataclass(frozen=True)
 class Signal:
-    """Complex node signal, shape (n_nodes, n_channels)."""
+    """Complex node signal, shape (n_nodes, n_channels); a 1-D vector is
+    one channel."""
 
     values: np.ndarray
 
@@ -153,11 +154,6 @@ class Signal:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
-    @classmethod
-    def single(cls, vec) -> "Signal":
-        """Wrap a 1-D vector as a one-channel signal."""
-        return cls(np.asarray(vec).reshape(-1, 1))
-
     @property
     def n_nodes(self) -> int:
         return self.values.shape[0]
@@ -169,10 +165,6 @@ class Signal:
     def channel(self, j: int) -> np.ndarray:
         """Read-only view of channel ``j`` as a 1-D complex vector."""
         return self.values[:, j]
-
-    def norm(self) -> float:
-        """Frobenius norm over all channels."""
-        return float(np.linalg.norm(self.values))
 
 
 @dataclass(frozen=True)
@@ -561,7 +553,7 @@ def cluster_graph(seed: int) -> tuple[Graph, FeatureLocations, Signal]:
     features = FeatureLocations.single(pts[:, 0])
     d2 = ((pts - _CLUSTER_CENTERS[0]) ** 2).sum(axis=1)
     bump = np.exp(-d2 / (2.0 * _CLUSTER_SIGNAL_WIDTH ** 2))
-    signal = normalize_channel(Signal.single(bump), 0)
+    signal = normalize_channel(Signal(bump), 0)
     return graph, features, signal
 
 

@@ -1,6 +1,8 @@
 """Observable statistics and closed-form dynamics quantities.
 
-Means and variances are taken against unit-norm signal channels.  Every
+Every function here takes one signal channel as a 1-D complex vector
+``(N,)``; a multi-channel signal hands over its columns one at a time.
+Means and variances are taken against unit-norm channels.  Every
 expectation of a self-adjoint observable is computed as a complex inner
 product and the imaginary residue is asserted to be negligible before it is
 discarded; a residue above the bound is reported as a numerical error rather
@@ -26,7 +28,7 @@ from .errors import (
     DegenerateSignalError,
     NumericalError,
 )
-from .graph_core import FeatureLocations, Graph, Signal
+from .graph_core import FeatureLocations, Graph
 from .operators import (
     SecondOrderGenerator,
     SparseOperator,
@@ -49,14 +51,10 @@ PROBE_STEP = 2.0 ** -10
 
 
 def _as_channel(g) -> np.ndarray:
-    if isinstance(g, Signal):
-        if g.n_channels != 1:
-            raise ContractError("expected a single signal channel (1-D vector)")
-        arr = g.channel(0)
-    else:
-        arr = np.asarray(g)
+    arr = np.asarray(g)
     if arr.ndim != 1 or arr.size == 0:
-        raise ContractError("expected a single signal channel (1-D vector)")
+        raise ContractError(f"expected one signal channel as a non-empty (N,) "
+                            f"vector, got {type(g).__name__} of shape {arr.shape}")
     return arr.astype(np.complex128, copy=False)
 
 

@@ -217,9 +217,11 @@ def _hermitian(mat: sparse.csr_matrix) -> SparseOperator:
 
 
 def _all_finite(data: np.ndarray) -> bool:
-    """Whether a real array is finite throughout, without a mask of its
-    size: its min and max propagate NaN."""
-    return data.size == 0 or bool(np.isfinite(data.min()) and np.isfinite(data.max()))
+    """Whether an array is finite throughout, without a mask of its size:
+    the min and max of its real and imaginary views propagate NaN."""
+    parts = (data.real, data.imag) if np.iscomplexobj(data) else (data,)
+    return data.size == 0 or all(
+        np.isfinite(p.min()) and np.isfinite(p.max()) for p in parts)
 
 
 def _edge_values(graph: Graph, col: np.ndarray, squared: bool = False) -> np.ndarray:

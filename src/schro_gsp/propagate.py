@@ -16,6 +16,10 @@ the generator's dense matrix and applies exact eigenvalue phases; it is capped
 at moderate sizes and exists so the series path has something independent
 to be checked against.  It takes any operator that passes the generic
 self-adjointness test, such as the ring task's heat Laplacian.
+
+Both take and return ``(N,)`` or ``(N, J)`` arrays, and share one entry check:
+a non-finite time or entry, or an operand of another shape, is a
+:class:`ContractError` before any work, never a failure of the series.
 """
 
 from __future__ import annotations
@@ -26,8 +30,7 @@ import math
 import numpy as np
 
 from .errors import ContractError, NumericalError, SizeError
-from .graph_core import Signal
-from .operators import DENSE_MAX_NODES, SecondOrderGenerator, SparseOperator
+from .operators import DENSE_MAX_NODES, SecondOrderGenerator, SparseOperator, _all_finite
 
 # The series is cut where sum_{k > K} eps_k |J_k(t h)|, which bounds the
 # truncation error relative to the input norm, falls below this.
@@ -43,11 +46,23 @@ _MINUS_I_POWERS = np.array([1.0, -1j, -1.0, 1j])
 _RESCALE = 1e250
 
 
-def _require_inputs(laplacian: SparseOperator, t: float, n_nodes: int) -> None:
+def _require_inputs(laplacian: SparseOperator, t: float, values, weights=None) -> None:
+    """The one entry check of both propagators, made before any work (the
+    short-time shortcut included) and without a mask of the operand's size."""
     if not math.isfinite(t):
         raise ContractError(f"propagation time must be finite, got {t}")
-    if laplacian.dim != n_nodes:
-        raise ContractError("generator size does not match the signal")
+    shape = np.shape(values)
+    if len(shape) not in (1, 2) or shape[0] != laplacian.dim:
+        raise ContractError(
+            f"propagation operand must be an (N,) or (N, J) array with N = "
+            f"{laplacian.dim}, got {type(values).__name__} of shape {shape}")
+    if weights is not None and np.shape(weights) != shape[:1]:
+        raise ContractError(
+            f"weights of shape {np.shape(weights)} do not match {shape[0]} nodes")
+    if not _all_finite(np.asarray(values)):
+        raise ContractError("propagation operand must be finite")
+    if weights is not None and not _all_finite(np.asarray(weights)):
+        raise ContractError("propagation weights must be finite")
 
 
 def _require_generator(laplacian: SparseOperator) -> None:
@@ -179,13 +194,13 @@ def _chebyshev(
     return b1
 
 
-def evolve_array(
+def evolve(
     laplacian: SecondOrderGenerator,
     t: float,
     values: np.ndarray,
     weights: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Propagate a raw (N,) or (N, J) array for time ``t``.
+    """Propagate an (N,) or (N, J) array for time ``t``, column by column.
 
     With ``weights``, an (N,) column, the input is ``weights * values``
     (scaled row by row), the same bytes as scaling first, but the scaled
@@ -194,17 +209,8 @@ def evolve_array(
     (N, J) blocks besides ``values`` instead of four.
     """
     _require_generator(laplacian)
-    _require_inputs(laplacian, t, np.shape(values)[0])
-    if weights is not None and np.shape(weights) != np.shape(values)[:1]:
-        raise ContractError(
-            f"weights of shape {np.shape(weights)} do not match "
-            f"{np.shape(values)[0]} nodes")
+    _require_inputs(laplacian, t, values, weights)
     return _chebyshev(laplacian, t, values, weights)
-
-
-def evolve(laplacian: SecondOrderGenerator, t: float, g: Signal) -> Signal:
-    """Propagate every channel of ``g`` for time ``t`` under the generator."""
-    return Signal(evolve_array(laplacian, t, g.values))
 
 
 class DensePropagator:
@@ -237,7 +243,7 @@ class DensePropagator:
 
     def apply(self, t: float, values: np.ndarray) -> np.ndarray:
         """``exp(-itL)`` applied to a (N,) or (N, J) array."""
-        _require_inputs(self._laplacian, t, np.shape(values)[0])
+        _require_inputs(self._laplacian, t, values)
         arr = np.asarray(values, dtype=np.complex128)
         phases = np.exp(-1j * t * self._eigvals)
         coeff = self._eigvecs.conj().T @ arr

@@ -238,7 +238,7 @@ class TestRelativeShift:
                 assert e.missing and e.window_id == 1
                 continue
             windowed = windowed / mass
-            out = schrodinger_filter(lap, f, params, Signal(windowed)).values
+            out = schrodinger_filter(lap, f, params, windowed[:, :, None])[:, :, 0]
             p_pre = (np.abs(windowed) ** 2).sum(axis=1)
             p_post = (np.abs(out) ** 2).sum(axis=1)
             p_post = p_post / p_post.sum()

@@ -18,7 +18,7 @@ from schro_gsp.filters import (
 )
 from schro_gsp.graph_core import FeatureLocations, Signal, ring_graph
 from schro_gsp.operators import schrodinger_laplacian
-from schro_gsp.propagate import evolve_array
+from schro_gsp.propagate import evolve
 
 from conftest import make_instance
 
@@ -33,6 +33,11 @@ def _random_params(rng, n_features, j, d, n_terms=2):
             mix=rng.normal(size=(j, d)) + 1j * rng.normal(size=(j, d)),
         ))
     return FilterParams(terms=tuple(terms))
+
+
+def _stack(rng, n, j):
+    """One random complex signal of ``j`` channels, as an (N, J, 1) stack."""
+    return rng.normal(size=(n, j, 1)) + 1j * rng.normal(size=(n, j, 1))
 
 
 class TestTermValidation:
@@ -137,42 +142,36 @@ class TestPersistence:
 class TestFilterAction:
     def test_identity_term_returns_input(self, rng):
         graph, f, _ = make_instance(31)
-        vals = rng.normal(size=(graph.n_nodes, 2)) \
-            + 1j * rng.normal(size=(graph.n_nodes, 2))
-        g = Signal(vals)
+        g = _stack(rng, graph.n_nodes, 2)
         params = FilterParams(terms=(FilterTerm(
             time=0.0, phase=0.0, direction=np.zeros(1),
             mix=np.eye(2, dtype=complex)),))
         lap = schrodinger_laplacian(graph, f)
         out = schrodinger_filter(lap, f, params, g)
-        assert np.array_equal(out.values, g.values)
+        assert np.array_equal(out, g)
 
     def test_opposite_mixes_cancel(self, rng):
         graph, f, _ = make_instance(37)
-        g = Signal(rng.normal(size=(graph.n_nodes, 2))
-                   + 1j * rng.normal(size=(graph.n_nodes, 2)))
+        g = _stack(rng, graph.n_nodes, 2)
         mix = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         kw = {"time": 0.7, "phase": 1.3, "direction": np.array([0.8])}
         params = FilterParams(terms=(
             FilterTerm(mix=mix, **kw), FilterTerm(mix=-mix, **kw)))
         lap = schrodinger_laplacian(graph, f)
         out = schrodinger_filter(lap, f, params, g)
-        assert np.abs(out.values).max() == 0.0
+        assert np.abs(out).max() == 0.0
 
     def test_linear_in_the_signal(self, rng):
         graph, f, _ = make_instance(41, n_features=2)
         params = _random_params(rng, n_features=2, j=2, d=3)
-        x = Signal(rng.normal(size=(graph.n_nodes, 2))
-                   + 1j * rng.normal(size=(graph.n_nodes, 2)))
-        y = Signal(rng.normal(size=(graph.n_nodes, 2))
-                   + 1j * rng.normal(size=(graph.n_nodes, 2)))
+        x = _stack(rng, graph.n_nodes, 2)
+        y = _stack(rng, graph.n_nodes, 2)
         a, b = 0.3 - 1.1j, -0.8 + 0.2j
         lap = schrodinger_laplacian(graph, f)
-        combined = schrodinger_filter(
-            lap, f, params, Signal(a * x.values + b * y.values))
-        parts = (a * schrodinger_filter(lap, f, params, x).values
-                 + b * schrodinger_filter(lap, f, params, y).values)
-        assert np.abs(combined.values - parts).max() <= 1e-9
+        combined = schrodinger_filter(lap, f, params, a * x + b * y)
+        parts = (a * schrodinger_filter(lap, f, params, x)
+                 + b * schrodinger_filter(lap, f, params, y))
+        assert np.abs(combined - parts).max() <= 1e-9
 
     def test_constant_features_reduce_to_phased_mix(self, rng, path3):
         # constant columns kill the generator, so each term is a global
@@ -180,14 +179,14 @@ class TestFilterAction:
         graph, _ = path3
         f = FeatureLocations(np.full((3, 2), [1.5, -0.5]))
         params = _random_params(rng, n_features=2, j=2, d=2)
-        g = Signal(rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2)))
+        g = _stack(rng, 3, 2)
         lap = schrodinger_laplacian(graph, f)
         out = schrodinger_filter(lap, f, params, g)
         expected = np.zeros((3, 2), dtype=np.complex128)
         for term in params.terms:
             c = float(np.array([1.5, -0.5]) @ term.direction)
-            expected += np.exp(1j * term.phase * c) * (g.values @ term.mix)
-        assert np.abs(out.values - expected).max() <= 1e-12
+            expected += np.exp(1j * term.phase * c) * (g[:, :, 0] @ term.mix)
+        assert np.abs(out[:, :, 0] - expected).max() <= 1e-12
 
     def test_unitary_term_preserves_norm(self, rng):
         graph, f, _ = make_instance(43)
@@ -195,12 +194,10 @@ class TestFilterAction:
                               + 1j * rng.normal(size=(2, 2)))
         params = FilterParams(terms=(FilterTerm(
             time=0.9, phase=1.7, direction=np.array([1.0]), mix=mix),))
-        g = Signal(rng.normal(size=(graph.n_nodes, 2))
-                   + 1j * rng.normal(size=(graph.n_nodes, 2)))
+        g = _stack(rng, graph.n_nodes, 2)
         lap = schrodinger_laplacian(graph, f)
         out = schrodinger_filter(lap, f, params, g)
-        assert np.linalg.norm(out.values) == pytest.approx(
-            np.linalg.norm(g.values), rel=1e-9)
+        assert np.linalg.norm(out) == pytest.approx(np.linalg.norm(g), rel=1e-9)
 
     def test_stack_filters_each_signal_alone(self, rng):
         graph, f, _ = make_instance(59, n_features=2)
@@ -211,31 +208,41 @@ class TestFilterAction:
         out = schrodinger_filter(lap, f, params, stack)
         assert out.shape == (n, 3, 4)
         for b in range(4):
-            alone = schrodinger_filter(lap, f, params, Signal(stack[:, :, b]))
-            err = np.abs(out[:, :, b] - alone.values).max()
-            assert err <= 1e-12 * np.abs(alone.values).max()
+            alone = schrodinger_filter(lap, f, params, stack[:, :, b:b + 1])
+            assert type(alone) is np.ndarray and alone.shape == (n, 3, 1)
+            err = np.abs(out[:, :, b:b + 1] - alone).max()
+            assert err <= 1e-12 * np.abs(alone).max()
 
     def test_two_dimensional_array_rejected(self, rng):
         graph, f, _ = make_instance(61)
         params = _random_params(rng, n_features=1, j=1, d=1)
         lap = schrodinger_laplacian(graph, f)
-        with pytest.raises(ContractError, match="stack"):
+        with pytest.raises(ContractError, match=r"an \(N, J, B\) stack"):
             schrodinger_filter(lap, f, params, np.ones((graph.n_nodes, 1)))
+
+    def test_signal_rejected(self, rng):
+        graph, f, _ = make_instance(61)
+        params = _random_params(rng, n_features=1, j=1, d=1)
+        lap = schrodinger_laplacian(graph, f)
+        g = Signal(np.ones(graph.n_nodes, dtype=complex))
+        with pytest.raises(ContractError, match=r"an \(N, J, B\) stack, got Signal"):
+            schrodinger_filter(lap, f, params, g)
+
 
     def test_feature_count_mismatch_rejected(self, rng):
         graph, f, _ = make_instance(47)  # one feature column
         params = _random_params(rng, n_features=2, j=1, d=1)
-        g = Signal(np.ones(graph.n_nodes, dtype=complex))
+        g = np.ones((graph.n_nodes, 1, 1), dtype=complex)
         lap = schrodinger_laplacian(graph, f)
-        with pytest.raises(ContractError):
+        with pytest.raises(ContractError, match="features"):
             schrodinger_filter(lap, f, params, g)
 
     def test_channel_count_mismatch_rejected(self, rng):
         graph, f, _ = make_instance(53)
         params = _random_params(rng, n_features=1, j=2, d=1)
-        g = Signal(np.ones(graph.n_nodes, dtype=complex))
+        g = np.ones((graph.n_nodes, 1, 1), dtype=complex)
         lap = schrodinger_laplacian(graph, f)
-        with pytest.raises(ContractError):
+        with pytest.raises(ContractError, match="input channels"):
             schrodinger_filter(lap, f, params, g)
 
     def test_overflowing_phase_is_refused_where_it_is_formed(self):
@@ -248,45 +255,38 @@ class TestFilterAction:
         params = FilterParams(terms=(FilterTerm(
             time=1e-22, phase=1e300, direction=np.array([1.0, 0.0, 0.0]),
             mix=np.eye(1, dtype=complex)),))
-        g = Signal(np.ones(16, dtype=complex))
+        g = np.ones((16, 1, 1), dtype=complex)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ContractError, match="modulation phases must be finite"):
                 schrodinger_filter(lap, f, params, g)
 
 
-def _reference_filter(lap, f, params, g):
+def _reference_filter(lap, f, params, stack):
     """The filter as a modulated block: each term modulates the whole input,
-    propagates it with ``evolve_array`` and mixes it into a zero-filled
+    propagates it with ``evolve`` and mixes it into a zero-filled
     accumulator."""
-    stack = g.values[:, :, None] if isinstance(g, Signal) else np.asarray(g)
     n, j, b = stack.shape
     out = np.zeros((n, params.terms[0].mix.shape[1], b), dtype=np.complex128)
     for term in params.terms:
         direction = f.values @ term.direction
         modulated = np.exp(1j * term.phase * direction)[:, None, None] * stack
-        evolved = evolve_array(lap, term.time, modulated.reshape(n, j * b))
+        evolved = evolve(lap, term.time, modulated.reshape(n, j * b))
         out += term.mix.T @ evolved.reshape(n, j, b)
-    return Signal(out[:, :, 0]) if isinstance(g, Signal) else out
-
-
-def _bytes(out):
-    return np.ascontiguousarray(out.values if isinstance(out, Signal) else out).tobytes()
+    return out
 
 
 class TestModulatedPropagation:
     @pytest.mark.parametrize("n_terms", [1, 2, 3])
     @pytest.mark.parametrize("j,d,b", [(4, 4, 1), (1, 1, 4), (2, 3, 2)])
-    @pytest.mark.parametrize("kind", ["signal", "stack", "gapped"])
+    @pytest.mark.parametrize("kind", ["stack", "gapped"])
     def test_filter_matches_the_modulated_block_bit_for_bit(
             self, n_terms, j, d, b, kind):
         rng = np.random.default_rng(100 * n_terms + 10 * j + b)
         graph, f, _ = make_instance(71 + b, n_features=2)
         n = graph.n_nodes
         params = _random_params(rng, n_features=2, j=j, d=d, n_terms=n_terms)
-        if kind == "signal":
-            g = Signal(rng.normal(size=(n, j)) + 1j * rng.normal(size=(n, j)))
-        elif kind == "stack":
+        if kind == "stack":
             g = rng.normal(size=(n, j, b)) + 1j * rng.normal(size=(n, j, b))
         else:
             # An empty window inside a batch that is a strided view of a
@@ -296,7 +296,7 @@ class TestModulatedPropagation:
             g = full[:, :, :b]
         lap = schrodinger_laplacian(graph, f)
         out = schrodinger_filter(lap, f, params, g)
-        assert _bytes(out) == _bytes(_reference_filter(lap, f, params, g))
+        assert out.tobytes() == _reference_filter(lap, f, params, g).tobytes()
 
     @pytest.mark.parametrize("t", [0.0, 0.8, -1.3])
     @pytest.mark.parametrize("shape", [(), (3,)])
@@ -311,15 +311,15 @@ class TestModulatedPropagation:
         if complex_weights:
             w = np.exp(1j * w)
         scaled = w * v if v.ndim == 1 else w[:, None] * v
-        got = evolve_array(lap, t, v, w)
-        assert got.tobytes() == evolve_array(lap, t, scaled).tobytes()
+        got = evolve(lap, t, v, w)
+        assert got.tobytes() == evolve(lap, t, scaled).tobytes()
 
     def test_weights_of_the_wrong_size_rejected(self):
         graph, f, _ = make_instance(97)
         lap = schrodinger_laplacian(graph, f)
         v = np.ones((graph.n_nodes, 2), dtype=complex)
         with pytest.raises(ContractError, match="weights"):
-            evolve_array(lap, 0.5, v, np.ones(graph.n_nodes + 1))
+            evolve(lap, 0.5, v, np.ones(graph.n_nodes + 1))
 
     # Peak allocation beyond the input, in (N, J*B) complex blocks: three
     # Chebyshev blocks, the accumulator from the second term on (1.5 blocks
@@ -348,26 +348,30 @@ class TestModulatedPropagation:
 
 class TestActivation:
     def test_split_relu_clips_by_quadrant(self):
-        g = Signal(np.array([-1.0 - 2.0j, 3.0 + 4.0j, -1.0 + 2.0j]))
+        g = np.array([-1.0 - 2.0j, 3.0 + 4.0j, -1.0 + 2.0j])
         out = activation(g, "split-relu")
-        assert np.array_equal(out.channel(0), np.array([0.0j, 3.0 + 4.0j, 2.0j]))
+        assert np.array_equal(out, np.array([0.0j, 3.0 + 4.0j, 2.0j]))
 
     def test_modulus_takes_lengths(self):
-        out = activation(Signal(np.array([3.0 + 4.0j])), "modulus")
-        assert out.values[0, 0] == 5.0 + 0.0j
+        out = activation(np.array([[3.0 + 4.0j]]), "modulus")
+        assert out[0, 0] == 5.0 + 0.0j
+        assert out.dtype == np.complex128
 
-    def test_none_returns_the_same_signal(self, rng):
-        g = Signal(rng.normal(size=4) + 1j * rng.normal(size=4))
+    def test_none_returns_the_same_array(self, rng):
+        g = rng.normal(size=4) + 1j * rng.normal(size=4)
         assert activation(g, "none") is g
 
     @pytest.mark.parametrize("kind", ["split-relu", "modulus", "none"])
     def test_idempotent(self, rng, kind):
-        g = Signal(rng.normal(size=8) + 1j * rng.normal(size=8))
+        g = rng.normal(size=(8, 2, 3)) + 1j * rng.normal(size=(8, 2, 3))
         once = activation(g, kind)
         twice = activation(once, kind)
-        assert np.array_equal(once.values, twice.values)
+        assert np.array_equal(once, twice)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ContractError):
-            activation(Signal(np.ones(2, dtype=complex)), "tanh")
+            activation(np.ones(2, dtype=complex), "tanh")
 
+    def test_signal_rejected(self):
+        with pytest.raises(ContractError, match="numeric array, got Signal"):
+            activation(Signal(np.ones(2, dtype=complex)), "modulus")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from schro_gsp.errors import ContractError, DegenerateSignalError
-from schro_gsp.graph_core import FeatureLocations, Graph
+from schro_gsp.graph_core import FeatureLocations, Graph, Signal
 from schro_gsp.observe import (
     dynamics_rhs_multi,
     dynamics_rhs_single,
@@ -56,6 +56,15 @@ class TestMeanVariance:
         phases = SparseOperator(np.diag([1j, -1j]))
         with pytest.raises(ContractError):
             mean(phases, np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("g", [
+        Signal(np.array([0.0, 1.0, 0.0])), np.array([[0.0], [1.0], [0.0]]),
+        np.zeros(0),
+    ], ids=["signal", "column", "empty"])
+    def test_anything_but_a_vector_rejected(self, g):
+        x = location_observable(F012, 0)
+        with pytest.raises(ContractError, match=r"non-empty \(N,\) vector"):
+            mean(x, g)
 
     def test_real_signal_has_zero_momentum(self, rng):
         graph, f, _ = make_instance(61)

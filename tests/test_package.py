@@ -1,5 +1,7 @@
 """The package's public surface."""
 
+import pytest
+
 import schro_gsp
 
 # ``schro_gsp.__all__`` in sorted order, submodules included; adding or
@@ -33,3 +35,11 @@ def test_public_names_are_frozen():
 
 def test_every_public_name_resolves():
     assert all(hasattr(schro_gsp, name) for name in PUBLIC_NAMES)
+
+
+@pytest.mark.parametrize("module", ["propagate", "filters", "observe"])
+def test_numerical_modules_do_not_see_signal(module):
+    # ``Signal`` is the validated type of the input boundary (loaders,
+    # instance generators, relabeling, normalization, window shifts); the
+    # numerical routines take and return plain arrays.
+    assert not hasattr(getattr(schro_gsp, module), "Signal")

@@ -7,7 +7,7 @@ from scipy.linalg import expm
 from schro_gsp.errors import ContractError, DivergedError
 from schro_gsp.graph_core import FeatureLocations
 from schro_gsp.operators import schrodinger_laplacian
-from schro_gsp.propagate import evolve_array
+from schro_gsp.propagate import evolve
 from schro_gsp.ring_task import (
     RingModelParams,
     RingTaskConfig,
@@ -250,7 +250,7 @@ class TestForwardPath:
         total = np.zeros(x.T.shape, dtype=np.complex128)
         for t, h, m in zip(params.times, params.directions, params.mix):
             lifted = np.exp(1j * ws.features.values @ h)[:, None] * x.T
-            total += m * evolve_array(gen, float(t), lifted)
+            total += m * evolve(gen, float(t), lifted)
         expected = params.scale * np.abs(total).T
         self._assert_close(_Pass(ws, params, x).pred, expected)
 
