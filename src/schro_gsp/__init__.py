@@ -56,7 +56,6 @@ from .observe import (
     VARIANCE_FLOOR,
     RoutingReport,
     dynamics_rhs_multi,
-    dynamics_rhs_single,
     epsilon_regularity,
     mean,
     mixed_derivative_rhs,

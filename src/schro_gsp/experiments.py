@@ -224,7 +224,9 @@ class GridPMOConfig:
     # gradient test after 57 to 81 (the 12-side fit after 60, with 65
     # evaluations); 200 leaves more than twice that.
     max_iters: int = 200
-    # The fit's only gradient; the key stays so saved configs keep loading.
+    # The fit's only gradient.  The key stays because the benchmark's
+    # ``bench/workloads.py::PMO_CONFIG`` sends it and an unknown key exits 2;
+    # it goes once that config drops it (ROADMAP item 1 follow-up).
     grad_mode: str = "spectral-pair"
     seed: int = 0
 

@@ -179,36 +179,26 @@ def momentum_mean_modulated_closed_form(
     return float(np.dot(response, f[v] - f[u]))
 
 
-def dynamics_rhs_single(graph: Graph, f: np.ndarray, g) -> float:
-    """Closed-form rate of change of the location mean along one feature.
-
-    Equals ``2 Re <i grad g, W g>`` with W the smoothing operator; matches a
-    central finite difference of the evolved location mean at t = 0.
-    """
-    vec = _as_channel(g)
-    _require_normalized(vec)
-    floc = FeatureLocations.single(np.asarray(f, dtype=np.float64))
-    grad = feature_derivative(graph, floc, 0)
-    smooth = smoothing_operator(graph, floc, 0)
-    mom = 1j * grad.apply(vec)
-    return 2.0 * float(np.real(np.vdot(smooth.apply(vec), mom)))
-
-
 def _generator_commutator(lap: SecondOrderGenerator, d: np.ndarray, x: np.ndarray):
     """``[L, diag(d)] x`` for a generator ``L`` and a real node column ``d``."""
     return lap.apply(d * x) - d * lap.apply(x)
 
 
 def dynamics_rhs_multi(graph: Graph, f: FeatureLocations, k: int, g) -> float:
-    """Rate of change of the location mean along feature ``k`` when several
-    feature derivatives drive the evolution jointly.
+    """Closed-form rate of change of the location mean along feature ``k``
+    when every feature derivative drives the evolution jointly.
 
-    The single-feature transport term is corrected by one commutator
-    expectation per other feature.
+    The transport term ``2 Re <W_k g, i G_k g>``, with ``G_k`` the feature
+    derivative and ``W_k`` the smoothing operator, is corrected by one
+    commutator expectation per other feature.  With one feature the sum is
+    empty, so this is also the single-feature rate.  Matches a central
+    finite difference of the evolved location mean at t = 0.
     """
     vec = _as_channel(g)
     _require_normalized(vec)
-    own = dynamics_rhs_single(graph, f.column(k), vec)
+    grad = feature_derivative(graph, f, k)
+    smooth = smoothing_operator(graph, f, k)
+    own = 2.0 * float(np.real(np.vdot(smooth.apply(vec), 1j * grad.apply(vec))))
     col_k = f.column(k)
     correction = 0.0
     for j in range(f.n_features):
@@ -228,14 +218,11 @@ def variance_rhs(graph: Graph, f: np.ndarray, g) -> float:
     _require_normalized(vec)
     fcol = np.asarray(f, dtype=np.float64)
     floc = FeatureLocations.single(fcol)
-    grad = feature_derivative(graph, floc, 0)
-    smooth = smoothing_operator(graph, floc, 0)
     lap = schrodinger_laplacian(graph, floc)
     applied = 1j * _generator_commutator(lap, fcol * fcol, vec)
     growth = _real_expectation(applied, vec, "squared-location term")
     e_loc = _real_expectation(fcol * vec, vec, "location mean")
-    transport = float(np.real(np.vdot(smooth.apply(vec), 1j * grad.apply(vec))))
-    return growth - 4.0 * e_loc * transport
+    return growth - 2.0 * e_loc * dynamics_rhs_multi(graph, floc, 0, vec)
 
 
 def epsilon_regularity(graph: Graph, f: np.ndarray, g) -> float:

@@ -50,7 +50,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import ContractError, NumericalError
-from .graph_core import FeatureLocations, Graph, edge_pattern
+from .graph_core import FeatureLocations, Graph, csr_index, edge_pattern
 
 # Largest operator given a dense factorization: the propagation oracle's
 # eigendecomposition and the spectral norm's fallback when Lanczos stalls.
@@ -297,9 +297,9 @@ def location_observable(f: FeatureLocations, k: int) -> SparseOperator:
     # ``sparse.diags``'s time.
     diag = np.array(f.column(k))
     n = diag.size
-    idx = np.int32 if n < np.iinfo(np.int32).max else np.int64
-    return _hermitian(sparse.csr_matrix(
-        (diag, np.arange(n, dtype=idx), np.arange(n + 1, dtype=idx)), shape=(n, n)))
+    nodes = np.arange(n)
+    indices, indptr = csr_index(nodes, nodes, n)
+    return _hermitian(sparse.csr_matrix((diag, indices, indptr), shape=(n, n)))
 
 
 def smoothing_operator(graph: Graph, f: FeatureLocations, k: int) -> SparseOperator:
@@ -347,7 +347,8 @@ class NormEstimate(float):
     ``vector`` is a unit right singular vector with ``|op v|`` equal to the
     value, so ``op v / value`` is the left one.  ``converged`` is always
     true, because a failed solve raises instead, and ``iterations`` is 1, for
-    the one solve; both stay for callers that count them.
+    the one solve; both stay because the benchmark's
+    ``bench/launch.py::_norm_counts`` reads them (ROADMAP item 3).
     """
 
     converged = True

@@ -8,8 +8,9 @@ which also works on max-eigenvalue objectives that are not differentiable
 everywhere.  It is written here rather than taken from ``scipy.optimize``
 (whose L-BFGS-B would also serve the smooth ring fit): importing that
 after the command-line modules adds about 27 MB of resident memory and
-0.25 s, against a 107 MB peak for the ``verify`` battery that runs the
-PMO fit.
+0.25 s, against a 94 MB peak for the ``verify`` battery that runs the
+PMO fit (the ``verify`` command's ``VmHWM``, three runs, BLAS on one
+thread).
 """
 
 from __future__ import annotations

@@ -498,9 +498,12 @@ def _layer_fn(ws: _RingWorkspace, params: RingModelParams):
 def _shift_probe(angles: np.ndarray) -> Signal:
     """Compact bump at the angular origin, the seam's antipode.
 
-    Centered there, symmetric smoothing wraps equally into both ends of
-    the angle coordinate and cannot move the linear centroid, so only
-    genuine directed transport registers as a shift."""
+    The bump is symmetric under the ring's reflection, but the windows it
+    is read through are not: node ``n`` sits at angle ``-pi + 2 pi n / N``,
+    so the angle coordinate holds ``-pi`` but not ``+pi``, and its quantile
+    windows are not reflection-symmetric.  A symmetric layer therefore
+    still reads a small shift from that seam (``diffusion``: -2.10e-3 at
+    seed 0, against the 0.02 bound of its check)."""
     bump = _wrapped_bump(angles, 0.0, 0.1)
     return Signal(bump / np.linalg.norm(bump))
 

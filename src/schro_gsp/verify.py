@@ -38,6 +38,7 @@ import tempfile
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -56,7 +57,6 @@ from .graph_core import (
 )
 from .observe import (
     dynamics_rhs_multi,
-    dynamics_rhs_single,
     epsilon_regularity,
     mean,
     mixed_derivative_rhs,
@@ -483,29 +483,14 @@ def _fd_allowance(reference: float) -> float:
     return max(1e-8, 1e-4 * abs(reference))
 
 
-@_worst_over("location-dynamics-vs-fd", 114, 50, 1.0,
-             "location-mean rate vs centered difference (scaled residual)")
-def _location_dynamics_fd(rng):
+def _location_rate_fd(rng, multi: bool):
+    """``dynamics_rhs_multi`` against a centered difference of the evolved
+    location mean, on one feature or, when ``multi``, on 2-3 features at a
+    drawn index."""
     step = 1e-5
     g = random_connected_graph(rng)
-    f = random_features(rng, g.n_nodes, 1)
-    vec = random_unit(rng, g.n_nodes)
-    loc = location_observable(f, 0)
-    prop = DensePropagator(schrodinger_laplacian(g, f))
-    fd = (mean(loc, prop.apply(step, vec)) - mean(loc, prop.apply(-step, vec))) / (
-        2.0 * step
-    )
-    closed = dynamics_rhs_single(g, f.column(0), vec)
-    return abs(closed - fd) / _fd_allowance(closed)
-
-
-@_worst_over("multi-feature-dynamics-vs-fd", 115, 50, 1.0,
-             "joint-evolution location rate vs centered difference")
-def _multi_feature_dynamics_fd(rng):
-    step = 1e-5
-    g = random_connected_graph(rng)
-    f = random_features(rng, g.n_nodes, int(rng.integers(2, 4)))
-    k = int(rng.integers(0, f.n_features))
+    f = random_features(rng, g.n_nodes, int(rng.integers(2, 4)) if multi else 1)
+    k = int(rng.integers(0, f.n_features)) if multi else 0
     vec = random_unit(rng, g.n_nodes)
     loc = location_observable(f, k)
     prop = DensePropagator(schrodinger_laplacian(g, f))
@@ -514,6 +499,14 @@ def _multi_feature_dynamics_fd(rng):
     )
     closed = dynamics_rhs_multi(g, f, k, vec)
     return abs(closed - fd) / _fd_allowance(closed)
+
+
+_worst_over("location-dynamics-vs-fd", 114, 50, 1.0,
+            "location-mean rate vs centered difference (scaled residual)")(
+    partial(_location_rate_fd, multi=False))
+_worst_over("multi-feature-dynamics-vs-fd", 115, 50, 1.0,
+            "joint-evolution location rate vs centered difference")(
+    partial(_location_rate_fd, multi=True))
 
 
 @_worst_over("variance-dynamics-vs-fd", 116, 50, 1.0,
@@ -537,27 +530,12 @@ def _dense_operator_norm(op) -> float:
     return float(np.linalg.norm(op.tosparse().toarray(), ord=2))
 
 
-@_worst_over("regularity-transport-bound", 117, 50, 1e-9,
-             "transport-rate deviation minus its regularity bound")
-def _regularity_bound(rng):
+def _regularity_bound(rng, multi: bool):
+    """Transport-rate deviation from twice the momentum mean, minus its
+    regularity bound plus, when ``multi``, the cross-commutator term."""
     g = random_connected_graph(rng)
-    f = random_features(rng, g.n_nodes, 1)
-    vec = random_unit(rng, g.n_nodes)
-    grad = feature_derivative(g, f, 0)
-    eps = epsilon_regularity(g, f.column(0), vec)
-    lhs = abs(
-        dynamics_rhs_single(g, f.column(0), vec)
-        - 2.0 * mean(momentum_observable(g, f, 0), vec)
-    )
-    return lhs - 2.0 * eps * _dense_operator_norm(grad)
-
-
-@_worst_over("multi-regularity-transport-bound", 118, 50, 1e-9,
-             "joint transport-rate deviation minus its combined bound")
-def _multi_regularity_bound(rng):
-    g = random_connected_graph(rng)
-    f = random_features(rng, g.n_nodes, int(rng.integers(2, 4)))
-    k = int(rng.integers(0, f.n_features))
+    f = random_features(rng, g.n_nodes, int(rng.integers(2, 4)) if multi else 1)
+    k = int(rng.integers(0, f.n_features)) if multi else 0
     vec = random_unit(rng, g.n_nodes)
     grad = feature_derivative(g, f, k)
     eps = epsilon_regularity(g, f.column(k), vec)
@@ -575,6 +553,14 @@ def _multi_regularity_bound(rng):
         - 2.0 * mean(momentum_observable(g, f, k), vec)
     )
     return lhs - (2.0 * eps * _dense_operator_norm(grad) + (f.n_features - 1) * delta)
+
+
+_worst_over("regularity-transport-bound", 117, 50, 1e-9,
+            "transport-rate deviation minus its regularity bound")(
+    partial(_regularity_bound, multi=False))
+_worst_over("multi-regularity-transport-bound", 118, 50, 1e-9,
+            "joint transport-rate deviation minus its combined bound")(
+    partial(_regularity_bound, multi=True))
 
 
 @_suite("mixed-derivative-vs-fd")

@@ -7,7 +7,6 @@ from schro_gsp.errors import ContractError, DegenerateSignalError
 from schro_gsp.graph_core import FeatureLocations, Graph, Signal
 from schro_gsp.observe import (
     dynamics_rhs_multi,
-    dynamics_rhs_single,
     epsilon_regularity,
     mean,
     mixed_derivative_rhs,
@@ -24,8 +23,10 @@ from schro_gsp.operators import (
     modulation,
     momentum_observable,
     schrodinger_laplacian,
+    smoothing_operator,
 )
 from schro_gsp.propagate import DensePropagator
+from schro_gsp.verify import random_connected_graph, random_features, random_unit
 
 from conftest import make_instance
 
@@ -160,25 +161,38 @@ class TestDynamics:
         graph, f, _ = make_instance(83)
         vec = rng.normal(size=graph.n_nodes)
         vec = vec / np.linalg.norm(vec)
-        assert dynamics_rhs_single(graph, f.column(0), vec) == pytest.approx(
-            0.0, abs=1e-12)
+        assert dynamics_rhs_multi(graph, f, 0, vec) == pytest.approx(0.0, abs=1e-12)
 
     def test_constant_feature_stays_put(self, rng):
         graph, _, vec = make_instance(89)
         const = np.full(graph.n_nodes, 2.0)
-        assert dynamics_rhs_single(graph, const, vec) == 0.0
+        assert dynamics_rhs_multi(graph, FeatureLocations.single(const), 0, vec) == 0.0
 
     def test_single_matches_finite_difference(self):
         graph, f, vec = make_instance(97)
-        rhs = dynamics_rhs_single(graph, f.column(0), vec)
+        rhs = dynamics_rhs_multi(graph, f, 0, vec)
         fd = _fd_mean(graph, f, 0, vec)
         assert rhs == pytest.approx(fd, rel=1e-4, abs=1e-8)
 
-    def test_multi_reduces_to_single_for_one_feature(self):
-        graph, f, vec = make_instance(101)
-        single = dynamics_rhs_single(graph, f.column(0), vec)
-        multi = dynamics_rhs_multi(graph, f, 0, vec)
-        assert multi == pytest.approx(single, abs=1e-12)
+    def test_one_feature_rates_are_the_transport_closed_forms(self):
+        """On one feature the joint rate is exactly ``2 Re <W g, i G g>``, and
+        ``variance_rhs`` is exactly ``growth - 4 E[X] Re <W g, i G g>``."""
+        gen = np.random.default_rng(131)
+        for _ in range(60):
+            graph = random_connected_graph(gen)
+            f = random_features(gen, graph.n_nodes, 1)
+            vec = random_unit(gen, graph.n_nodes)
+            col = f.column(0)
+            transport = float(np.real(np.vdot(
+                smoothing_operator(graph, f, 0).apply(vec),
+                1j * feature_derivative(graph, f, 0).apply(vec))))
+            assert dynamics_rhs_multi(graph, f, 0, vec) == 2.0 * transport
+            lap = schrodinger_laplacian(graph, f)
+            fsq = col * col
+            growth = float(np.real(np.vdot(
+                vec, 1j * (lap.apply(fsq * vec) - fsq * lap.apply(vec)))))
+            e_loc = float(np.real(np.vdot(vec, col * vec)))
+            assert variance_rhs(graph, col, vec) == growth - 4.0 * e_loc * transport
 
     def test_multi_matches_finite_difference(self):
         graph, f, vec = make_instance(103, n_features=3)
@@ -220,10 +234,9 @@ class TestRegularity:
 
         for seed in range(5):
             graph, f, vec = make_instance(seed + 400)
-            col = f.column(0)
-            lhs = abs(dynamics_rhs_single(graph, col, vec)
+            lhs = abs(dynamics_rhs_multi(graph, f, 0, vec)
                       - 2.0 * mean(momentum_observable(graph, f, 0), vec))
-            eps = epsilon_regularity(graph, col, vec)
+            eps = epsilon_regularity(graph, f.column(0), vec)
             bound = 2.0 * eps * float(operator_norm(feature_derivative(graph, f, 0)))
             assert lhs <= bound + 1e-9
 

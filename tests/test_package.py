@@ -16,7 +16,7 @@ PUBLIC_NAMES = [
     "SparseOperator", "VARIANCE_FLOOR", "WindowSet", "WindowShift",
     "activation", "bandwidth_order", "build_windows", "cluster_graph",
     "commutator", "commuting_deficiency", "diagnose", "dynamics_rhs_multi",
-    "dynamics_rhs_single", "epsilon_regularity", "errors", "evolve",
+    "epsilon_regularity", "errors", "evolve",
     "feature_derivative", "filters", "graph_core", "infinity_norm",
     "load_features", "load_filter_params", "load_graph", "load_signal",
     "location_observable", "mean", "mixed_derivative_rhs", "modulation",

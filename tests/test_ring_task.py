@@ -16,6 +16,7 @@ from schro_gsp.ring_task import (
 )
 from schro_gsp.ring_task import (
     _grid_init,
+    _layer_fn,
     _Pass,
     _phase_weights,
     _RingWorkspace,
@@ -356,3 +357,40 @@ class TestPhaseWeights:
             w, *_ = np.linalg.lstsq(atoms, target * phase, rcond=None)
         fast = _phase_weights(atoms, target)
         assert np.linalg.norm(fast - w) <= 1e-10 * np.linalg.norm(w)
+
+
+class TestReflection:
+    """The ring layers against the reflection ``R: n -> -n mod N``, which
+    fixes the generator and the heat Laplacian.  A layer without modulation
+    commutes with it exactly, and so does one modulated along cos, which
+    ``R`` keeps; sin and the angle change sign under ``R``, so a modulation
+    along either breaks the symmetry: the planted case that shows the check
+    can fail."""
+
+    CFG = RingTaskConfig()
+
+    def _residual(self, kind, direction):
+        ws = _RingWorkspace(self.CFG)
+        rng = np.random.default_rng(17)
+        c = 4
+        directions = np.zeros((c, 3))
+        if direction is not None:
+            directions[:, direction] = rng.normal(size=c)
+        params = RingModelParams(
+            kind=kind, times=rng.uniform(2.0, 47.0, size=c), directions=directions,
+            mix=rng.normal(size=c) + 1j * rng.normal(size=c), scale=rng.uniform(0.5, 2.0))
+        n = self.CFG.n_nodes
+        x = rng.normal(size=(n, 1, 3)) + 1j * rng.normal(size=(n, 1, 3))
+        reflect = -np.arange(n) % n
+        layer = _layer_fn(ws, params)
+        out = layer(x)
+        return np.abs(out[reflect] - layer(x[reflect])).max() / np.abs(out).max()
+
+    @pytest.mark.parametrize("kind, direction", [
+        ("plain", None), ("diffusion", None), ("modulated", 0)])
+    def test_symmetric_layers_are_equivariant(self, kind, direction):
+        assert self._residual(kind, direction) <= 1e-10
+
+    @pytest.mark.parametrize("direction", [1, 2])
+    def test_odd_modulation_breaks_the_symmetry(self, direction):
+        assert self._residual("modulated", direction) >= 0.1
