@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DegenerateFeatureError
+from .errors import ContractError, DegenerateFeatureError, all_finite, frozen_array
 from .graph_core import NORM_FLOOR, FeatureLocations, Signal
 
 
@@ -29,17 +29,25 @@ from .graph_core import NORM_FLOOR, FeatureLocations, Signal
 class WindowSet:
     """Nonnegative node weights per window along one feature coordinate.
 
-    A window's id is its row of ``weights``."""
+    A window's id is its row of ``weights``, and ``centers`` holds one
+    value per row."""
 
     coordinate: int
     weights: np.ndarray        # (B, N)
     centers: np.ndarray        # (B,)
 
     def __post_init__(self):
-        for name in ("weights", "centers"):
-            arr = np.array(getattr(self, name), dtype=np.float64)  # a copy
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        weights = frozen_array(self.weights, np.float64, "window weights")
+        centers = frozen_array(self.centers, np.float64, "window centers")
+        if weights.ndim != 2:
+            raise ContractError(f"window weights must be 2-D, got shape {weights.shape}")
+        if centers.shape != weights.shape[:1]:
+            raise ContractError(
+                f"centers of shape {centers.shape} for {weights.shape[0]} windows")
+        if weights.size and weights.min() < 0.0:
+            raise ContractError("window weights must be nonnegative")
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "centers", centers)
 
     @property
     def n_windows(self) -> int:
@@ -120,9 +128,7 @@ class ShiftReport:
 
 
 def _energy_profile(values: np.ndarray) -> np.ndarray | None:
-    energy = np.abs(values) ** 2
-    if energy.ndim == 2:
-        energy = energy.sum(axis=1)
+    energy = (np.abs(values) ** 2).sum(axis=1)
     total = float(energy.sum())
     if total <= NORM_FLOOR ** 2:
         return None
@@ -170,7 +176,7 @@ def relative_shift(
             raise ContractError(
                 f"layer_fn mapped a {batch.shape} window stack to shape "
                 f"{out.shape}, expected ({g.n_nodes}, D, {len(slot)})")
-        if not np.all(np.isfinite(out)):
+        if not all_finite(out):
             raise ContractError("layer_fn output must be finite")
     k = windows.coordinate
     col = f.column(k)

@@ -1,4 +1,4 @@
-"""Exception types and config value rules shared across the library.
+"""Exception types and the value rules shared across the library.
 
 Every error raised by the package derives from :class:`SchroGspError`, so
 callers can catch library failures without also swallowing programming
@@ -6,8 +6,13 @@ errors.  The subclasses separate the failure modes that calling code is
 expected to distinguish: malformed input files, violated preconditions,
 signals with no usable mass, and numerical breakdown.
 
+Two value rules hold where values enter the library.  Config values:
 :func:`check_config_fields` holds the one rule for which values a config
-field's annotation admits; each config adds only its range checks.
+field's annotation admits; each config adds only its range checks.  Kept
+arrays: every container keeps its arrays only through :func:`frozen_array`,
+as read-only finite copies, so it never aliases or changes the caller's
+array.  Every array finiteness test is :func:`all_finite`; scalars use
+``math.isfinite``.
 """
 
 from __future__ import annotations
@@ -16,6 +21,8 @@ import dataclasses
 import math
 import numbers
 import typing
+
+import numpy as np
 
 
 class SchroGspError(Exception):
@@ -98,3 +105,21 @@ def check_config_fields(config) -> None:
             raise TypeError(f"no value rule for {where}: {kind!r}")
         if not ok:
             raise ContractError(f"{where} must be {rule}, got {value!r}")
+
+
+def all_finite(values: np.ndarray) -> bool:
+    """Whether an array is finite throughout, without a mask of its size:
+    the min and max of its real and imaginary views propagate NaN."""
+    parts = (values.real, values.imag) if np.iscomplexobj(values) else (values,)
+    return values.size == 0 or all(
+        math.isfinite(p.min()) and math.isfinite(p.max()) for p in parts)
+
+
+def frozen_array(values, dtype, what: str) -> np.ndarray:
+    """A read-only copy of ``values`` as ``dtype``; :class:`ContractError`
+    ``"{what} must be finite"`` if a float or complex entry is not."""
+    out = np.array(values, dtype=dtype)
+    if out.dtype.kind in "fc" and not all_finite(out):
+        raise ContractError(f"{what} must be finite")
+    out.setflags(write=False)
+    return out

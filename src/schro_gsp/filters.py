@@ -30,11 +30,12 @@ There are no bias terms anywhere.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, FormatError
+from .errors import ContractError, FormatError, frozen_array
 from .graph_core import FeatureLocations
 from .operators import SecondOrderGenerator, modulation
 from .propagate import evolve
@@ -52,22 +53,15 @@ class FilterTerm:
     mix: np.ndarray        # (J, D) complex channel mixing
 
     def __post_init__(self):
-        direction = np.asarray(self.direction, dtype=np.float64)
-        mix = np.asarray(self.mix, dtype=np.complex128)
+        what = "filter term parameters"
+        direction = frozen_array(self.direction, np.float64, what)
+        mix = frozen_array(self.mix, np.complex128, what)
         if direction.ndim != 1 or direction.size == 0:
             raise ContractError("term direction must be a non-empty vector")
         if mix.ndim != 2 or mix.size == 0:
             raise ContractError("term mix must be a non-empty matrix")
-        if not (
-            np.isfinite(self.time)
-            and np.isfinite(self.phase)
-            and np.all(np.isfinite(direction))
-            and np.all(np.isfinite(mix.real))
-            and np.all(np.isfinite(mix.imag))
-        ):
-            raise ContractError("filter term parameters must be finite")
-        direction.setflags(write=False)
-        mix.setflags(write=False)
+        if not (math.isfinite(self.time) and math.isfinite(self.phase)):
+            raise ContractError(f"{what} must be finite")
         object.__setattr__(self, "direction", direction)
         object.__setattr__(self, "mix", mix)
 

@@ -6,9 +6,10 @@ and channel.  Feature locations assign one real coordinate per node and
 feature; they play the role of generalized node positions for the derivative
 operators built in :mod:`schro_gsp.operators`.
 
-All three containers are immutable: their arrays are defensively copied and
-marked read-only, so instances can be shared freely between operators and
-cached decompositions.
+All three containers are immutable: they keep their arrays only through
+``errors.frozen_array``, as read-only finite copies, so instances can be
+shared freely between operators and cached decompositions.  Signals and
+feature locations share one ``(N, C)`` table rule, ``_table``.
 
 This module alone lays out a graph's directed edges in CSR: ``edge_pattern``
 orders every ``(u, v)`` then every ``(v, u)`` by one stable argsort of the
@@ -34,6 +35,7 @@ from .errors import (
     DegenerateSignalError,
     FormatError,
     SchroGspError,
+    frozen_array,
 )
 
 # Channels with L2 mass at or below this cannot be meaningfully normalized.
@@ -54,10 +56,16 @@ _CLUSTER_MAX_ATTEMPTS = 100
 PINNED_CLUSTER_SEED = 17
 
 
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, copy=True)
-    out.setflags(write=False)
-    return out
+def _table(values, dtype, what: str, entries: str) -> np.ndarray:
+    """``values`` kept as an ``(N, C)`` table: a 1-D array is one column,
+    anything else must be a non-empty 2-D array (``what`` names it) of
+    finite entries (``entries`` names them)."""
+    shape = np.shape(values)
+    if len(shape) == 1:
+        shape = (*shape, 1)
+    if len(shape) != 2 or 0 in shape:
+        raise ContractError(f"{what} must be a non-empty 2-D array")
+    return frozen_array(values, dtype, entries).reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -98,11 +106,11 @@ class Graph:
                 keys.sort()
                 if np.any(keys[1:] == keys[:-1]):
                     raise ContractError("duplicate undirected edge")
-        if not np.all(np.isfinite(w)):
-            raise ContractError("edge weights must be finite")
-        object.__setattr__(self, "edge_u", _readonly(u))
-        object.__setattr__(self, "edge_v", _readonly(v))
-        object.__setattr__(self, "edge_w", _readonly(w))
+        # Kept after the checks, so the copies and the keys are not alive
+        # at once.
+        object.__setattr__(self, "edge_u", frozen_array(u, np.int64, "edge endpoints"))
+        object.__setattr__(self, "edge_v", frozen_array(v, np.int64, "edge endpoints"))
+        object.__setattr__(self, "edge_w", frozen_array(w, np.float64, "edge weights"))
 
     @classmethod
     def from_edges(cls, n_nodes: int, edges) -> "Graph":
@@ -143,16 +151,8 @@ class Signal:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values)
-        if vals.ndim == 1:
-            vals = vals[:, None]
-        if vals.ndim != 2 or vals.shape[0] == 0 or vals.shape[1] == 0:
-            raise ContractError("signal values must be a non-empty 2-D array")
-        vals = vals.astype(np.complex128, copy=True)
-        if not np.all(np.isfinite(vals.real)) or not np.all(np.isfinite(vals.imag)):
-            raise ContractError("signal values must be finite")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _table(
+            self.values, np.complex128, "signal values", "signal values"))
 
     @property
     def n_nodes(self) -> int:
@@ -169,27 +169,16 @@ class Signal:
 
 @dataclass(frozen=True)
 class FeatureLocations:
-    """Real feature coordinates per node, shape (n_nodes, n_features)."""
+    """Real feature coordinates per node, shape (n_nodes, n_features); a
+    1-D column is one feature."""
 
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values)
-        if vals.ndim == 1:
-            vals = vals[:, None]
-        if vals.ndim != 2 or vals.shape[0] == 0 or vals.shape[1] == 0:
-            raise ContractError("feature values must be a non-empty 2-D array")
-        if np.iscomplexobj(vals):
+        if np.iscomplexobj(self.values):
             raise ContractError("feature locations must be real")
-        vals = vals.astype(np.float64, copy=True)
-        if not np.all(np.isfinite(vals)):
-            raise ContractError("feature locations must be finite")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-
-    @classmethod
-    def single(cls, col) -> "FeatureLocations":
-        return cls(np.asarray(col).reshape(-1, 1))
+        object.__setattr__(self, "values", _table(
+            self.values, np.float64, "feature values", "feature locations"))
 
     @property
     def n_nodes(self) -> int:
@@ -550,7 +539,7 @@ def cluster_graph(seed: int) -> tuple[Graph, FeatureLocations, Signal]:
         raise SchroGspError(
             f"no connected two-cluster sample in {_CLUSTER_MAX_ATTEMPTS} attempts"
         )
-    features = FeatureLocations.single(pts[:, 0])
+    features = FeatureLocations(pts[:, 0])
     d2 = ((pts - _CLUSTER_CENTERS[0]) ** 2).sum(axis=1)
     bump = np.exp(-d2 / (2.0 * _CLUSTER_SIGNAL_WIDTH ** 2))
     signal = normalize_channel(Signal(bump), 0)

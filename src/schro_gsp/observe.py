@@ -206,7 +206,7 @@ def dynamics_rhs_multi(graph: Graph, f: FeatureLocations, k: int, g) -> float:
             continue
         # <[i grad_j^2, X_k] g, g> = -<i [L_j, X_k] g, g> with L_j = -grad_j^2;
         # self-adjoint, so the residue check applies.
-        lap_j = schrodinger_laplacian(graph, FeatureLocations.single(f.column(j)))
+        lap_j = schrodinger_laplacian(graph, FeatureLocations(f.column(j)))
         correction -= _real_expectation(
             1j * _generator_commutator(lap_j, col_k, vec), vec, "cross-feature term")
     return own - correction
@@ -217,7 +217,7 @@ def variance_rhs(graph: Graph, f: np.ndarray, g) -> float:
     vec = _as_channel(g)
     _require_normalized(vec)
     fcol = np.asarray(f, dtype=np.float64)
-    floc = FeatureLocations.single(fcol)
+    floc = FeatureLocations(fcol)
     lap = schrodinger_laplacian(graph, floc)
     applied = 1j * _generator_commutator(lap, fcol * fcol, vec)
     growth = _real_expectation(applied, vec, "squared-location term")
@@ -229,7 +229,7 @@ def epsilon_regularity(graph: Graph, f: np.ndarray, g) -> float:
     """Distance of a channel from being a fixed point of the smoothing
     operator: the smallest eps with ``norm(W g - g) <= eps``."""
     vec = _as_channel(g)
-    floc = FeatureLocations.single(np.asarray(f, dtype=np.float64))
+    floc = FeatureLocations(f)
     smooth = smoothing_operator(graph, floc, 0)
     return float(np.linalg.norm(smooth.apply(vec) - vec))
 
@@ -249,7 +249,7 @@ def mixed_derivative_rhs(
     _require_real(vec, "mixed-derivative signal")
     fcol = np.asarray(f, dtype=np.float64)
     hcol = np.asarray(h, dtype=np.float64)
-    floc = FeatureLocations.single(fcol)
+    floc = FeatureLocations(fcol)
     loc = location_observable(floc, 0)
     v0 = variance(loc, vec)
     if v0 <= VARIANCE_FLOOR:

@@ -46,10 +46,12 @@ stored entries.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 from scipy import sparse
 
-from .errors import ContractError, NumericalError
+from .errors import ContractError, NumericalError, all_finite
 from .graph_core import FeatureLocations, Graph, csr_index, edge_pattern
 
 # Largest operator given a dense factorization: the propagation oracle's
@@ -154,19 +156,16 @@ class SecondOrderGenerator(SparseOperator):
         del mats
         super().__init__(stack_t @ stack)
         # scipy's product raises no floating-point error on overflow.
-        if not _all_finite(self._mat.data):
+        if not all_finite(self._mat.data):
             raise NumericalError(
                 "the generator's product of feature derivatives overflows; "
                 f"largest derivative entry {np.abs(stack.data).max():.6g}")
         self._self_adjoint = True  # exactly symmetric, as above
-        self._norm_bound: float | None = None
 
-    @property
+    @cached_property
     def norm_bound(self) -> float:
         """Cached infinity norm; upper-bounds the spectral norm."""
-        if self._norm_bound is None:
-            self._norm_bound = infinity_norm(self)
-        return self._norm_bound
+        return infinity_norm(self)
 
 
 def _real_matmul(mat, arr: np.ndarray) -> np.ndarray:
@@ -216,14 +215,6 @@ def _hermitian(mat: sparse.csr_matrix) -> SparseOperator:
     return op
 
 
-def _all_finite(data: np.ndarray) -> bool:
-    """Whether an array is finite throughout, without a mask of its size:
-    the min and max of its real and imaginary views propagate NaN."""
-    parts = (data.real, data.imag) if np.iscomplexobj(data) else (data,)
-    return data.size == 0 or all(
-        np.isfinite(p.min()) and np.isfinite(p.max()) for p in parts)
-
-
 def _edge_values(graph: Graph, col: np.ndarray, squared: bool = False) -> np.ndarray:
     """Per-edge ``a(u, v) * (f(u) - f(v))``, or its gap squared, refusing
     overflow: the first edge whose value is not finite raises
@@ -231,7 +222,7 @@ def _edge_values(graph: Graph, col: np.ndarray, squared: bool = False) -> np.nda
     with np.errstate(over="ignore", invalid="ignore"):
         gap = col[graph.edge_u] - col[graph.edge_v]
         vals = graph.edge_w * (gap ** 2 if squared else gap)
-    if not _all_finite(vals):
+    if not all_finite(vals):
         e = int(np.flatnonzero(~np.isfinite(vals))[0])
         raise NumericalError(
             f"edge ({graph.edge_u[e]}, {graph.edge_v[e]}) overflows: weight "
@@ -323,7 +314,7 @@ def modulation(h: np.ndarray, theta: float) -> np.ndarray:
     # non-finite phase, rejected below rather than warned about.
     with np.errstate(over="ignore", invalid="ignore"):
         phases = np.exp(1j * theta * h)
-    if not np.all(np.isfinite(phases)):
+    if not all_finite(phases):
         raise ContractError("modulation phases must be finite")
     return phases
 
@@ -379,7 +370,7 @@ def operator_norm(op: SparseOperator) -> NormEstimate:
     raises :class:`NumericalError` too.
     """
     mat = op.tosparse()
-    if not np.all(np.isfinite(mat.data)):
+    if not all_finite(mat.data):
         raise NumericalError("operator has non-finite entries; its norm is undefined")
     n = mat.shape[0]
     if n == 1 or mat.count_nonzero() == 0:
@@ -427,7 +418,7 @@ def _dense_norm(mat: sparse.csr_matrix) -> NormEstimate:
     # A real operand's adjoint is its transpose, a view: conj() would copy.
     adjoint = mat.conj().T if np.iscomplexobj(mat.data) else mat.T
     gram = adjoint @ mat.toarray()
-    if not np.all(np.isfinite(gram)):
+    if not all_finite(gram):
         raise NumericalError(f"squared norm of a {n}-node operator overflows")
     best = -1.0
     bounds = _block_bounds(mat)

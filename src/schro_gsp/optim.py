@@ -15,11 +15,12 @@ thread).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergedError
+from .errors import DivergedError, all_finite
 
 # Weak Wolfe constants: sufficient decrease and curvature (Lewis-Overton).
 _ARMIJO = 1e-4
@@ -93,7 +94,7 @@ def bfgs(evaluate, x0: np.ndarray, max_iters: int) -> Descent:
         value, grad, info = evaluate(x.reshape(shape))
         evaluations += 1
         grad = np.asarray(grad, dtype=np.float64).ravel()
-        if not (np.isfinite(value) and np.all(np.isfinite(grad))):
+        if not (math.isfinite(value) and all_finite(grad)):
             raise diverged(f"objective or gradient not finite {where}")
         if not best or value < best["value"]:
             best.update(x=x.copy(), value=value, info=info)

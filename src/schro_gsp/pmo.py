@@ -36,7 +36,13 @@ from itertools import permutations
 import numpy as np
 from scipy import sparse
 
-from .errors import ContractError, NumericalError, check_config_fields
+from .errors import (
+    ContractError,
+    NumericalError,
+    all_finite,
+    check_config_fields,
+    frozen_array,
+)
 from .graph_core import FeatureLocations, Graph, csr_index, edge_pattern, relabel
 from .operators import SparseOperator, _abs_row_sums, operator_norm
 from .optim import bfgs
@@ -84,9 +90,8 @@ class PMOResult:
     stop_reason: str
 
     def __post_init__(self):
-        t = np.asarray(self.transform, dtype=np.float64)
-        t.setflags(write=False)
-        object.__setattr__(self, "transform", t)
+        object.__setattr__(self, "transform",
+                           frozen_array(self.transform, np.float64, "PMO transform"))
         object.__setattr__(self, "objective_trace", tuple(
             (int(i), float(v)) for i, v in self.objective_trace
         ))
@@ -188,7 +193,7 @@ def _evaluate(
     cross = largest = 0.0
     for i, j in permutations(range(k_out), 2):
         data = squares[j] * d[i]
-        if not np.all(np.isfinite(data)):
+        if not all_finite(data):
             raise FloatingPointError(
                 f"commutator [G_{j}^2, X_{i}] has non-finite entries")
         comm = SparseOperator(sparse.csr_matrix(

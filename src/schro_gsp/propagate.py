@@ -29,8 +29,8 @@ import math
 
 import numpy as np
 
-from .errors import ContractError, NumericalError, SizeError
-from .operators import DENSE_MAX_NODES, SecondOrderGenerator, SparseOperator, _all_finite
+from .errors import ContractError, NumericalError, SizeError, all_finite
+from .operators import DENSE_MAX_NODES, SecondOrderGenerator, SparseOperator
 
 # The series is cut where sum_{k > K} eps_k |J_k(t h)|, which bounds the
 # truncation error relative to the input norm, falls below this.
@@ -59,9 +59,9 @@ def _require_inputs(laplacian: SparseOperator, t: float, values, weights=None) -
     if weights is not None and np.shape(weights) != shape[:1]:
         raise ContractError(
             f"weights of shape {np.shape(weights)} do not match {shape[0]} nodes")
-    if not _all_finite(np.asarray(values)):
+    if not all_finite(np.asarray(values)):
         raise ContractError("propagation operand must be finite")
-    if weights is not None and not _all_finite(np.asarray(weights)):
+    if weights is not None and not all_finite(np.asarray(weights)):
         raise ContractError("propagation weights must be finite")
 
 
@@ -187,7 +187,7 @@ def _chebyshev(
             b2 *= coef[k]
         new += b2
         b1, b2 = new, b1
-    if not np.all(np.isfinite(b1)):
+    if not all_finite(b1):
         raise NumericalError(
             f"non-finite values after a {coef.size}-term Chebyshev propagation"
         )

@@ -30,7 +30,7 @@ import numpy as np
 from scipy import sparse
 
 from .diagnose import build_windows, relative_shift
-from .errors import ContractError, DivergedError, check_config_fields
+from .errors import ContractError, DivergedError, check_config_fields, frozen_array
 from .graph_core import FeatureLocations, Signal, ring_graph
 from .operators import (
     SparseOperator,
@@ -154,17 +154,15 @@ class RingModelParams:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ContractError(f"model kind must be one of {_KINDS}")
-        times = np.asarray(self.times, dtype=np.float64)
-        directions = np.asarray(self.directions, dtype=np.float64)
-        mix = np.asarray(self.mix, dtype=np.complex128)
+        what = "model parameters"
+        times = frozen_array(self.times, np.float64, what)
+        directions = frozen_array(self.directions, np.float64, what)
+        mix = frozen_array(self.mix, np.complex128, what)
         c = times.size
         if directions.shape != (c, 3) or mix.shape != (c,):
             raise ContractError("parameter blocks disagree on channel count")
-        if not (np.all(np.isfinite(times)) and np.all(np.isfinite(directions))
-                and np.all(np.isfinite(mix)) and math.isfinite(float(self.scale))):
-            raise ContractError("model parameters must be finite")
-        for arr in (times, directions, mix):
-            arr.setflags(write=False)
+        if not math.isfinite(float(self.scale)):
+            raise ContractError(f"{what} must be finite")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "directions", directions)
         object.__setattr__(self, "mix", mix)

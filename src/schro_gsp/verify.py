@@ -483,10 +483,11 @@ def _fd_allowance(reference: float) -> float:
     return max(1e-8, 1e-4 * abs(reference))
 
 
-def _location_rate_fd(rng, multi: bool):
-    """``dynamics_rhs_multi`` against a centered difference of the evolved
-    location mean, on one feature or, when ``multi``, on 2-3 features at a
-    drawn index."""
+def _location_rate_fd(rng, statistic, closed_form, multi: bool = False):
+    """A closed-form rate, ``closed_form(graph, f, k, vec)``, against a
+    centered difference of ``statistic`` (``mean`` or ``variance``) of the
+    evolved location observable, on one feature or, when ``multi``, on 2-3
+    features at a drawn index."""
     step = 1e-5
     g = random_connected_graph(rng)
     f = random_features(rng, g.n_nodes, int(rng.integers(2, 4)) if multi else 1)
@@ -494,36 +495,23 @@ def _location_rate_fd(rng, multi: bool):
     vec = random_unit(rng, g.n_nodes)
     loc = location_observable(f, k)
     prop = DensePropagator(schrodinger_laplacian(g, f))
-    fd = (mean(loc, prop.apply(step, vec)) - mean(loc, prop.apply(-step, vec))) / (
-        2.0 * step
-    )
-    closed = dynamics_rhs_multi(g, f, k, vec)
+    fd = (statistic(loc, prop.apply(step, vec))
+          - statistic(loc, prop.apply(-step, vec))) / (2.0 * step)
+    closed = closed_form(g, f, k, vec)
     return abs(closed - fd) / _fd_allowance(closed)
 
 
 _worst_over("location-dynamics-vs-fd", 114, 50, 1.0,
             "location-mean rate vs centered difference (scaled residual)")(
-    partial(_location_rate_fd, multi=False))
+    partial(_location_rate_fd, statistic=mean, closed_form=dynamics_rhs_multi))
 _worst_over("multi-feature-dynamics-vs-fd", 115, 50, 1.0,
             "joint-evolution location rate vs centered difference")(
-    partial(_location_rate_fd, multi=True))
-
-
-@_worst_over("variance-dynamics-vs-fd", 116, 50, 1.0,
-             "location-variance rate vs centered difference")
-def _variance_dynamics_fd(rng):
-    step = 1e-5
-    g = random_connected_graph(rng)
-    f = random_features(rng, g.n_nodes, 1)
-    vec = random_unit(rng, g.n_nodes)
-    loc = location_observable(f, 0)
-    prop = DensePropagator(schrodinger_laplacian(g, f))
-    fd = (
-        variance(loc, prop.apply(step, vec))
-        - variance(loc, prop.apply(-step, vec))
-    ) / (2.0 * step)
-    closed = variance_rhs(g, f.column(0), vec)
-    return abs(closed - fd) / _fd_allowance(closed)
+    partial(_location_rate_fd, statistic=mean, closed_form=dynamics_rhs_multi,
+            multi=True))
+_worst_over("variance-dynamics-vs-fd", 116, 50, 1.0,
+            "location-variance rate vs centered difference")(
+    partial(_location_rate_fd, statistic=variance,
+            closed_form=lambda g, f, k, vec: variance_rhs(g, f.column(k), vec)))
 
 
 def _dense_operator_norm(op) -> float:

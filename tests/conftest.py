@@ -29,7 +29,7 @@ def rng():
 def path3():
     """Three-node path with unit weights and evenly spaced locations."""
     graph = Graph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)])
-    f = FeatureLocations.single([0.0, 1.0, 2.0])
+    f = FeatureLocations([0.0, 1.0, 2.0])
     return graph, f
 
 

@@ -37,7 +37,7 @@ class TestBuildWindows:
 
     def test_two_bins_make_complementary_ramps(self):
         col = np.linspace(0.0, 1.0, 9)
-        ws = build_windows(FeatureLocations.single(col), 0, 2)
+        ws = build_windows(FeatureLocations(col), 0, 2)
         # quantile centers 0.25 and 0.75 land on grid values
         assert np.allclose(ws.centers, [0.25, 0.75])
         assert np.array_equal(ws.weights[0], 1.0 - ws.weights[1])
@@ -51,7 +51,7 @@ class TestBuildWindows:
     def test_matches_per_node_interpolation(self, rng, n_bins):
         # ties and values beyond both end centers included
         col = np.round(rng.normal(size=200), 1)
-        ws = build_windows(FeatureLocations.single(col), 0, n_bins)
+        ws = build_windows(FeatureLocations(col), 0, n_bins)
         centers = ws.centers
         expected = np.zeros((n_bins, col.size))
         for v, x in enumerate(col):
@@ -79,7 +79,7 @@ class TestBuildWindows:
             build_windows(f, 0, 2)
 
     def test_tied_centers_rejected(self):
-        f = FeatureLocations.single([0.0, 0.0, 0.0, 0.0, 1.0])
+        f = FeatureLocations([0.0, 0.0, 0.0, 0.0, 1.0])
         with pytest.raises(DegenerateFeatureError):
             build_windows(f, 0, 3)
 
@@ -105,6 +105,36 @@ def test_window_set_copies_the_callers_arrays():
     assert not ws.weights.flags.writeable and not ws.centers.flags.writeable
     weights[0, 0] = 7.0
     assert ws.weights[0, 0] == 1.0
+
+
+class TestWindowSetValidation:
+    """A window set that ``relative_shift`` cannot use is refused when built,
+    instead of reporting every window missing."""
+
+    @pytest.mark.parametrize("bad,message", [
+        (np.nan, "window weights must be finite"),
+        (np.inf, "window weights must be finite"),
+        (-np.inf, "window weights must be finite"),
+        (-0.25, "window weights must be nonnegative"),
+    ])
+    def test_unusable_weights_rejected(self, bad, message):
+        weights = np.full((2, 5), 0.5)
+        weights[1, 3] = bad
+        with pytest.raises(ContractError, match=message):
+            WindowSet(coordinate=0, weights=weights, centers=[0.0, 1.0])
+
+    def test_one_dimensional_weights_rejected(self):
+        with pytest.raises(ContractError, match="must be 2-D"):
+            WindowSet(coordinate=0, weights=np.ones(5), centers=[0.0])
+
+    @pytest.mark.parametrize("centers", [[0.0], [0.0, 1.0, 2.0], [[0.0, 1.0]]])
+    def test_one_center_per_weight_row(self, centers):
+        with pytest.raises(ContractError, match="for 2 windows"):
+            WindowSet(coordinate=0, weights=np.ones((2, 5)), centers=centers)
+
+    def test_windows_without_weight_are_valid(self):
+        ws = WindowSet(coordinate=0, weights=np.zeros((3, 4)), centers=[0.0, 1.0, 2.0])
+        assert (ws.n_windows, ws.n_nodes) == (3, 4)
 
 
 class TestWindowSignal:

@@ -466,7 +466,7 @@ class TestBandwidthOrder:
     def test_shuffled_path_gets_unit_bandwidth(self):
         graph = _shuffled_path(200, 11)
         assert np.max(graph.edge_v - graph.edge_u) > 100
-        f = FeatureLocations.single(np.zeros(200))
+        f = FeatureLocations(np.zeros(200))
         new_graph, _, _ = bandwidth_order(graph, f, Signal(np.ones(200)))
         assert np.all(new_graph.edge_v - new_graph.edge_u == 1)
 
@@ -481,5 +481,5 @@ class TestBandwidthOrder:
     def test_sizes_must_agree(self):
         graph = Graph.from_edges(3, [(0, 1, 1.0)])
         with pytest.raises(ContractError, match="disagree on size"):
-            bandwidth_order(graph, FeatureLocations.single(np.zeros(4)),
+            bandwidth_order(graph, FeatureLocations(np.zeros(4)),
                             Signal(np.ones(3)))

@@ -30,7 +30,7 @@ from schro_gsp.verify import random_connected_graph, random_features, random_uni
 
 from conftest import make_instance
 
-F012 = FeatureLocations.single([0.0, 1.0, 2.0])
+F012 = FeatureLocations([0.0, 1.0, 2.0])
 
 
 class TestMeanVariance:
@@ -166,7 +166,7 @@ class TestDynamics:
     def test_constant_feature_stays_put(self, rng):
         graph, _, vec = make_instance(89)
         const = np.full(graph.n_nodes, 2.0)
-        assert dynamics_rhs_multi(graph, FeatureLocations.single(const), 0, vec) == 0.0
+        assert dynamics_rhs_multi(graph, FeatureLocations(const), 0, vec) == 0.0
 
     def test_single_matches_finite_difference(self):
         graph, f, vec = make_instance(97)
@@ -271,7 +271,7 @@ class TestMixedDerivative:
             pytest.fail("no usable instance found")
 
         prop = DensePropagator(schrodinger_laplacian(
-            graph, FeatureLocations.single(fcol)))
+            graph, FeatureLocations(fcol)))
         v0 = variance(loc, g)
 
         def measure(t, theta):

@@ -43,7 +43,7 @@ class TestFeatureDerivative:
 
     def test_constant_feature_vanishes(self, path3):
         graph, _ = path3
-        f = FeatureLocations.single([4.0, 4.0, 4.0])
+        f = FeatureLocations([4.0, 4.0, 4.0])
         assert infinity_norm(feature_derivative(graph, f, 0)) == 0.0
 
     @settings(max_examples=25, deadline=None)
@@ -139,7 +139,7 @@ class TestLaplacian:
 
 class TestDiagonals:
     def test_location_picks_coordinates(self):
-        f = FeatureLocations.single([0.0, 1.0, 2.0])
+        f = FeatureLocations([0.0, 1.0, 2.0])
         x = location_observable(f, 0)
         assert np.allclose(x.apply(np.array([1.0, 0, 0])), [0, 0, 0])
         assert np.allclose(x.apply(np.array([0.0, 0, 1])), [0, 0, 2])

@@ -60,7 +60,7 @@ class TestObjective:
     def test_single_output_is_penalty_only(self, path3):
         # path with f = (0, 1, 2): derivative infinity norm is exactly 2
         graph, f = path3
-        q = FeatureLocations.single(f.column(0))
+        q = FeatureLocations(f.column(0))
         val = pmo_objective(graph, q, np.array([[1.0]]), 0.7)
         assert val == pytest.approx(0.7 * (2.0 - 1.0) ** 2, abs=1e-12)
 
@@ -90,7 +90,7 @@ class TestObjective:
 
     def test_wrong_transform_shape_rejected(self, path3):
         graph, f = path3
-        q = FeatureLocations.single(f.column(0))
+        q = FeatureLocations(f.column(0))
         with pytest.raises(ContractError):
             pmo_objective(graph, q, np.zeros((2, 1)), 1.0)
 
@@ -302,7 +302,7 @@ class TestFit:
         # two-node graph: the identity transform already has unit
         # derivative norm, so the objective starts at its minimum of zero
         graph = Graph.from_edges(2, [(0, 1, 1.0)])
-        q = FeatureLocations.single([0.0, 1.0])
+        q = FeatureLocations([0.0, 1.0])
         assert pmo_objective(graph, q, np.array([[1.0]]), 1.0) == pytest.approx(
             0.0, abs=1e-14)
         result = pmo_fit(graph, q, PMOConfig(out_features=1, max_iters=30))
@@ -357,7 +357,7 @@ class TestFit:
 
     def test_too_few_raw_columns_rejected(self, path3):
         graph, f = path3
-        q = FeatureLocations.single(f.column(0))
+        q = FeatureLocations(f.column(0))
         with pytest.raises(ContractError):
             pmo_fit(graph, q, PMOConfig(out_features=2, max_iters=5))
 
@@ -366,7 +366,7 @@ class TestFit:
         # At feature scale 1e100 the start is finite, but the first step's
         # own arithmetic on its 1e200 gradient overflows
         graph, f = path3
-        q = FeatureLocations.single(1e100 * f.column(0))
+        q = FeatureLocations(1e100 * f.column(0))
         cfg = PMOConfig(out_features=1, max_iters=5)
         with pytest.raises(DivergedError, match="iteration 1") as exc:
             pmo_fit(graph, q, cfg)
@@ -453,7 +453,7 @@ class TestFit:
         # and a step of the start's full length lands on T = 0, where every
         # derivative and the penalty's subgradient vanish.
         graph, f = path3
-        q = FeatureLocations.single(10.0 * f.column(0))
+        q = FeatureLocations(10.0 * f.column(0))
         result = pmo_fit(graph, q, PMOConfig(out_features=1))
         assert result.objective_trace[-1][1] <= 1e-12
         assert result.transform[0, 0] == pytest.approx(0.05, rel=1e-9)

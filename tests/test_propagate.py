@@ -36,7 +36,7 @@ class TestExactCases:
 
     def test_constant_feature_is_identity_for_any_time(self, path3):
         graph, _ = path3
-        lap = schrodinger_laplacian(graph, FeatureLocations.single([5.0] * 3))
+        lap = schrodinger_laplacian(graph, FeatureLocations([5.0] * 3))
         g = np.array([1.0, -2.0, 0.5])
         out = evolve(lap, 3.7, g)
         assert np.allclose(out, g, atol=0.0)
@@ -261,7 +261,7 @@ class TestExtremes:
     @given(st.floats(allow_nan=False, allow_infinity=False))
     def test_single_node_returns_input(self, t):
         graph = Graph(1, np.array([]), np.array([]), np.array([]))
-        lap = schrodinger_laplacian(graph, FeatureLocations.single([0.5]))
+        lap = schrodinger_laplacian(graph, FeatureLocations([0.5]))
         vec = np.array([0.6 + 0.8j])
         assert lap.norm_bound == 0.0
         assert np.array_equal(evolve(lap, t, vec), vec)
