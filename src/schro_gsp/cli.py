@@ -35,7 +35,7 @@ from .errors import (
     FormatError,
     NumericalError,
     SchroGspError,
-    check_config_fields,
+    check_fields,
 )
 from .experiments import (
     ClusterSweepConfig,
@@ -70,7 +70,7 @@ class VerifyConfig:
     filter: str | None = None
 
     def __post_init__(self):
-        check_config_fields(self)
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,7 @@ class DiagnoseConfig:
     n_windows: int = 4
 
     def __post_init__(self):
-        check_config_fields(self)
+        check_fields(self)
         for name in ("filter_params", "graph", "features", "signal"):
             if not getattr(self, name):
                 raise ContractError(f"diagnose config needs a {name!r} file path")
@@ -467,10 +467,7 @@ def main(argv=None) -> int:
     try:
         os.makedirs(args.out, exist_ok=True)
         return args.func(args)
-    except (ContractError, FormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (NumericalError, DivergedError) as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except SchroGspError as exc:

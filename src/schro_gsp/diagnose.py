@@ -21,7 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DegenerateFeatureError, all_finite, frozen_array
+from .errors import (
+    ContractError,
+    DegenerateFeatureError,
+    all_finite,
+    check_fields,
+    frozen_array,
+)
 from .graph_core import NORM_FLOOR, FeatureLocations, Signal
 
 
@@ -37,6 +43,7 @@ class WindowSet:
     centers: np.ndarray        # (B,)
 
     def __post_init__(self):
+        check_fields(self)
         weights = frozen_array(self.weights, np.float64, "window weights")
         centers = frozen_array(self.centers, np.float64, "window centers")
         if weights.ndim != 2:

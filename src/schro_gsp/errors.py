@@ -6,21 +6,19 @@ errors.  The subclasses separate the failure modes that calling code is
 expected to distinguish: malformed input files, violated preconditions,
 signals with no usable mass, and numerical breakdown.
 
-Two value rules hold where values enter the library.  Config values:
-:func:`check_config_fields` holds the one rule for which values a config
-field's annotation admits; each config adds only its range checks.  Kept
+Two value rules hold where values enter the library.  Kept scalars: every
+config, ``Graph``, ``WindowSet``, ``FilterTerm`` and ``RingModelParams``
+call :func:`check_fields` first, then add only their range checks.  Kept
 arrays: every container keeps its arrays only through :func:`frozen_array`,
 as read-only finite copies, so it never aliases or changes the caller's
-array.  Every array finiteness test is :func:`all_finite`; scalars use
-``math.isfinite``.
+array.  Every array finiteness test is :func:`all_finite`.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
-import numbers
-import typing
 
 import numpy as np
 
@@ -76,35 +74,43 @@ class SizeError(SchroGspError, ValueError):
     """Problem size exceeds a hard bound (dense-oracle feasibility)."""
 
 
-def check_config_fields(config) -> None:
-    """Check each field of a config dataclass against its annotation.
+@functools.cache
+def _scalar_fields(cls) -> tuple[tuple[str, str], ...]:
+    """``check_fields``' (name, annotation) pairs, found once per class."""
+    return tuple((f.name, f.type) for f in dataclasses.fields(cls) if f.type != "np.ndarray")
+
+
+def check_fields(obj) -> None:
+    """Check each scalar field of a dataclass by its annotation, and keep
+    each number as the Python ``int`` or ``float``.
 
     An ``int`` field takes a Python or numpy integer but not a bool; a
     ``float`` field takes a finite real number, an integer included; a
-    ``str`` field takes a string, and ``str | None`` also ``None``.  Every
-    config calls this first in ``__post_init__`` and keeps only its range
-    checks, so a bad value fails at construction, before any work, whether
-    the config came from a JSON file or from Python.
+    ``str`` field takes a string, and ``str | None`` also ``None``.
+    ``np.ndarray`` fields are :func:`frozen_array`'s.  The annotations are
+    the unresolved strings ``dataclasses.fields`` holds.
     """
-    hints = typing.get_type_hints(type(config))
-    for field in dataclasses.fields(config):
-        kind = hints[field.name]
-        value = getattr(config, field.name)
-        where = f"{type(config).__name__}.{field.name}"
-        number = not isinstance(value, bool)
-        if kind is int:
-            rule = "an integer"
-            ok = number and isinstance(value, numbers.Integral)
-        elif kind is float:
-            rule = "a finite number"
-            ok = number and isinstance(value, numbers.Real) and math.isfinite(value)
-        elif kind is str or kind == (str | None):
+    for name, kind in _scalar_fields(type(obj)):
+        value = getattr(obj, name)
+        if kind == "int" or kind == "float":
+            real = kind == "float"
+            types = (int, np.integer, float, np.floating) if real else (int, np.integer)
+            ok = isinstance(value, types) and not isinstance(value, bool)
+            if ok:
+                try:
+                    kept = float(value) if real else int(value)
+                except OverflowError:  # an integer beyond the float range
+                    kept = math.inf
+                ok = not real or math.isfinite(kept)
+                object.__setattr__(obj, name, kept)
+            rule = "a finite number" if real else "an integer"
+        elif kind == "str" or kind == "str | None":
+            ok = isinstance(value, str) or (value is None and kind != "str")
             rule = "a string"
-            ok = isinstance(value, str) or (value is None and kind is not str)
         else:
-            raise TypeError(f"no value rule for {where}: {kind!r}")
+            raise TypeError(f"no value rule for {type(obj).__name__}.{name}: {kind!r}")
         if not ok:
-            raise ContractError(f"{where} must be {rule}, got {value!r}")
+            raise ContractError(f"{type(obj).__name__}.{name} must be {rule}, got {value!r}")
 
 
 def all_finite(values: np.ndarray) -> bool:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, check_config_fields
+from .errors import ContractError, check_fields
 from .graph_core import (
     FeatureLocations,
     Graph,
@@ -59,7 +59,7 @@ class ClusterSweepConfig:
     target: float = 1.0
 
     def __post_init__(self):
-        check_config_fields(self)
+        check_fields(self)
         if not self.theta_min < self.theta_max:
             raise ContractError("theta range must satisfy theta_min < theta_max")
         if self.n_theta < 2:
@@ -231,7 +231,7 @@ class GridPMOConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_config_fields(self)
+        check_fields(self)
         if self.side < 2:
             raise ContractError("a grid needs side at least 2")
         if self.grad_mode != "spectral-pair":

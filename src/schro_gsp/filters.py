@@ -30,12 +30,11 @@ There are no bias terms anywhere.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, FormatError, frozen_array
+from .errors import ContractError, FormatError, check_fields, frozen_array
 from .graph_core import FeatureLocations
 from .operators import SecondOrderGenerator, modulation
 from .propagate import evolve
@@ -53,6 +52,7 @@ class FilterTerm:
     mix: np.ndarray        # (J, D) complex channel mixing
 
     def __post_init__(self):
+        check_fields(self)
         what = "filter term parameters"
         direction = frozen_array(self.direction, np.float64, what)
         mix = frozen_array(self.mix, np.complex128, what)
@@ -60,8 +60,6 @@ class FilterTerm:
             raise ContractError("term direction must be a non-empty vector")
         if mix.ndim != 2 or mix.size == 0:
             raise ContractError("term mix must be a non-empty matrix")
-        if not (math.isfinite(self.time) and math.isfinite(self.phase)):
-            raise ContractError(f"{what} must be finite")
         object.__setattr__(self, "direction", direction)
         object.__setattr__(self, "mix", mix)
 
@@ -128,8 +126,8 @@ def load_filter_params(path) -> FilterParams:
                 dtype=np.complex128,
             )
             terms.append(FilterTerm(
-                time=float(td["time"]),
-                phase=float(td["phase"]),
+                time=td["time"],
+                phase=td["phase"],
                 direction=np.asarray(td["direction"], dtype=np.float64),
                 mix=mix,
             ))

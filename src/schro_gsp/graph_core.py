@@ -35,6 +35,7 @@ from .errors import (
     DegenerateSignalError,
     FormatError,
     SchroGspError,
+    check_fields,
     frozen_array,
 )
 
@@ -68,6 +69,17 @@ def _table(values, dtype, what: str, entries: str) -> np.ndarray:
     return frozen_array(values, dtype, entries).reshape(shape)
 
 
+def _endpoints(values) -> np.ndarray:
+    """``values`` as int64 edge endpoints, not copied if they already are;
+    ContractError if the cast would change one (a fraction, NaN, infinity)."""
+    values = np.asarray(values)
+    with np.errstate(invalid="ignore"):
+        ends = values.astype(np.int64, copy=False)
+    if ends is not values and not np.array_equal(ends, values):
+        raise ContractError("edge endpoints must be integers")
+    return ends
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected weighted graph with each edge stored once (``u < v``)."""
@@ -78,6 +90,7 @@ class Graph:
     edge_w: np.ndarray
 
     def __post_init__(self):
+        check_fields(self)
         if self.n_nodes <= 0:
             raise ContractError("graph needs at least one node")
         # The edge keys here, in ``_oriented_graph`` and in ``edge_pattern``
@@ -85,8 +98,8 @@ class Graph:
         if self.n_nodes >= 2 ** 31:
             raise ContractError(
                 f"graph has {self.n_nodes} nodes; at most 2**31 - 1 are supported")
-        u = np.asarray(self.edge_u, dtype=np.int64)
-        v = np.asarray(self.edge_v, dtype=np.int64)
+        u = _endpoints(self.edge_u)
+        v = _endpoints(self.edge_v)
         w = np.asarray(self.edge_w, dtype=np.float64)
         if not (u.shape == v.shape == w.shape) or u.ndim != 1:
             raise ContractError("edge arrays must be 1-D and equally long")
@@ -436,8 +449,7 @@ def _value_row(width: int | None, unit: str = ""):
 
 def _oriented_graph(n_nodes: int, u, v, w) -> Graph:
     """Graph from edges in any orientation, stored ``u < v`` in lexsort order."""
-    u = np.asarray(u, dtype=np.int64)
-    v = np.asarray(v, dtype=np.int64)
+    u, v = _endpoints(u), _endpoints(v)
     a, b = np.minimum(u, v), np.maximum(u, v)
     # The stable order of a * n + b is lexsort((b, a)) for in-range
     # endpoints, and much faster on rows that are already sorted.

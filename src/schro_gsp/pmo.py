@@ -40,7 +40,7 @@ from .errors import (
     ContractError,
     NumericalError,
     all_finite,
-    check_config_fields,
+    check_fields,
     frozen_array,
 )
 from .graph_core import FeatureLocations, Graph, csr_index, edge_pattern, relabel
@@ -59,7 +59,7 @@ class PMOConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_config_fields(self)
+        check_fields(self)
         if self.out_features < 1:
             raise ContractError("out_features must be at least 1")
         if self.lam < 0:

@@ -23,14 +23,13 @@ with a phase update, since the modulus discards the output phase anyway.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
 
 from .diagnose import build_windows, relative_shift
-from .errors import ContractError, DivergedError, check_config_fields, frozen_array
+from .errors import ContractError, DivergedError, check_fields, frozen_array
 from .graph_core import FeatureLocations, Signal, ring_graph
 from .operators import (
     SparseOperator,
@@ -72,7 +71,7 @@ class RingTaskConfig:
     n_windows: int = 4
 
     def __post_init__(self):
-        check_config_fields(self)
+        check_fields(self)
         if self.n_nodes < 3:
             raise ContractError("a ring needs at least 3 nodes")
         if not 0 <= self.shift < self.n_nodes:
@@ -152,6 +151,7 @@ class RingModelParams:
     scale: float
 
     def __post_init__(self):
+        check_fields(self)
         if self.kind not in _KINDS:
             raise ContractError(f"model kind must be one of {_KINDS}")
         what = "model parameters"
@@ -161,12 +161,9 @@ class RingModelParams:
         c = times.size
         if directions.shape != (c, 3) or mix.shape != (c,):
             raise ContractError("parameter blocks disagree on channel count")
-        if not math.isfinite(float(self.scale)):
-            raise ContractError(f"{what} must be finite")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "directions", directions)
         object.__setattr__(self, "mix", mix)
-        object.__setattr__(self, "scale", float(self.scale))
 
     @property
     def n_channels(self) -> int:
@@ -202,7 +199,7 @@ class RingModelParams:
             times=vec[:c],
             directions=directions,
             mix=re + 1j * im,
-            scale=float(vec[pos]),
+            scale=vec[pos],
         )
 
     def as_dict(self) -> dict:

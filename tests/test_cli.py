@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import schro_gsp
-from schro_gsp import cli, operators, ring_task, verify
+from schro_gsp import cli, errors, operators, ring_task, verify
 from schro_gsp.cli import main
 from schro_gsp.filters import FilterParams, FilterTerm, save_filter_params
 from schro_gsp.graph_core import (
@@ -61,6 +61,34 @@ class TestParsing:
         with pytest.raises(SystemExit) as exc:
             main(["transmogrify"])
         assert exc.value.code == 2
+
+
+# Each error ``main`` maps, with its exit code and its stderr prefix.
+_EXITS = [
+    (errors.SchroGspError("x"), 2, "error: "),
+    (errors.FormatError("x"), 2, "error: "),
+    (errors.ContractError("x"), 2, "error: "),
+    (errors.DegenerateSignalError("x"), 2, "error: "),
+    (errors.DegenerateFeatureError("x"), 2, "error: "),
+    (errors.SizeError("x"), 2, "error: "),
+    (errors.NumericalError("x"), 3, "numerical failure: "),
+    (errors.DivergedError("x"), 3, "numerical failure: "),
+    (OSError("x"), 2, "error: i/o failure on output path: "),
+    (AssertionError("x"), 1, "assertion failed: "),
+]
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("error,code,prefix", _EXITS,
+                             ids=[type(e).__name__ for e, _, _ in _EXITS])
+    def test_each_error_keeps_its_code_and_prefix(self, tmp_path, capsys,
+                                                  monkeypatch, error, code, prefix):
+        def failing(args):
+            raise error
+
+        monkeypatch.setattr(cli, "cmd_verify", failing)
+        assert main(["verify", "--out", str(tmp_path)]) == code
+        assert capsys.readouterr().err.startswith(prefix)
 
 
 class TestConfigErrors:

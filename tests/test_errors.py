@@ -1,14 +1,23 @@
-"""The shared value rules: finiteness tests and the arrays containers keep."""
+"""The shared value rules: finiteness tests, the arrays containers keep,
+and the scalars configs and containers keep."""
+
+import dataclasses
+import importlib
+import json
+import pkgutil
 
 import numpy as np
 import pytest
 
+import schro_gsp
+from schro_gsp.cli import DiagnoseConfig, VerifyConfig
 from schro_gsp.diagnose import WindowSet
 from schro_gsp.errors import ContractError, all_finite, frozen_array
+from schro_gsp.experiments import ClusterSweepConfig, GridPMOConfig
 from schro_gsp.filters import FilterTerm
 from schro_gsp.graph_core import FeatureLocations, Graph, Signal
-from schro_gsp.pmo import PMOResult
-from schro_gsp.ring_task import RingModelParams
+from schro_gsp.pmo import PMOConfig, PMOResult
+from schro_gsp.ring_task import RingModelParams, RingTaskConfig
 
 
 class TestAllFinite:
@@ -94,3 +103,67 @@ def test_container_keeps_a_read_only_finite_copy(slot):
     assert kept is not valid and not np.shares_memory(kept, valid)
     assert valid.flags.writeable
     assert np.array_equal(kept, valid)
+
+
+# Every config and every container built from caller scalars, with valid
+# keyword arguments (a config's defaults fill the rest).
+_HOLDERS = {
+    PMOConfig: {"out_features": 2},
+    GridPMOConfig: {},
+    ClusterSweepConfig: {},
+    RingTaskConfig: {},
+    VerifyConfig: {},
+    DiagnoseConfig: {"filter_params": "p.json", "graph": "g.tsv",
+                     "features": "f.csv", "signal": "s.csv"},
+    Graph: {"n_nodes": 3, "edge_u": [0], "edge_v": [1], "edge_w": [1.0]},
+    WindowSet: {"coordinate": 0, "weights": np.ones((2, 3)), "centers": [0.0, 1.0]},
+    FilterTerm: {"time": 0.1, "phase": 0.2, "direction": np.ones(2),
+                 "mix": np.eye(2)},
+    RingModelParams: {"kind": "modulated", "times": np.ones(2),
+                      "directions": np.zeros((2, 3)), "mix": np.ones(2), "scale": 1.0},
+}
+
+# Values each scalar annotation refuses.
+_REFUSED = {
+    "int": [True, 0.5, np.nan, np.inf, -np.inf],
+    "float": [True, np.nan, np.inf, -np.inf, "2.5", 10 ** 400],
+    "str": [1, None],
+    "str | None": [1],
+}
+_NUMPY = {"int": np.int64, "float": np.float32}
+
+
+def _scalar_fields(cls, kinds):
+    return [f for f in dataclasses.fields(cls) if f.type in kinds]
+
+
+def test_every_config_class_is_held_to_the_scalar_rule():
+    configs = {
+        obj for info in pkgutil.iter_modules(schro_gsp.__path__)
+        for obj in vars(importlib.import_module(f"schro_gsp.{info.name}")).values()
+        if isinstance(obj, type) and dataclasses.is_dataclass(obj)
+        and obj.__name__.endswith("Config")
+    }
+    assert configs <= set(_HOLDERS)
+
+
+@pytest.mark.parametrize("cls", list(_HOLDERS), ids=lambda cls: cls.__name__)
+def test_numpy_scalars_are_kept_as_python_numbers(cls):
+    valid = cls(**_HOLDERS[cls])
+    numeric = _scalar_fields(cls, _NUMPY)
+    given = {f.name: _NUMPY[f.type](getattr(valid, f.name)) for f in numeric}
+    built = cls(**{**_HOLDERS[cls], **given})
+    kept = {f.name: getattr(built, f.name) for f in numeric}
+    assert {name: type(value) for name, value in kept.items()} == {
+        f.name: int if f.type == "int" else float for f in numeric}
+    assert kept == given
+    json.dumps(kept)
+
+
+@pytest.mark.parametrize("cls,name,bad", [
+    (cls, f.name, bad) for cls in _HOLDERS
+    for f in _scalar_fields(cls, _REFUSED) for bad in _REFUSED[f.type]
+], ids=lambda p: p.__name__ if isinstance(p, type) else repr(p)[:16])
+def test_scalar_field_refuses_what_its_annotation_does_not_admit(cls, name, bad):
+    with pytest.raises(ContractError, match=f"^{cls.__name__}.{name} must be"):
+        cls(**{**_HOLDERS[cls], name: bad})

@@ -123,6 +123,22 @@ class TestPersistence:
             b'{"terms": [{"direction": [1.0, 0.0], "mix": [[[1.0, 2.0]]], '
             b'"phase": -1.25, "time": 0.5}]}\n')
 
+    def test_numpy_scalar_time_round_trips(self, tmp_path):
+        term = FilterTerm(time=np.float32(0.1), phase=np.float64(-0.5),
+                          direction=np.ones(2), mix=np.eye(2, dtype=complex))
+        path = tmp_path / "params.json"
+        save_filter_params(FilterParams((term,)), path)
+        (back,) = load_filter_params(path).terms
+        assert (back.time, back.phase) == (term.time, term.phase)
+        assert np.array_equal(back.direction, term.direction)
+        assert np.array_equal(back.mix, term.mix)
+
+    def test_string_time_rejected(self, tmp_path):
+        text = ('{"terms": [{"direction": [1.0], "mix": [[[1.0, 0.0]]], '
+                '"phase": 0.0, "time": "0.1"}]}')
+        with pytest.raises(FormatError, match="FilterTerm.time must be a finite number"):
+            _load_text(tmp_path, text)
+
     def test_invalid_json_rejected(self, tmp_path):
         with pytest.raises(FormatError, match="filter parameters are not valid JSON"):
             _load_text(tmp_path, "{not json")

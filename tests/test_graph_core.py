@@ -58,6 +58,25 @@ class TestGraph:
         with pytest.raises(ContractError):
             Graph.from_edges(3, [(0, 5, 1.0)])
 
+    @pytest.mark.parametrize("u, v", [
+        ([0.7], [1.9]),             # the cast would keep the edge (0, 1)
+        ([0.0], [1.5]),
+        ([np.nan], [1.0]),
+        ([0.0], [np.inf]),
+    ])
+    def test_endpoint_the_integer_cast_would_change_rejected(self, u, v):
+        with pytest.raises(ContractError, match="edge endpoints must be integers"):
+            Graph(3, u, v, [1.0])
+        with pytest.raises(ContractError, match="edge endpoints must be integers"):
+            Graph.from_edges(3, [(u[0], v[0], 1.0)])
+
+    def test_integral_float_endpoints_build_the_integer_graph(self):
+        floats = Graph(3, np.array([0.0, 1.0]), np.array([1.0, 2.0]), [1.0, 2.0])
+        ints = Graph(3, [0, 1], [1, 2], [1.0, 2.0])
+        assert floats.edge_u.dtype == floats.edge_v.dtype == np.int64
+        assert np.array_equal(floats.edge_u, ints.edge_u)
+        assert np.array_equal(floats.edge_v, ints.edge_v)
+
     def test_nonfinite_weight_rejected(self):
         with pytest.raises(ContractError):
             Graph.from_edges(2, [(0, 1, float("nan"))])
