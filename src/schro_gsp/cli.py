@@ -51,6 +51,7 @@ from .graph_core import (
     bandwidth_order,
     load_features,
     load_graph,
+    load_json,
     load_signal,
 )
 from .operators import SecondOrderGenerator, derivative_mats
@@ -100,17 +101,7 @@ def _load_config(path: str | None, cls, overrides: dict):
     each value's type and range, so nothing is computed from a bad config."""
     data: dict = {}
     if path is not None:
-        try:
-            with open(path, "r", encoding="ascii") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise ContractError(f"cannot read config file {path}: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"config {path} is not ASCII text: {exc}") from exc
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"config {path} is not valid JSON: {exc}") from exc
+        data = load_json(path)
         if not isinstance(data, dict):
             raise FormatError(f"config {path} must be a JSON object")
     allowed = [f.name for f in dataclasses.fields(cls)]
@@ -131,8 +122,6 @@ def _load_config(path: str | None, cls, overrides: dict):
 
 
 def _cell(value) -> str:
-    if value is None:
-        return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):

@@ -6,12 +6,14 @@ errors.  The subclasses separate the failure modes that calling code is
 expected to distinguish: malformed input files, violated preconditions,
 signals with no usable mass, and numerical breakdown.
 
-Two value rules hold where values enter the library.  Kept scalars: every
-config, ``Graph``, ``WindowSet``, ``FilterTerm`` and ``RingModelParams``
-call :func:`check_fields` first, then add only their range checks.  Kept
-arrays: every container keeps its arrays only through :func:`frozen_array`,
-as read-only finite copies, so it never aliases or changes the caller's
-array.  Every array finiteness test is :func:`all_finite`.
+Three value rules hold where values enter the library.  Kept scalars:
+every config, ``Graph``, ``WindowSet``, ``FilterTerm`` and
+``RingModelParams`` call :func:`check_fields` first, then add only their
+range checks.  Cast arrays: a caller's array changes dtype only through
+:func:`exact_array`, which refuses non-numbers and a cast that would drop
+or change a value.  Kept arrays: containers keep arrays only through
+:func:`frozen_array`, as read-only finite copies of that cast, so they never
+alias or change the caller's array.  Every finiteness test is :func:`all_finite`.
 """
 
 from __future__ import annotations
@@ -121,10 +123,31 @@ def all_finite(values: np.ndarray) -> bool:
         math.isfinite(p.min()) and math.isfinite(p.max()) for p in parts)
 
 
+def exact_array(values, dtype, what: str) -> np.ndarray:
+    """``values`` as an array of ``dtype``, itself if it has that dtype.
+
+    :class:`ContractError` for bools, strings and other non-numbers, for
+    complex numbers unless ``dtype`` is complex (``"{what} must be real"``),
+    and for a fraction, NaN or infinity if ``dtype`` is an integer."""
+    arr = np.asarray(values)
+    if arr.dtype == dtype:
+        return arr
+    target = np.dtype(dtype).kind
+    if arr.dtype.kind == "c" and target != "c":
+        raise ContractError(f"{what} must be real")
+    if arr.dtype.kind not in "iufc":
+        raise ContractError(f"{what} must be numbers, got dtype {arr.dtype}")
+    with np.errstate(invalid="ignore"):
+        out = arr.astype(dtype)
+    if target == "i" and not np.array_equal(out, arr):
+        raise ContractError(f"{what} must be integers")
+    return out
+
+
 def frozen_array(values, dtype, what: str) -> np.ndarray:
-    """A read-only copy of ``values`` as ``dtype``; :class:`ContractError`
-    ``"{what} must be finite"`` if a float or complex entry is not."""
-    out = np.array(values, dtype=dtype)
+    """A read-only copy of ``exact_array(values, dtype, what)``;
+    :class:`ContractError` ``"{what} must be finite"`` if an entry is not."""
+    out = np.array(exact_array(values, dtype, what))
     if out.dtype.kind in "fc" and not all_finite(out):
         raise ContractError(f"{what} must be finite")
     out.setflags(write=False)

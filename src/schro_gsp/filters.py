@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, FormatError, check_fields, frozen_array
-from .graph_core import FeatureLocations
+from .graph_core import FeatureLocations, load_json
 from .operators import SecondOrderGenerator, modulation
 from .propagate import evolve
 
@@ -111,25 +111,15 @@ def save_filter_params(params: FilterParams, path) -> None:
 
 
 def load_filter_params(path) -> FilterParams:
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            data = json.load(fh)
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"filter parameters {path} are not ASCII text: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"filter parameters are not valid JSON: {exc}") from exc
+    data = load_json(path)
     try:
         terms = []
         for td in data["terms"]:
-            mix = np.array(
-                [[complex(re, im) for re, im in row] for row in td["mix"]],
-                dtype=np.complex128,
-            )
             terms.append(FilterTerm(
                 time=td["time"],
                 phase=td["phase"],
-                direction=np.asarray(td["direction"], dtype=np.float64),
-                mix=mix,
+                direction=td["direction"],
+                mix=[[complex(re, im) for re, im in row] for row in td["mix"]],
             ))
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed filter parameters: {exc}") from exc

@@ -20,6 +20,7 @@ renames the nodes by an order.
 
 from __future__ import annotations
 
+import json
 import math
 import warnings
 from collections.abc import Callable
@@ -36,6 +37,7 @@ from .errors import (
     FormatError,
     SchroGspError,
     check_fields,
+    exact_array,
     frozen_array,
 )
 
@@ -69,17 +71,6 @@ def _table(values, dtype, what: str, entries: str) -> np.ndarray:
     return frozen_array(values, dtype, entries).reshape(shape)
 
 
-def _endpoints(values) -> np.ndarray:
-    """``values`` as int64 edge endpoints, not copied if they already are;
-    ContractError if the cast would change one (a fraction, NaN, infinity)."""
-    values = np.asarray(values)
-    with np.errstate(invalid="ignore"):
-        ends = values.astype(np.int64, copy=False)
-    if ends is not values and not np.array_equal(ends, values):
-        raise ContractError("edge endpoints must be integers")
-    return ends
-
-
 @dataclass(frozen=True)
 class Graph:
     """Undirected weighted graph with each edge stored once (``u < v``)."""
@@ -98,9 +89,9 @@ class Graph:
         if self.n_nodes >= 2 ** 31:
             raise ContractError(
                 f"graph has {self.n_nodes} nodes; at most 2**31 - 1 are supported")
-        u = _endpoints(self.edge_u)
-        v = _endpoints(self.edge_v)
-        w = np.asarray(self.edge_w, dtype=np.float64)
+        u = exact_array(self.edge_u, np.int64, "edge endpoints")
+        v = exact_array(self.edge_v, np.int64, "edge endpoints")
+        w = exact_array(self.edge_w, np.float64, "edge weights")
         if not (u.shape == v.shape == w.shape) or u.ndim != 1:
             raise ContractError("edge arrays must be 1-D and equally long")
         if u.size:
@@ -148,8 +139,6 @@ class Graph:
         return sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
     def is_connected(self) -> bool:
-        if self.n_nodes == 1:
-            return True
         n_comp = sparse.csgraph.connected_components(
             self.adjacency, directed=False, return_labels=False
         )
@@ -188,8 +177,6 @@ class FeatureLocations:
     values: np.ndarray
 
     def __post_init__(self):
-        if np.iscomplexobj(self.values):
-            raise ContractError("feature locations must be real")
         object.__setattr__(self, "values", _table(
             self.values, np.float64, "feature values", "feature locations"))
 
@@ -449,12 +436,13 @@ def _value_row(width: int | None, unit: str = ""):
 
 def _oriented_graph(n_nodes: int, u, v, w) -> Graph:
     """Graph from edges in any orientation, stored ``u < v`` in lexsort order."""
-    u, v = _endpoints(u), _endpoints(v)
+    u = exact_array(u, np.int64, "edge endpoints")
+    v = exact_array(v, np.int64, "edge endpoints")
     a, b = np.minimum(u, v), np.maximum(u, v)
     # The stable order of a * n + b is lexsort((b, a)) for in-range
     # endpoints, and much faster on rows that are already sorted.
     order = np.argsort(a * n_nodes + b, kind="stable")
-    return Graph(n_nodes, a[order], b[order], np.asarray(w, dtype=np.float64)[order])
+    return Graph(n_nodes, a[order], b[order], np.asarray(w)[order])
 
 
 def _signal_from_rows(j: int, rows: np.ndarray) -> Signal:
@@ -517,6 +505,15 @@ def save_features(f: FeatureLocations, path) -> None:
 
 def load_features(path) -> FeatureLocations:
     return _load(path, _FEATURES)
+
+
+def load_json(path):
+    """The JSON value in the file at ``path``; FormatError if not ASCII JSON."""
+    with open(path, "r", encoding="ascii") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # a UnicodeDecodeError or a JSONDecodeError
+            raise FormatError(f"not ASCII JSON: {exc}", path=path) from exc
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from .errors import (
     ContractError,
     DegenerateSignalError,
     NumericalError,
+    exact_array,
 )
 from .graph_core import FeatureLocations, Graph
 from .operators import (
@@ -55,7 +56,7 @@ def _as_channel(g) -> np.ndarray:
     if arr.ndim != 1 or arr.size == 0:
         raise ContractError(f"expected one signal channel as a non-empty (N,) "
                             f"vector, got {type(g).__name__} of shape {arr.shape}")
-    return arr.astype(np.complex128, copy=False)
+    return exact_array(arr, np.complex128, "signal channel")
 
 
 def _require_normalized(vec: np.ndarray, what: str = "signal") -> None:
@@ -170,8 +171,8 @@ def momentum_mean_modulated_closed_form(
     vec = _as_channel(g)
     _require_normalized(vec)
     gr = _require_real(vec, "modulated-momentum signal")
-    f = np.asarray(f, dtype=np.float64)
-    h = np.asarray(h, dtype=np.float64)
+    f = exact_array(f, np.float64, "feature column")
+    h = exact_array(h, np.float64, "modulation direction")
     if f.shape != (graph.n_nodes,) or h.shape != (graph.n_nodes,):
         raise ContractError("feature and modulation columns must match the graph")
     u, v, w = graph.edge_u, graph.edge_v, graph.edge_w
@@ -216,7 +217,7 @@ def variance_rhs(graph: Graph, f: np.ndarray, g) -> float:
     """Closed-form rate of change of the location variance along a feature."""
     vec = _as_channel(g)
     _require_normalized(vec)
-    fcol = np.asarray(f, dtype=np.float64)
+    fcol = exact_array(f, np.float64, "feature column")
     floc = FeatureLocations(fcol)
     lap = schrodinger_laplacian(graph, floc)
     applied = 1j * _generator_commutator(lap, fcol * fcol, vec)
@@ -247,8 +248,8 @@ def mixed_derivative_rhs(
     vec = _as_channel(g)
     _require_normalized(vec)
     _require_real(vec, "mixed-derivative signal")
-    fcol = np.asarray(f, dtype=np.float64)
-    hcol = np.asarray(h, dtype=np.float64)
+    fcol = exact_array(f, np.float64, "feature column")
+    hcol = exact_array(h, np.float64, "modulation direction")
     floc = FeatureLocations(fcol)
     loc = location_observable(floc, 0)
     v0 = variance(loc, vec)

@@ -51,7 +51,7 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 
-from .errors import ContractError, NumericalError, all_finite
+from .errors import ContractError, NumericalError, all_finite, exact_array
 from .graph_core import FeatureLocations, Graph, csr_index, edge_pattern
 
 # Largest operator given a dense factorization: the propagation oracle's
@@ -307,7 +307,7 @@ def smoothing_operator(graph: Graph, f: FeatureLocations, k: int) -> SparseOpera
 def modulation(h: np.ndarray, theta: float) -> np.ndarray:
     """Unit-modulus column ``exp(i * theta * h)`` for a real column ``h``: a
     signal times it, row by row, is modulated by ``diag(exp(i theta h))``."""
-    h = np.asarray(h, dtype=np.float64)
+    h = exact_array(h, np.float64, "modulation direction")
     if h.ndim != 1 or h.size == 0:
         raise ContractError("modulation direction must be a non-empty 1-D real column")
     # A non-finite angle or an overflowing product surfaces as a

@@ -41,6 +41,7 @@ from .errors import (
     NumericalError,
     all_finite,
     check_fields,
+    exact_array,
     frozen_array,
 )
 from .graph_core import FeatureLocations, Graph, csr_index, edge_pattern, relabel
@@ -236,7 +237,7 @@ def pmo_objective(
     At ``transform = 0`` every derivative vanishes, so the value is
     ``lam * K`` from the penalty alone.
     """
-    transform = np.asarray(transform, dtype=np.float64)
+    transform = exact_array(transform, np.float64, "PMO transform")
     if transform.ndim != 2 or transform.shape[0] != q.n_features:
         raise ContractError(
             f"transform must be ({q.n_features}, K), got {transform.shape}")

@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .errors import ContractError, NumericalError, SizeError, all_finite
+from .errors import ContractError, NumericalError, SizeError, all_finite, exact_array
 from .operators import DENSE_MAX_NODES, SecondOrderGenerator, SparseOperator
 
 # The series is cut where sum_{k > K} eps_k |J_k(t h)|, which bounds the
@@ -46,23 +46,28 @@ _MINUS_I_POWERS = np.array([1.0, -1j, -1.0, 1j])
 _RESCALE = 1e250
 
 
-def _require_inputs(laplacian: SparseOperator, t: float, values, weights=None) -> None:
+def _require_inputs(laplacian: SparseOperator, t: float, values, weights=None):
     """The one entry check of both propagators, made before any work (the
-    short-time shortcut included) and without a mask of the operand's size."""
+    short-time shortcut included) and without a mask of the operand's size;
+    returns the operand and the weights (or None) as complex128 arrays."""
     if not math.isfinite(t):
         raise ContractError(f"propagation time must be finite, got {t}")
-    shape = np.shape(values)
-    if len(shape) not in (1, 2) or shape[0] != laplacian.dim:
+    arr = np.asarray(values)
+    if arr.ndim not in (1, 2) or arr.shape[0] != laplacian.dim:
         raise ContractError(
             f"propagation operand must be an (N,) or (N, J) array with N = "
-            f"{laplacian.dim}, got {type(values).__name__} of shape {shape}")
-    if weights is not None and np.shape(weights) != shape[:1]:
-        raise ContractError(
-            f"weights of shape {np.shape(weights)} do not match {shape[0]} nodes")
-    if not all_finite(np.asarray(values)):
+            f"{laplacian.dim}, got {type(values).__name__} of shape {arr.shape}")
+    arr = exact_array(arr, np.complex128, "propagation operand")
+    if not all_finite(arr):
         raise ContractError("propagation operand must be finite")
-    if weights is not None and not all_finite(np.asarray(weights)):
-        raise ContractError("propagation weights must be finite")
+    if weights is not None:
+        weights = exact_array(weights, np.complex128, "propagation weights")
+        if weights.shape != arr.shape[:1]:
+            raise ContractError(
+                f"weights of shape {weights.shape} do not match {arr.shape[0]} nodes")
+        if not all_finite(weights):
+            raise ContractError("propagation weights must be finite")
+    return arr, weights
 
 
 def _require_generator(laplacian: SparseOperator) -> None:
@@ -98,10 +103,8 @@ def _bessel_j(n: int, z: float) -> np.ndarray:
         vals[k - 1] = v
     j = np.array(vals[: top + 1])
     j /= np.abs(j).max()
+    # Started above order |z|, where J_k(|z|) > 0, j is a positive multiple of J_k.
     norm = math.sqrt(j[0] ** 2 + 2.0 * float(j[1:] @ j[1:]))
-    # J_0 + 2 sum_k J_{2k} = 1 fixes the sign.
-    if j[0] + 2.0 * j[2::2].sum() < 0.0:
-        norm = -norm
     j = j[:n] / norm
     if z < 0.0:
         j[1::2] *= -1.0
@@ -140,17 +143,15 @@ def chebyshev_terms(laplacian: SecondOrderGenerator, t: float) -> int:
 def _chebyshev(
     laplacian: SecondOrderGenerator,
     t: float,
-    values: np.ndarray,
+    x: np.ndarray,
     weights: np.ndarray | None,
 ) -> np.ndarray:
-    x = np.asarray(values, dtype=np.complex128)
     # The input is w * x, re-formed where each term needs it rather than
     # kept as a block beside x.  The operands keep the order a caller that
     # scaled first would use: complex products are not bitwise commutative.
-    w = None
-    if weights is not None:
-        w = np.asarray(weights)
-        w = w[:, None] if x.ndim == 2 else w
+    w = weights
+    if w is not None and x.ndim == 2:
+        w = w[:, None]
     centre = half = 0.5 * laplacian.norm_bound
     z = t * half
     if abs(z) < CHEB_TAIL_TOL:
@@ -209,8 +210,7 @@ def evolve(
     (N, J) blocks besides ``values`` instead of four.
     """
     _require_generator(laplacian)
-    _require_inputs(laplacian, t, values, weights)
-    return _chebyshev(laplacian, t, values, weights)
+    return _chebyshev(laplacian, t, *_require_inputs(laplacian, t, values, weights))
 
 
 class DensePropagator:
@@ -243,8 +243,7 @@ class DensePropagator:
 
     def apply(self, t: float, values: np.ndarray) -> np.ndarray:
         """``exp(-itL)`` applied to a (N,) or (N, J) array."""
-        _require_inputs(self._laplacian, t, values)
-        arr = np.asarray(values, dtype=np.complex128)
+        arr, _ = _require_inputs(self._laplacian, t, values)
         phases = np.exp(-1j * t * self._eigvals)
         coeff = self._eigvecs.conj().T @ arr
         coeff = coeff * (phases if arr.ndim == 1 else phases[:, None])

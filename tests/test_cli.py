@@ -127,9 +127,10 @@ class TestConfigErrors:
                      "--out", str(tmp_path / "o")]) == 2
         assert "accented.json" in capsys.readouterr().err
 
-    def test_missing_config_file_rejected(self, tmp_path):
+    def test_missing_config_file_rejected(self, tmp_path, capsys):
         assert main(["clusters", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error: i/o failure on ")
 
     def test_wrong_value_type_rejected(self, tmp_path, diagnose_inputs):
         cfg = _write_cfg(tmp_path, {"n_theta": "many"})
@@ -510,13 +511,26 @@ class TestDiagnoseCommand:
         assert rows[0][0] == "window_id"
         assert [r[2] for r in rows[1:]] == ["0.0"] * 4
 
+    @pytest.mark.parametrize("kind", ["graph", "features", "signal", "filter_params"])
     def test_missing_input_file_names_the_path(self, tmp_path, diagnose_inputs,
-                                               capsys):
-        bad = dict(diagnose_inputs, signal=str(tmp_path / "missing.txt"))
+                                               capsys, kind):
+        bad = dict(diagnose_inputs, **{kind: str(tmp_path / "missing.txt")})
         cfg = _write_cfg(tmp_path, bad)
         rc = main(["diagnose", "--config", cfg, "--out", str(tmp_path / "o")])
         assert rc == 2
-        assert "missing.txt" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: i/o failure on ") and "missing.txt" in err
+
+    @pytest.mark.parametrize("kind", ["config", "filter_params"])
+    def test_non_json_input_file_names_the_path(self, tmp_path, diagnose_inputs,
+                                                capsys, kind):
+        path = tmp_path / "broken.json"
+        path.write_text("{not json", encoding="ascii")
+        cfg = (str(path) if kind == "config" else
+               _write_cfg(tmp_path, dict(diagnose_inputs, filter_params=str(path))))
+        rc = main(["diagnose", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert f"{path}: not ASCII JSON" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind", ["graph", "features", "signal", "filter_params"])
     def test_non_ascii_input_file_names_the_path(self, tmp_path, diagnose_inputs,

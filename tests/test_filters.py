@@ -140,8 +140,9 @@ class TestPersistence:
             _load_text(tmp_path, text)
 
     def test_invalid_json_rejected(self, tmp_path):
-        with pytest.raises(FormatError, match="filter parameters are not valid JSON"):
+        with pytest.raises(FormatError, match="not ASCII JSON") as exc:
             _load_text(tmp_path, "{not json")
+        assert str(exc.value).startswith(f"{tmp_path / 'params.json'}: ")
 
     def test_missing_key_rejected(self, tmp_path):
         with pytest.raises(FormatError, match="malformed filter parameters"):

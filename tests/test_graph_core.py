@@ -6,7 +6,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from schro_gsp import graph_core
-from schro_gsp.errors import ContractError, DegenerateSignalError, FormatError
+from schro_gsp.diagnose import build_windows
+from schro_gsp.errors import (
+    ContractError,
+    DegenerateFeatureError,
+    DegenerateSignalError,
+    FormatError,
+)
+from schro_gsp.filters import FilterParams, FilterTerm, schrodinger_filter
 from schro_gsp.graph_core import (
     PINNED_CLUSTER_SEED,
     FeatureLocations,
@@ -23,6 +30,16 @@ from schro_gsp.graph_core import (
     save_graph,
     save_signal,
 )
+from schro_gsp.observe import mean
+from schro_gsp.operators import (
+    feature_derivative,
+    infinity_norm,
+    location_observable,
+    operator_norm,
+    schrodinger_laplacian,
+)
+from schro_gsp.pmo import commuting_deficiency
+from schro_gsp.propagate import DensePropagator, chebyshev_terms, evolve
 
 
 class TestGraph:
@@ -502,3 +519,42 @@ class TestBandwidthOrder:
         with pytest.raises(ContractError, match="disagree on size"):
             bandwidth_order(graph, FeatureLocations(np.zeros(4)),
                             Signal(np.ones(3)))
+
+
+class TestSingleNode:
+    """The one-node graph, the smallest input every layer takes: no edges,
+    so every derivative and the generator are zero."""
+
+    graph = Graph(1, [], [], [])
+    f = FeatureLocations([0.5])
+
+    def test_graph_is_connected_and_keeps_its_order(self):
+        assert self.graph.is_connected()
+        new_graph, new_f, new_sig = bandwidth_order(self.graph, self.f, Signal([1j]))
+        assert (new_graph.n_nodes, new_graph.n_edges) == (1, 0)
+        assert new_f.values.tolist() == [[0.5]] and new_sig.values.tolist() == [[1j]]
+
+    def test_generator_and_propagators_are_the_identity(self):
+        lap = schrodinger_laplacian(self.graph, self.f)
+        assert lap.tosparse().toarray().tolist() == [[0.0]]
+        assert lap.norm_bound == 0.0 and chebyshev_terms(lap, 5.0) == 1
+        x = np.array([1j])
+        for t in (1.0, -1e300):
+            assert evolve(lap, t, x).tolist() == [1j]
+        assert DensePropagator(lap).apply(2.0, x).tolist() == [1j]
+
+    def test_observables_and_norms(self):
+        grad = feature_derivative(self.graph, self.f, 0)
+        assert operator_norm(grad) == 0.0 and infinity_norm(grad) == 0.0
+        assert mean(location_observable(self.f, 0), np.array([1.0])) == 0.5
+        two = FeatureLocations([[0.5, -2.0]])
+        assert commuting_deficiency(self.graph, two) == 0.0
+
+    def test_filter_is_its_phase_and_windows_are_degenerate(self):
+        lap = schrodinger_laplacian(self.graph, self.f)
+        term = FilterTerm(time=0.1, phase=0.2, direction=[1.0], mix=[[1.0]])
+        stack = np.full((1, 1, 1), 2.0 - 1j)
+        out = schrodinger_filter(lap, self.f, FilterParams((term,)), stack)
+        assert out == pytest.approx(np.exp(0.1j) * stack, rel=1e-15)
+        with pytest.raises(DegenerateFeatureError):
+            build_windows(self.f, 0, 2)

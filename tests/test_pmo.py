@@ -310,6 +310,31 @@ class TestFit:
         final = pmo_objective(graph, q, result.transform, 1.0)
         assert final <= 1e-6
 
+    def test_seeded_restart_rescues_a_stationary_start(self, monkeypatch):
+        # The constant column has no derivative, so the identity start sits
+        # at the penalty 1.0 with a zero subgradient and the first run stops
+        # after one evaluation; the random restart leaves the start.
+        graph, q = grid_graph(4)
+        raw = FeatureLocations(np.column_stack([np.full(graph.n_nodes, 3.0),
+                                                q.values[:, 0]]))
+        runs = []
+        bfgs = pmo_module.bfgs
+
+        def recorded(*args):
+            runs.append(bfgs(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(pmo_module, "bfgs", recorded)
+        cfg = PMOConfig(out_features=1, max_iters=50)
+        result = pmo_fit(graph, raw, cfg)
+        assert len(runs) == 2
+        assert (runs[0].evaluations, runs[0].stop_reason) == (1, "gradient")
+        assert result.initial_objective == 1.0
+        assert result.objective_trace[-1][1] < result.initial_objective
+        assert result.evaluations == sum(r.evaluations for r in runs)
+        again = pmo_fit(graph, raw, cfg)
+        assert again.transform.tobytes() == result.transform.tobytes()
+
     def test_fit_descends_and_trace_is_monotone(self):
         rng = np.random.default_rng(21)
         graph = random_connected_graph(rng, n_min=8, n_max=12)
